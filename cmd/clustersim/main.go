@@ -34,14 +34,8 @@ func main() {
 		traceF = flag.String("trace", "", "write an Extrae-style execution trace to this file (replay it with cmd/replay)")
 		critP  = flag.String("critpath", "", "record the causal event graph, print the blame and what-if tables, and write a critical-path sidecar to this file ('-' prints tables only; inspect sidecars with cmd/whatif)")
 		storeD = flag.String("store", os.Getenv("CLUSTERSOC_STORE"), "persistent content-addressed result store directory (default $CLUSTERSOC_STORE): the run is served from a warm entry when present, simulated and persisted otherwise")
-		pdes   = flag.Bool("pdes", false, "run eligible configurations under conservative PDES (partitioned by node); results are bit-identical to sequential runs")
-		pdesW  = flag.Int("pdes-workers", 4, "PDES worker pool size (with -pdes)")
 	)
 	flag.Parse()
-
-	if *pdes {
-		cluster.SetPDES(*pdesW)
-	}
 
 	if *list {
 		for _, w := range workloads.All() {
@@ -101,7 +95,6 @@ func main() {
 
 	var res cluster.Result
 	var report *critpath.Report
-	var partitioned bool
 	if *storeD != "" {
 		// The store tier lives in the run-plane, so a stored run goes
 		// through a single-worker runner: a warm entry (including its
@@ -134,7 +127,6 @@ func main() {
 			cl.RecordCritPath()
 		}
 		res = cl.Run(w.Body(workloads.Config{Scale: *scale}))
-		partitioned = cl.Partitioned()
 		if *critP != "" {
 			report = critpath.Analyze(cl.CritPath(),
 				fmt.Sprintf("%s on %s", w.Name(), cfg.Name), "", res.Runtime)
@@ -161,9 +153,6 @@ func main() {
 	fmt.Printf("system:        %s\n", res.System)
 	fmt.Printf("workload:      %s (scale %.2f)\n", w.Name(), *scale)
 	fmt.Printf("ranks:         %d on %d node(s)\n", res.Ranks, res.Nodes)
-	if partitioned {
-		fmt.Printf("engine:        pdes (%d workers)\n", *pdesW)
-	}
 	fmt.Printf("runtime:       %s\n", units.Seconds(res.Runtime))
 	fmt.Printf("throughput:    %s\n", units.Flops(res.Throughput))
 	fmt.Printf("avg power:     %.1f W\n", res.AvgPowerWatts)

@@ -21,7 +21,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"clustersoc/internal/cluster"
 	"clustersoc/internal/compute"
 	"clustersoc/internal/critpath"
 	"clustersoc/internal/experiments"
@@ -54,14 +53,8 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file (written on clean completion)")
 		backend  = flag.String("backend", compute.Default().Name(), "compute backend executing the calibration kernels ("+strings.Join(compute.Names(), ", ")+"); the artifact tables are analytic and stay byte-identical either way")
 		storeDir = flag.String("store", os.Getenv("CLUSTERSOC_STORE"), "persistent content-addressed result store directory (default $CLUSTERSOC_STORE): warm entries decode instead of re-simulating, and results are deterministic so entries never go stale")
-		pdes     = flag.Bool("pdes", false, "run eligible scenarios under conservative PDES (partitioned by node); artifacts stay byte-identical to sequential runs")
-		pdesW    = flag.Int("pdes-workers", 4, "PDES worker pool size (with -pdes)")
 	)
 	flag.Parse()
-
-	if *pdes {
-		cluster.SetPDES(*pdesW)
-	}
 
 	be, err := compute.ByName(*backend)
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 
-	"clustersoc/internal/cluster"
 	"clustersoc/internal/core"
 	"clustersoc/internal/critpath"
 	"clustersoc/internal/obs"
@@ -32,14 +31,8 @@ func main() {
 		critPath    = flag.Bool("critpath", false, "record causal event graphs, print the largest run's blame table, and write a scalability.critpath.json sidecar (inspect with cmd/whatif)")
 		traceOut    = flag.String("trace-out", "", "write a Chrome/Perfetto trace of the largest traced run to this file")
 		storeDir    = flag.String("store", os.Getenv("CLUSTERSOC_STORE"), "persistent content-addressed result store directory (default $CLUSTERSOC_STORE): warm entries decode instead of re-simulating")
-		pdes        = flag.Bool("pdes", false, "run eligible scenarios under conservative PDES (partitioned by node); results stay bit-identical to sequential runs")
-		pdesW       = flag.Int("pdes-workers", 4, "PDES worker pool size (with -pdes)")
 	)
 	flag.Parse()
-
-	if *pdes {
-		cluster.SetPDES(*pdesW)
-	}
 
 	net := core.TenGigE
 	if *netArg == "1g" {

@@ -137,33 +137,10 @@ type Cluster struct {
 	inj      *faults.Injector
 	cp       *critpath.Recorder // nil unless RecordCritPath enabled recording
 	jobs     int                // spawnOn calls so far, for entity naming
-
-	// pd is the conservative-PDES coordinator when this cluster runs
-	// partitioned (see pdes.go); nil on sequential runs. ctxs collects
-	// every rank context in spawn order so Finish can merge the per-rank
-	// FLOP-credit logs deterministically.
-	pd   *sim.PDES
-	ctxs []*Context
-	jobL []*Job // every spawned job, for finish-time settlement
 }
 
-// New assembles a cluster from a config. When a process-wide PDES worker
-// count is installed (SetPDES / CLUSTERSOC_PDES) and the config is
-// eligible, the cluster is partitioned by node onto conservative-PDES
-// child engines; results are bit-identical either way.
+// New assembles a cluster from a config.
 func New(cfg Config) *Cluster {
-	return assemble(cfg, PDESWorkers())
-}
-
-// NewSequential is New with partitioned execution suppressed for this one
-// cluster regardless of the process-wide PDES setting. The run plane uses
-// it for observer-attached runs (profiling, checking, critical-path
-// recording), whose shared-state hooks require the single shared calendar.
-func NewSequential(cfg Config) *Cluster {
-	return assemble(cfg, 0)
-}
-
-func assemble(cfg Config, pdesWorkers int) *Cluster {
 	if cfg.Nodes < 1 || cfg.RanksPerNode < 1 {
 		panic("cluster: need at least one node and one rank per node")
 	}
@@ -174,19 +151,15 @@ func assemble(cfg Config, pdesWorkers int) *Cluster {
 	}
 	nw := network.New(e, netNodes, cfg.Network)
 	cl := &Cluster{Cfg: cfg, Eng: e, Net: nw, ranksPerNode: cfg.RanksPerNode}
-	if pdesWorkers > 0 && cfg.pdesEligible(nw.MinLookahead()) {
-		cl.pd = sim.NewPDES(cfg.Nodes, nw.MinLookahead(), pdesWorkers)
-	}
 	if cfg.Faults.Enabled() {
 		cl.inj = faults.NewInjector(*cfg.Faults, e, nw, cfg.Nodes)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		nt := cfg.NodeType
-		ne := cl.nodeEng(i)
 		node := &Node{
 			Index: i,
 			Type:  nt,
-			DRAM:  sim.NewPipe(ne, fmt.Sprintf("dram%d", i), nt.DRAMBandwidth, 0),
+			DRAM:  sim.NewPipe(e, fmt.Sprintf("dram%d", i), nt.DRAMBandwidth, 0),
 			Cores: sim.NewResource(nt.CPU.Cores),
 		}
 		node.Meter.Spec = nt.Power
@@ -199,12 +172,12 @@ func assemble(cfg Config, pdesWorkers int) *Cluster {
 			}
 			var mem, pcie *sim.Pipe
 			if nt.GPU.DedicatedMemory {
-				mem = sim.NewPipe(ne, fmt.Sprintf("gddr%d", i), nt.GPU.MemBandwidth, 0)
-				pcie = sim.NewPipe(ne, fmt.Sprintf("pcie%d", i), nt.GPU.PCIeBandwidth, 5e-6)
+				mem = sim.NewPipe(e, fmt.Sprintf("gddr%d", i), nt.GPU.MemBandwidth, 0)
+				pcie = sim.NewPipe(e, fmt.Sprintf("pcie%d", i), nt.GPU.PCIeBandwidth, 5e-6)
 			} else {
 				mem = node.DRAM // the TX1 property: CPU and GPU share DRAM
 			}
-			node.GPU = cuda.New(ne, *nt.GPU, mem, pcie)
+			node.GPU = cuda.New(e, *nt.GPU, mem, pcie)
 			node.GPU.Model = cfg.MemModel
 		}
 		cl.Nodes = append(cl.Nodes, node)
@@ -239,9 +212,6 @@ func (cl *Cluster) Ranks() int { return cl.Cfg.Nodes * cl.ranksPerNode }
 // simulation: a run with and without a registry produces identical
 // Result values, a property locked in by the runner determinism tests.
 func (cl *Cluster) Instrument(reg *obs.Registry) {
-	if reg != nil && cl.pd != nil {
-		panic("cluster: Instrument is not supported on a partitioned (PDES) cluster; run sequentially to profile")
-	}
 	cl.reg = reg
 	if reg == nil {
 		return
@@ -255,9 +225,6 @@ func (cl *Cluster) Instrument(reg *obs.Registry) {
 // alters the simulation — it only observes matches and collects
 // diagnostics for the post-run audit.
 func (cl *Cluster) EnableChecking() {
-	if cl.pd != nil {
-		panic("cluster: EnableChecking is not supported on a partitioned (PDES) cluster; run sequentially to audit")
-	}
 	cl.checking = true
 	for _, c := range cl.comms {
 		c.SetChecking(true)
@@ -276,9 +243,6 @@ func (cl *Cluster) Comms() []*mpi.Comm { return cl.comms }
 // field — recording is a property of one execution, not of the scenario,
 // and must stay out of the fingerprint.
 func (cl *Cluster) RecordCritPath() {
-	if cl.pd != nil {
-		panic("cluster: RecordCritPath is not supported on a partitioned (PDES) cluster; run sequentially to record")
-	}
 	if cl.cp != nil {
 		return
 	}
@@ -296,11 +260,6 @@ func (cl *Cluster) CritPath() *critpath.Recorder { return cl.cp }
 type Job struct {
 	FLOPs  float64
 	Finish float64 // time the job's last rank returned
-
-	// fin holds per-rank finish times on partitioned runs, where ranks
-	// return concurrently and a shared max update would race; Finish is
-	// settled from it (deterministically, as a max) after the run.
-	fin []float64
 }
 
 // Throughput returns the job's FLOP/s over its own duration.
@@ -362,24 +321,15 @@ func (cl *Cluster) spawnOn(comm *mpi.Comm, ranksPerNode int, body func(ctx *Cont
 		comm.SetPathRecorder(cl.cp.CommHooks(ents))
 	}
 	cl.jobs++
-	cl.jobL = append(cl.jobL, job)
-	if cl.pd != nil {
-		job.fin = make([]float64, comm.Size())
-	}
 	for r := 0; r < comm.Size(); r++ {
 		r := r
 		ctx := &Context{cl: cl, Rank: r, node: cl.Nodes[r/ranksPerNode], comm: comm, job: job}
 		if ents != nil {
 			ctx.cpEnt = ents[r]
 		}
-		cl.ctxs = append(cl.ctxs, ctx)
-		p := cl.nodeEng(r / ranksPerNode).Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Process) {
+		p := cl.Eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Process) {
 			ctx.P = p
 			body(ctx)
-			if job.fin != nil {
-				job.fin[r] = p.Now() // partition-local; settled in Finish
-				return
-			}
 			if p.Now() > job.Finish {
 				job.Finish = p.Now()
 			}
@@ -391,15 +341,7 @@ func (cl *Cluster) spawnOn(comm *mpi.Comm, ranksPerNode int, body func(ctx *Cont
 
 // Finish runs the engine to completion and collects the results.
 func (cl *Cluster) Finish() Result {
-	var runtime float64
-	events := func() uint64 { return cl.Eng.Events() }
-	if cl.pd != nil {
-		runtime = cl.pd.Run()
-		events = cl.pd.Events
-		cl.settlePDES()
-	} else {
-		runtime = cl.Eng.Run()
-	}
+	runtime := cl.Eng.Run()
 	res := Result{
 		System:  cl.Cfg.Name,
 		Network: cl.Cfg.Network.Name,
@@ -407,7 +349,7 @@ func (cl *Cluster) Finish() Result {
 		Ranks:   cl.Ranks(),
 		Runtime: runtime,
 		FLOPs:   cl.flops,
-		Events:  events(),
+		Events:  cl.Eng.Events(),
 	}
 	for _, n := range cl.Nodes {
 		n.Meter.AddCPU(n.cpuBusy)

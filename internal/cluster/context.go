@@ -22,12 +22,6 @@ type Context struct {
 	job   *Job
 	fst   faults.RankState
 	cpEnt int32 // critpath timeline handle; meaningful only when cl.cp != nil
-
-	// credits is the rank-local FLOP-credit log of a partitioned run:
-	// ranks on different partitions cannot share the cluster accumulator
-	// without racing, so each logs (time, flops) and Finish merges the
-	// logs in global time order (settlePDES). Nil on sequential runs.
-	credits []flopCredit
 }
 
 // Size returns the number of ranks in the communicator.
@@ -280,12 +274,6 @@ func (ctx *Context) Barrier() {
 func (ctx *Context) CreditFlops(f float64) { ctx.creditFlops(f) }
 
 func (ctx *Context) creditFlops(f float64) {
-	if ctx.cl.pd != nil {
-		ctx.credits = append(ctx.credits, flopCredit{
-			t: ctx.P.Now(), ord: ctx.P.Engine().CurOrder(), f: f,
-		})
-		return
-	}
 	ctx.cl.flops += f
 	if ctx.job != nil {
 		ctx.job.FLOPs += f
@@ -317,7 +305,7 @@ func (ctx *Context) Fetch(bytes float64) {
 		panic("cluster: Fetch requires Config.FileServer")
 	}
 	server := ctx.cl.Cfg.Nodes // last switch port
-	_, arrival := ctx.cl.Net.DeliverFrom(ctx.P, server, ctx.node.Index, bytes)
+	_, arrival := ctx.cl.Net.Deliver(server, ctx.node.Index, bytes)
 	start := ctx.P.Now()
 	var fetchID int32
 	if ctx.cl.cp != nil {

@@ -68,8 +68,9 @@ func (s *Session) CritPathReports() []*critpath.Report { return s.r.Reports() }
 
 // NewScenario validates and normalizes a run request into the canonical
 // runner.Scenario exactly the way Session.Run does: the workload must be
-// registered, GPU workloads require a GPU, and RanksPerNode is derived
-// from the workload (clamped by the node's core count). Front ends that
+// registered, GPU workloads require a GPU, RanksPerNode is derived from
+// the workload (clamped by the node's core count), and the result must
+// have at least one node and one rank per node. Front ends that
 // accept serialized requests (cmd/simd) resolve through this so their
 // fingerprints land on the same cache entries the library face warms.
 func NewScenario(cfg cluster.Config, workload string, wcfg workloads.Config) (runner.Scenario, error) {
@@ -88,6 +89,12 @@ func scenario(cfg cluster.Config, workload string, wcfg workloads.Config) (runne
 	cfg.RanksPerNode = w.RanksPerNode()
 	if cfg.NodeType.CPU.Cores < cfg.RanksPerNode {
 		cfg.RanksPerNode = cfg.NodeType.CPU.Cores
+	}
+	if cfg.Nodes < 1 {
+		return runner.Scenario{}, fmt.Errorf("core: %s has %d nodes; need at least one", cfg.Name, cfg.Nodes)
+	}
+	if cfg.RanksPerNode < 1 {
+		return runner.Scenario{}, fmt.Errorf("core: %s nodes have %d CPU cores; need at least one to host a rank", cfg.Name, cfg.NodeType.CPU.Cores)
 	}
 	return runner.Scenario{Cluster: cfg, Workload: workload, Config: wcfg}, nil
 }

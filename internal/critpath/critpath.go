@@ -27,8 +27,7 @@
 // same graph (the dimemas recipe, but over causal spans rather than rank
 // traces) produces what-if bounds: makespan under an infinitely fast
 // network, without straggler stretch, without DRAM stalls. Per-message
-// slack (arrival vs. receive post) aggregates into per-link headroom —
-// the conservative-lookahead distribution a future PDES run-plane needs.
+// slack (arrival vs. receive post) aggregates into per-link headroom.
 //
 // Recording is opt-in (cluster.RecordCritPath) and strictly passive: it
 // observes times the simulation already computed and never schedules,

@@ -98,13 +98,10 @@ type Comm struct {
 	// drained keys are deleted (the maps stay small) — but without
 	// recycling, every enqueue on a new key allocates a one-entry slice,
 	// which is most of the simulator's steady-state garbage on
-	// communication-heavy runs. Stacks, per destination rank: a rank's
-	// matching structures are touched either by its own receives or by a
-	// sender holding the cross-partition exclusive section on that rank's
-	// node, so per-rank stacks stay single-threaded under PDES where a
-	// communicator-wide stack would be shared across partitions.
-	spareBox     [][][]inboxMsg
-	spareWaiters [][][]recvWaiter
+	// communication-heavy runs. Stacks, because several queues can be
+	// in flight per rank at once (wide collectives).
+	spareBox     [][]inboxMsg
+	spareWaiters [][]recvWaiter
 
 	sentBytes []float64 // per-rank bytes passed to Send (incl. intra-node)
 	sentMsgs  []uint64
@@ -143,9 +140,6 @@ func NewComm(e *sim.Engine, nw *network.Network, rankNode []int) *Comm {
 
 		retransBytes: make([]float64, n),
 		retransMsgs:  make([]uint64, n),
-
-		spareBox:     make([][][]inboxMsg, n),
-		spareWaiters: make([][][]recvWaiter, n),
 	}
 	for i := range c.boxes {
 		c.boxes[i] = make(map[key][]inboxMsg)
@@ -219,7 +213,7 @@ func (c *Comm) Send(p *sim.Process, src, dst, tag int, bytes float64) {
 	c.check(dst)
 	start := p.Now()
 	srcNode, dstNode := c.rankNode[src], c.rankNode[dst]
-	senderFree, arrival := c.nw.DeliverFrom(p, srcNode, dstNode, bytes)
+	senderFree, arrival := c.nw.Deliver(srcNode, dstNode, bytes)
 	c.sentBytes[src] += bytes
 	c.sentMsgs[src]++
 	retrans := false
@@ -228,7 +222,7 @@ func (c *Comm) Send(p *sim.Process, src, dst, tag int, bytes float64) {
 		// second wire transit that cannot start before the sender's timeout
 		// fires. The receiver sees only the retransmitted copy's arrival,
 		// and the sender's buffer is not free until the second copy drains.
-		senderFree, arrival = c.nw.DeliverAfterFrom(p, srcNode, dstNode, bytes, senderFree+c.loss.Timeout())
+		senderFree, arrival = c.nw.DeliverAfter(srcNode, dstNode, bytes, senderFree+c.loss.Timeout())
 		c.retransBytes[src] += bytes
 		c.retransMsgs[src]++
 		retrans = true
@@ -251,7 +245,7 @@ func (c *Comm) Send(p *sim.Process, src, dst, tag int, bytes float64) {
 		if len(ws) == 1 {
 			delete(c.waiters[dst], k)
 			ws[0] = recvWaiter{} // don't pin the process via the spare
-			c.spareWaiters[dst] = append(c.spareWaiters[dst], ws[:0])
+			c.spareWaiters = append(c.spareWaiters, ws[:0])
 		} else {
 			c.waiters[dst][k] = ws[1:]
 		}
@@ -260,15 +254,12 @@ func (c *Comm) Send(p *sim.Process, src, dst, tag int, bytes float64) {
 				"rank %d expected %g bytes from rank %d (tag %d) but the sender delivered %g",
 				dst, w.expect, src, tag, bytes))
 		}
-		// Resume through the sender's engine: its clock carries the send
-		// time, which is the arithmetic frame the sequential engine uses —
-		// and under PDES the receiver may live on a different partition.
-		p.Engine().ResumeAt(arrival, w.p)
+		c.eng.ResumeAt(arrival, w.p)
 	} else {
 		q := c.boxes[dst][k]
 		if q == nil {
-			if n := len(c.spareBox[dst]); n > 0 {
-				q, c.spareBox[dst] = c.spareBox[dst][n-1], c.spareBox[dst][:n-1]
+			if n := len(c.spareBox); n > 0 {
+				q, c.spareBox = c.spareBox[n-1], c.spareBox[:n-1]
 			}
 		}
 		c.boxes[dst][k] = append(q, inboxMsg{arrival: arrival, bytes: bytes, pathID: pathID})
@@ -299,7 +290,7 @@ func (c *Comm) recvExpect(p *sim.Process, dst, src, tag int, expect float64) {
 		m := q[0]
 		if len(q) == 1 {
 			delete(c.boxes[dst], k)
-			c.spareBox[dst] = append(c.spareBox[dst], q[:0])
+			c.spareBox = append(c.spareBox, q[:0])
 		} else {
 			c.boxes[dst][k] = q[1:]
 		}
@@ -313,8 +304,8 @@ func (c *Comm) recvExpect(p *sim.Process, dst, src, tag int, expect float64) {
 	} else {
 		ws := c.waiters[dst][k]
 		if ws == nil {
-			if n := len(c.spareWaiters[dst]); n > 0 {
-				ws, c.spareWaiters[dst] = c.spareWaiters[dst][n-1], c.spareWaiters[dst][:n-1]
+			if n := len(c.spareWaiters); n > 0 {
+				ws, c.spareWaiters = c.spareWaiters[n-1], c.spareWaiters[:n-1]
 			}
 		}
 		c.waiters[dst][k] = append(ws, recvWaiter{p: p, expect: expect})

@@ -56,7 +56,6 @@ type port struct {
 	free      float64
 	bytes     float64
 	busy      float64
-	msgs      uint64      // bookings through this port (intra-node path only)
 	queuedMax float64     // high-water mark of bytes queued behind the port (instrumented runs only)
 	pending   []queuedMsg // bookings not yet in service, pruned lazily (instrumented runs only)
 }
@@ -113,7 +112,7 @@ type Network struct {
 	memBW   float64
 	memLat  float64
 	fabric  float64 // total bytes through the switch, for statistics
-	packets uint64  // cross-node bookings (intra-node counts live per loop port)
+	packets uint64
 
 	// sizeHist, when attached via Instrument, observes every message's
 	// size. It doubles as the instrumentation switch: the queued-bytes
@@ -172,7 +171,7 @@ func (nw *Network) Nodes() int { return len(nw.tx) }
 // and the time the last byte reaches the receiver. Deliver does not block;
 // the MPI layer schedules around the returned times.
 func (nw *Network) Deliver(src, dst int, bytes float64) (senderFree, arrival float64) {
-	return nw.deliver(src, dst, bytes, nw.eng.Now(), nw.eng.Now())
+	return nw.deliver(src, dst, bytes, nw.eng.Now())
 }
 
 // DeliverAfter is Deliver with a floor on the service start: the booking
@@ -180,37 +179,17 @@ func (nw *Network) Deliver(src, dst int, bytes float64) (senderFree, arrival flo
 // eager-retransmit copy of a lost message, which leaves the NIC only
 // after the retransmit timeout has elapsed.
 func (nw *Network) DeliverAfter(src, dst int, bytes, earliest float64) (senderFree, arrival float64) {
-	return nw.deliver(src, dst, bytes, math.Max(earliest, nw.eng.Now()), nw.eng.Now())
+	return nw.deliver(src, dst, bytes, math.Max(earliest, nw.eng.Now()))
 }
 
-// DeliverFrom is Deliver evaluated in p's time frame: the floor and the
-// observation timestamp come from p's engine rather than the network's.
-// On a sequential run the two clocks are the same object, so the result
-// is identical; under PDES p's engine is a partition child, and a booking
-// that crosses partitions first parks p until the coordinator grants it
-// the cross-partition exclusive section (sim.Engine.AcquireCross).
-func (nw *Network) DeliverFrom(p *sim.Process, src, dst int, bytes float64) (senderFree, arrival float64) {
-	if src != dst {
-		p.Engine().AcquireCross(dst)
-	}
-	return nw.deliver(src, dst, bytes, p.Now(), p.Now())
-}
-
-// DeliverAfterFrom is DeliverAfter in p's time frame (see DeliverFrom).
-func (nw *Network) DeliverAfterFrom(p *sim.Process, src, dst int, bytes, earliest float64) (senderFree, arrival float64) {
-	if src != dst {
-		p.Engine().AcquireCross(dst)
-	}
-	return nw.deliver(src, dst, bytes, math.Max(earliest, p.Now()), p.Now())
-}
-
-func (nw *Network) deliver(src, dst int, bytes, floor, now float64) (senderFree, arrival float64) {
+func (nw *Network) deliver(src, dst int, bytes, floor float64) (senderFree, arrival float64) {
 	if src < 0 || src >= len(nw.tx) || dst < 0 || dst >= len(nw.rx) {
 		panic(fmt.Sprintf("network: node out of range: %d -> %d (have %d)", src, dst, len(nw.tx)))
 	}
+	now := nw.eng.Now()
+	nw.packets++
 	if src == dst {
 		lp := &nw.loop[src]
-		lp.msgs++
 		start := math.Max(floor, lp.free)
 		if nw.lf != nil {
 			// Iterate to a fixpoint, exactly like the wire path's admit():
@@ -238,7 +217,6 @@ func (nw *Network) deliver(src, dst int, bytes, floor, now float64) (senderFree,
 		}
 		return lp.free, lp.free + nw.memLat
 	}
-	nw.packets++
 	t, r := &nw.tx[src], &nw.rx[dst]
 	start := math.Max(floor, math.Max(t.free, r.free))
 	rate := nw.prof.Throughput
@@ -410,21 +388,7 @@ func (nw *Network) FabricBytes() float64 { return nw.fabric }
 func (nw *Network) IntraNodeBytes(node int) float64 { return nw.loop[node].bytes }
 
 // Messages returns the number of Deliver calls (wire and intra-node).
-func (nw *Network) Messages() uint64 {
-	n := nw.packets
-	for i := range nw.loop {
-		n += nw.loop[i].msgs
-	}
-	return n
-}
-
-// MinLookahead returns the minimum latency of any cross-node link — the
-// conservative lookahead window for partitioned (PDES) execution: a
-// message booked at time t cannot affect another node's calendar before
-// t + MinLookahead. A non-positive value (the Ideal profile) means the
-// network provides no usable lookahead and partitioned execution must
-// fall back to the sequential engine.
-func (nw *Network) MinLookahead() float64 { return nw.prof.Latency }
+func (nw *Network) Messages() uint64 { return nw.packets }
 
 // TXBusy returns the accumulated busy seconds of a node's TX port.
 func (nw *Network) TXBusy(node int) float64 { return nw.tx[node].busy }
@@ -460,7 +424,7 @@ func (nw *Network) PublishMetrics(s *obs.Scope) {
 		return
 	}
 	s.Counter("fabric_bytes").Add(nw.fabric)
-	s.Counter("messages").Add(float64(nw.Messages()))
+	s.Counter("messages").Add(float64(nw.packets))
 	for i := range nw.tx {
 		ps := s.Scope(fmt.Sprintf("port%d", i))
 		ps.Counter("tx_busy_s").Add(nw.tx[i].busy)

@@ -483,16 +483,7 @@ func execute(s Scenario, reg *obs.Registry, checked, critpathOn bool) (Result, e
 	if err != nil {
 		return Result{}, err
 	}
-	var cl *cluster.Cluster
-	if reg != nil || checked || critpathOn {
-		// Observer hooks thread shared state through the simulation hot
-		// path, which a partitioned (PDES) cluster cannot host; these runs
-		// stay on the shared sequential calendar. Results are bit-identical
-		// either way, so cached entries may serve both kinds of request.
-		cl = cluster.NewSequential(s.Cluster)
-	} else {
-		cl = cluster.New(s.Cluster)
-	}
+	cl := cluster.New(s.Cluster)
 	cl.Instrument(reg)
 	if checked {
 		cl.EnableChecking()

@@ -15,7 +15,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"clustersoc/internal/obs"
 )
@@ -41,7 +40,6 @@ const (
 type event struct {
 	time float64
 	seq  uint64
-	ped  *ped     // causal pedigree; non-nil only on partitioned engines
 	fn   func()   // evCall payload (nil for evWake)
 	proc *Process // evWake payload (nil for evCall)
 	kind eventKind
@@ -56,17 +54,10 @@ type event struct {
 // sequence, so swapping the arity cannot perturb event order.
 type calendar []event
 
-// less orders the heap by time, then by schedule order. On a partitioned
-// engine "schedule order" means the global causal pedigree (see
-// pedigree.go), which reproduces the exact tie order a single shared
-// calendar's seq counter would have assigned; sequentially it is the local
-// seq counter itself.
+// less orders the heap by time, then by schedule order.
 func (c calendar) less(i, j int) bool {
 	if c[i].time != c[j].time {
 		return c[i].time < c[j].time
-	}
-	if c[i].ped != nil {
-		return pedBefore(c[i].ped, c[j].ped)
 	}
 	return c[i].seq < c[j].seq
 }
@@ -116,11 +107,6 @@ func (c calendar) siftDown(i int) {
 // caller's stack, where tests and callers expect it.
 type runStatus struct {
 	panicVal any
-	// PDES protocol messages (see pdes.go). exclEnd closes a cross-partition
-	// exclusive section; a non-nil cross parks the driving process until the
-	// coordinator grants its cross-partition operation.
-	exclEnd bool
-	cross   *crossNote
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
@@ -142,21 +128,6 @@ type Engine struct {
 	maxQueue   int     // calendar depth high-water mark
 	blocked    float64 // total simulated seconds processes spent blocked
 	staleWakes uint64  // wake-ups popped after their process finished
-
-	// PDES partition-child fields (nil/zero on a sequential engine; see
-	// pdes.go). strict makes drive pause at events with time == limit so a
-	// partition never executes events at the conservative bound itself;
-	// atomNow mirrors now (float64 bits) for lock-free coordinator reads.
-	pd        *PDES
-	pid       int
-	strict    bool
-	exclArmed bool
-	grant     chan struct{}
-	atomNow   uint64
-	curPed    *ped   // pedigree of the event currently executing (nil pre-run)
-	pushIdx   uint32 // pushes performed so far by the current event
-	limitPed  *ped   // with strict: events at time == limit run only if their
-	// pedigree orders before limitPed (nil = none do)
 }
 
 // NewEngine returns an engine with the clock at zero and an empty calendar.
@@ -193,15 +164,8 @@ func (e *Engine) clampDelay(delay float64) float64 {
 	return delay
 }
 
-// push stamps the next sequence number onto ev and inserts it. On a
-// partitioned engine it also stamps the causal pedigree of e's current
-// execution context — unless the caller pre-stamped one, which is how
-// cross-partition pushes carry the *source* engine's context (see
-// Resume/ResumeAt and Signal.Fire).
+// push stamps the next sequence number onto ev and inserts it.
 func (e *Engine) push(ev event) {
-	if e.pd != nil && ev.ped == nil {
-		ev.ped = e.stamp()
-	}
 	e.seq++
 	ev.seq = e.seq
 	e.queue = append(e.queue, ev)
@@ -328,17 +292,8 @@ const (
 // (resume and ret channel sends) provide the happens-before edges between
 // consecutive holders.
 func (e *Engine) drive(self *Process) driveResult {
-	if e.exclArmed {
-		// First yield after a granted cross-partition operation: close the
-		// exclusive section before touching the calendar so the coordinator
-		// can proceed while this partition keeps draining.
-		e.exclArmed = false
-		e.ret <- runStatus{exclEnd: true}
-	}
 	for {
-		if len(e.queue) == 0 || e.queue[0].time > e.limit ||
-			(e.strict && e.queue[0].time == e.limit &&
-				(e.limitPed == nil || !pedBefore(e.queue[0].ped, e.limitPed))) {
+		if len(e.queue) == 0 || e.queue[0].time > e.limit {
 			if self != nil {
 				e.ret <- runStatus{}
 			}
@@ -346,11 +301,6 @@ func (e *Engine) drive(self *Process) driveResult {
 		}
 		ev := e.pop()
 		e.now = ev.time
-		if e.pd != nil {
-			atomic.StoreUint64(&e.atomNow, math.Float64bits(ev.time))
-			e.curPed = ev.ped
-			e.pushIdx = 0
-		}
 		if ev.kind == evCall {
 			e.events++
 			ev.fn()

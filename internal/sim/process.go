@@ -111,33 +111,11 @@ func (p *Process) Suspend() { p.block() }
 
 // Resume schedules p to continue at the current time. Only valid for a
 // process parked with Suspend (or registered in a Signal the caller
-// manages itself). If p lives on a different engine (a PDES partition
-// peer), the activation is inserted into p's own calendar at the caller's
-// current time.
-func (e *Engine) Resume(p *Process) {
-	if p.eng == e {
-		e.wake(0, p)
-		return
-	}
-	p.eng.push(event{time: e.now, proc: p, kind: evWake, ped: e.stamp()})
-}
+// manages itself).
+func (e *Engine) Resume(p *Process) { e.wake(0, p) }
 
-// ResumeAt schedules p to continue at absolute time t. Cross-engine
-// resumptions (PDES) compute the wake time with the caller's clock — the
-// exact arithmetic the sequential engine performs — and insert the event
-// directly into p's calendar, so partitioned runs reproduce sequential
-// timestamps bit-for-bit.
-func (e *Engine) ResumeAt(t float64, p *Process) {
-	if p.eng == e {
-		e.wakeAt(t, p)
-		return
-	}
-	tt := t
-	if t != e.now {
-		tt = e.now + e.clampDelay(t-e.now)
-	}
-	p.eng.push(event{time: tt, proc: p, kind: evWake, ped: e.stamp()})
-}
+// ResumeAt schedules p to continue at absolute time t.
+func (e *Engine) ResumeAt(t float64, p *Process) { e.wakeAt(t, p) }
 
 // Signal is a broadcast condition: processes Wait on it and a later Fire
 // resumes all current waiters (in Wait order). Fire-then-Wait does not
@@ -153,17 +131,12 @@ func (s *Signal) Wait(p *Process) {
 }
 
 // Fire resumes every currently waiting process at the present time, in the
-// order they called Wait. Waiters living on a different engine (PDES
-// partition peers) get the activation inserted into their own calendar.
+// order they called Wait.
 func (s *Signal) Fire(e *Engine) {
 	ws := s.waiters
 	s.waiters = nil
 	for _, w := range ws {
-		if w.eng == e {
-			e.wake(0, w)
-		} else {
-			w.eng.push(event{time: e.now, proc: w, kind: evWake, ped: e.stamp()})
-		}
+		e.wake(0, w)
 	}
 }
 

@@ -404,3 +404,42 @@ func TestEngineIntrospection(t *testing.T) {
 		t.Fatalf("utilization %v", u)
 	}
 }
+
+// TestStaleWakeExcludedFromEvents pins that drive does not count wake-ups
+// of finished processes toward Events(), and tracks them in StaleWakes
+// instead.
+func TestStaleWakeExcludedFromEvents(t *testing.T) {
+	e := NewEngine()
+	var target *Process
+	target = e.Spawn("short", func(p *Process) { p.Suspend() })
+	e.Spawn("waker", func(p *Process) {
+		p.Sleep(1e-5)
+		e.Resume(target)
+		e.Resume(target)
+		e.Resume(target)
+	})
+	e.Run()
+	// Events: 2 spawn wakes + waker's sleep wake + target's (useful)
+	// resume + waker finishing its body = deterministic; the two stale
+	// resumes must not be in it.
+	if got := e.StaleWakes(); got != 2 {
+		t.Fatalf("StaleWakes() = %d, want 2", got)
+	}
+	// The same schedule with only one (useful) resume processes the same
+	// number of *useful* events.
+	e2 := NewEngine()
+	var t2 *Process
+	t2 = e2.Spawn("short", func(p *Process) { p.Suspend() })
+	e2.Spawn("waker", func(p *Process) {
+		p.Sleep(1e-5)
+		e2.Resume(t2)
+	})
+	e2.Run()
+	if e2.StaleWakes() != 0 {
+		t.Fatalf("control run has %d stale wakes, want 0", e2.StaleWakes())
+	}
+	if e.Events() != e2.Events() {
+		t.Fatalf("stale wakes leaked into Events(): %d (with stales) vs %d (without)",
+			e.Events(), e2.Events())
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -157,6 +158,16 @@ func retryAfter(w http.ResponseWriter, wait time.Duration, format string, args .
 	httpError(w, http.StatusTooManyRequests, format, args...)
 }
 
+// decodeBatch parses a POST /simulate body. Unknown fields are errors, so
+// a misspelled knob is refused instead of silently meaning its default.
+func decodeBatch(r io.Reader) (Batch, error) {
+	var batch Batch
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&batch)
+	return batch, err
+}
+
 func (s *Server) handleSimulate(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST a batch of scenario requests")
@@ -167,10 +178,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	var batch Batch
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 16<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&batch); err != nil {
+	batch, err := decodeBatch(http.MaxBytesReader(w, req.Body, 16<<20))
+	if err != nil {
 		s.badRequests.Add(1)
 		httpError(w, http.StatusBadRequest, "undecodable batch: %v", err)
 		return
@@ -218,7 +227,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	lines := make(chan Response, n)
+	lines := make(chan []byte, n)
 	for i := range scenarios {
 		go func(i int) {
 			defer s.pending.Add(-1)
@@ -230,30 +239,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, req *http.Request) {
 				Source:      out.Source,
 				Coalesced:   out.Coalesced,
 			}
-			if err != nil {
-				s.failed.Add(1)
-				line.Error = err.Error()
-			} else {
+			if err == nil {
 				line.Result = &res
-				s.served.Add(1)
-				switch out.Source {
-				case runner.SourceMemory:
-					s.servedMemory.Add(1)
-				case runner.SourceStore:
-					s.servedStore.Add(1)
-				case runner.SourceSimulated:
-					s.simulated.Add(1)
-				}
-				if out.Coalesced {
-					s.coalesced.Add(1)
-				}
 			}
-			lines <- line
+			lines <- s.encodeLine(line, err)
 		}(i)
 	}
-	enc := json.NewEncoder(w)
 	for i := 0; i < n; i++ {
-		if err := enc.Encode(<-lines); err != nil {
+		if _, err := w.Write(<-lines); err != nil {
 			// The client went away mid-stream; drain the remaining
 			// results so the pending accounting settles, then stop.
 			for j := i + 1; j < n; j++ {
@@ -265,6 +258,37 @@ func (s *Server) handleSimulate(w http.ResponseWriter, req *http.Request) {
 			flusher.Flush()
 		}
 	}
+}
+
+// encodeLine renders one NDJSON line and counts how it was served. A
+// result JSON cannot encode (a +Inf runtime from a degenerate custom
+// cluster) becomes an error line, so the stream still carries one line
+// per request.
+func (s *Server) encodeLine(line Response, err error) []byte {
+	if err == nil {
+		b, merr := json.Marshal(line)
+		if merr == nil {
+			s.served.Add(1)
+			switch line.Source {
+			case runner.SourceMemory:
+				s.servedMemory.Add(1)
+			case runner.SourceStore:
+				s.servedStore.Add(1)
+			case runner.SourceSimulated:
+				s.simulated.Add(1)
+			}
+			if line.Coalesced {
+				s.coalesced.Add(1)
+			}
+			return append(b, '\n')
+		}
+		line.Result = nil
+		err = fmt.Errorf("unencodable result: %v", merr)
+	}
+	s.failed.Add(1)
+	line.Error = err.Error()
+	b, _ := json.Marshal(line) // no floats left: cannot fail
+	return append(b, '\n')
 }
 
 // Status is the /statusz body: service posture plus the merged obs

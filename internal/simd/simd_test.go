@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -392,25 +393,34 @@ func TestStatuszExposesAllScopes(t *testing.T) {
 	}
 }
 
+// validationCases are the request bodies the server must refuse before
+// admitting any work (a MaxBatch of 2 makes the last one oversized).
+var validationCases = []struct {
+	name string
+	body string
+	want int
+}{
+	{"empty batch", `{"requests":[]}`, http.StatusBadRequest},
+	{"garbage", `{nope`, http.StatusBadRequest},
+	{"unknown field", `{"requests":[{"workload":"cg","bogus":1}]}`, http.StatusBadRequest},
+	{"unknown workload", `{"requests":[{"workload":"doom"}]}`, http.StatusBadRequest},
+	{"unknown system", `{"requests":[{"workload":"cg","system":"cray"}]}`, http.StatusBadRequest},
+	{"unknown network", `{"requests":[{"workload":"cg","network":"token-ring"}]}`, http.StatusBadRequest},
+	{"gpu code on cavium", `{"requests":[{"workload":"hpl","system":"cavium"}]}`, http.StatusBadRequest},
+	{"negative nodes", `{"requests":[{"workload":"cg","nodes":-1}]}`, http.StatusBadRequest},
+	{"zero-node cluster", `{"requests":[{"workload":"ep","cluster":{"Name":"x","Nodes":0}}]}`, http.StatusBadRequest},
+	{"zero-core cluster", `{"requests":[{"workload":"ep","cluster":{"Name":"x","Nodes":2,"NodeType":{"CPU":{"Cores":0}}}}]}`, http.StatusBadRequest},
+	{"oversized batch", `{"requests":[{"workload":"cg"},{"workload":"mg"},{"workload":"ft"}]}`, http.StatusRequestEntityTooLarge},
+}
+
+// unclockedBody asks for a custom cluster whose CPUs have no clock rate:
+// it resolves and simulates, but to a +Inf runtime JSON cannot encode.
+const unclockedBody = `{"requests":[{"workload":"ep","cluster":{"Name":"x","Nodes":2,"NodeType":{"CPU":{"Cores":4}}}}]}`
+
 // TestRequestValidation checks the 400/405/413 surfaces.
 func TestRequestValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBatch: 2})
-	cases := []struct {
-		name string
-		body string
-		want int
-	}{
-		{"empty batch", `{"requests":[]}`, http.StatusBadRequest},
-		{"garbage", `{nope`, http.StatusBadRequest},
-		{"unknown field", `{"requests":[{"workload":"cg","bogus":1}]}`, http.StatusBadRequest},
-		{"unknown workload", `{"requests":[{"workload":"doom"}]}`, http.StatusBadRequest},
-		{"unknown system", `{"requests":[{"workload":"cg","system":"cray"}]}`, http.StatusBadRequest},
-		{"unknown network", `{"requests":[{"workload":"cg","network":"token-ring"}]}`, http.StatusBadRequest},
-		{"gpu code on cavium", `{"requests":[{"workload":"hpl","system":"cavium"}]}`, http.StatusBadRequest},
-		{"negative nodes", `{"requests":[{"workload":"cg","nodes":-1}]}`, http.StatusBadRequest},
-		{"oversized batch", `{"requests":[{"workload":"cg"},{"workload":"mg"},{"workload":"ft"}]}`, http.StatusRequestEntityTooLarge},
-	}
-	for _, tc := range cases {
+	for _, tc := range validationCases {
 		resp, err := http.Post(ts.URL+"/simulate", "application/json", bytes.NewReader([]byte(tc.body)))
 		if err != nil {
 			t.Fatal(err)
@@ -428,6 +438,61 @@ func TestRequestValidation(t *testing.T) {
 	if get.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /simulate: status = %d, want 405", get.StatusCode)
 	}
+}
+
+// TestUnencodableResultStreamsErrorLine checks that a result JSON cannot
+// encode still yields its line, as an error, instead of ending the stream
+// with nothing written.
+func TestUnencodableResultStreamsErrorLine(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/simulate", "application/json", strings.NewReader(unclockedBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := readLines(t, resp)
+	if len(lines) != 1 {
+		t.Fatalf("got %d lines, want 1", len(lines))
+	}
+	if l := lines[0]; l.Error == "" || l.Result != nil || l.Fingerprint == "" {
+		t.Fatalf("want an error line with a fingerprint and no result, got %+v", l)
+	}
+	if s.failed.Load() != 1 || s.served.Load() != 0 {
+		t.Fatalf("failed = %d, served = %d; want 1 and 0", s.failed.Load(), s.served.Load())
+	}
+}
+
+// FuzzResolve decodes arbitrary bodies the way POST /simulate does and
+// resolves every request: Resolve must never panic, an accepted scenario
+// must be buildable (at least one node and one rank per node), and
+// resolution must be deterministic.
+func FuzzResolve(f *testing.F) {
+	for _, tc := range validationCases {
+		f.Add([]byte(tc.body))
+	}
+	f.Add([]byte(unclockedBody))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		batch, err := decodeBatch(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i, q := range batch.Requests {
+			sc, err := q.Resolve()
+			if err != nil {
+				continue
+			}
+			if sc.Cluster.Nodes < 1 || sc.Cluster.RanksPerNode < 1 {
+				t.Fatalf("request %d accepted with %d node(s) x %d rank(s) per node",
+					i, sc.Cluster.Nodes, sc.Cluster.RanksPerNode)
+			}
+			again, err := q.Resolve()
+			if err != nil {
+				t.Fatalf("request %d: second resolve failed: %v", i, err)
+			}
+			if again.Fingerprint() != sc.Fingerprint() {
+				t.Fatalf("request %d: fingerprint changed between resolves", i)
+			}
+		}
+	})
 }
 
 // TestResolvePresetParity pins the canonical-fingerprint contract: the
