@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"clustersoc/internal/cluster"
+	"clustersoc/internal/core"
 	"clustersoc/internal/critpath"
 	"clustersoc/internal/network"
 	"clustersoc/internal/runner"
@@ -48,20 +49,25 @@ func main() {
 		return
 	}
 
+	net, err := core.ParseNetwork(*netArg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "clustersim: -net:", err)
+		os.Exit(2)
+	}
+	if (*system == "tx1" || *system == "gtx980") && *nodes < 1 {
+		fmt.Fprintf(os.Stderr, "clustersim: -nodes must be at least 1, got %d\n", *nodes)
+		os.Exit(2)
+	}
 	w, err := workloads.ByName(*name)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	prof := network.TenGigE
-	if *netArg == "1g" {
-		prof = network.GigE
-	}
 
 	var cfg cluster.Config
 	switch *system {
 	case "tx1":
-		cfg = cluster.TX1Cluster(*nodes, prof)
+		cfg = cluster.TX1Cluster(*nodes, net.Profile())
 		cfg.RanksPerNode = w.RanksPerNode()
 	case "cavium":
 		// The paper runs 32 MPI processes on the 96-core server — the same

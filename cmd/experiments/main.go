@@ -21,7 +21,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"clustersoc/internal/compute"
 	"clustersoc/internal/critpath"
 	"clustersoc/internal/experiments"
 	"clustersoc/internal/network"
@@ -51,20 +50,9 @@ func main() {
 		traceOut = flag.String("trace-out", "", "write a Chrome/Perfetto trace of a representative run (hpl @ 8 nodes, 10GbE) to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the regeneration to this file (host profiling of the simulator itself; written on clean completion)")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file (written on clean completion)")
-		backend  = flag.String("backend", compute.Default().Name(), "compute backend executing the calibration kernels ("+strings.Join(compute.Names(), ", ")+"); the artifact tables are analytic and stay byte-identical either way")
 		storeDir = flag.String("store", os.Getenv("CLUSTERSOC_STORE"), "persistent content-addressed result store directory (default $CLUSTERSOC_STORE): warm entries decode instead of re-simulating, and results are deterministic so entries never go stale")
 	)
 	flag.Parse()
-
-	be, err := compute.ByName(*backend)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
-	}
-	compute.SetDefault(be)
-	if be.Accelerated() {
-		fmt.Fprintf(os.Stderr, "experiments: compute backend %s (kernel results may differ from reference in the last bits)\n", be.Name())
-	}
 
 	// Host-side pprof of the simulator itself — the engine's allocation
 	// and event-loop cost is what these catch; the simulated metrics go

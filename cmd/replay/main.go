@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"clustersoc/internal/core"
 	"clustersoc/internal/dimemas"
 	"clustersoc/internal/network"
 	"clustersoc/internal/obs"
@@ -39,6 +40,14 @@ func main() {
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "replay: -in is required")
 		os.Exit(2)
+	}
+	var net core.NetworkChoice
+	if *netArg != "ideal" {
+		var err error
+		if net, err = core.ParseNetwork(*netArg); err != nil {
+			fmt.Fprintf(os.Stderr, "replay: -net: unknown network %q (want 1g, 10g or ideal)\n", *netArg)
+			os.Exit(2)
+		}
 	}
 	f, err := os.Open(*in)
 	if err != nil {
@@ -75,10 +84,9 @@ func main() {
 		model.Latency = *lat
 	case *netArg == "ideal":
 		model = dimemas.IdealNetwork
-	case *netArg == "1g":
-		model.Name, model.Bandwidth, model.Latency = "1GbE", network.GigE.Throughput, network.GigE.Latency
 	default:
-		model.Name, model.Bandwidth, model.Latency = "10GbE", network.TenGigE.Throughput, network.TenGigE.Latency
+		p := net.Profile()
+		model.Name, model.Bandwidth, model.Latency = p.Name, p.Throughput, p.Latency
 	}
 
 	replayed := dimemas.Replay(t, dimemas.Options{Net: model, IdealLoadBalance: *idealLB, Buses: *buses})

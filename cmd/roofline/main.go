@@ -5,7 +5,7 @@
 //
 //	roofline -net 10g
 //	roofline -net 1g -workload tealeaf3d -nodes 8
-//	roofline -host -backend blocked      # time the host's kernels
+//	roofline -host    # time the host's kernels
 package main
 
 import (
@@ -13,9 +13,7 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strings"
 
-	"clustersoc/internal/compute"
 	"clustersoc/internal/core"
 	"clustersoc/internal/perf"
 	"clustersoc/internal/units"
@@ -28,22 +26,15 @@ func main() {
 		nodes    = flag.Int("nodes", 8, "cluster size for the workload run")
 		scale    = flag.Float64("scale", 0.08, "problem scale")
 		points   = flag.Int("points", 24, "samples of the roof curve")
-		backend  = flag.String("backend", compute.Default().Name(), "compute backend for -host calibration ("+strings.Join(compute.Names(), ", ")+")")
-		host     = flag.Bool("host", false, "time the calibration kernels on this machine under -backend and print their measured rates")
+		host     = flag.Bool("host", false, "time the calibration kernels on this machine and print their measured rates")
 		hostN    = flag.Int("host-n", 512, "problem order for -host kernels (GEMM n, n*n vectors and grid)")
 	)
 	flag.Parse()
 
-	be, err := compute.ByName(*backend)
+	net, err := core.ParseNetwork(*netArg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "roofline:", err)
+		fmt.Fprintln(os.Stderr, "roofline: -net:", err)
 		os.Exit(2)
-	}
-	compute.SetDefault(be)
-
-	net := core.TenGigE
-	if *netArg == "1g" {
-		net = core.GigE
 	}
 	cfg := core.TX1(*nodes, net)
 	single := *workload == "alexnet" || *workload == "googlenet"
@@ -59,9 +50,9 @@ func main() {
 	}
 
 	if *host {
-		fmt.Printf("\nhost calibration (backend %s, n=%d, best of 3):\n", be.Name(), *hostN)
+		fmt.Printf("\nhost calibration (n=%d, best of 3):\n", *hostN)
 		fmt.Println("  kernel     OI (FLOP/B)   measured")
-		for _, k := range perf.MeasureHostKernels(be, *hostN, 3) {
+		for _, k := range perf.MeasureHostKernels(*hostN, 3) {
 			fmt.Printf("  %-8s %10.3f   %s\n", k.Name, k.OI(), units.Flops(k.FlopRate()))
 		}
 	}

@@ -34,9 +34,10 @@ func main() {
 	)
 	flag.Parse()
 
-	net := core.TenGigE
-	if *netArg == "1g" {
-		net = core.GigE
+	net, err := core.ParseNetwork(*netArg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scalability: -net:", err)
+		os.Exit(2)
 	}
 	sizes := []int{1, 2, 4, 6, 8}
 	session := core.NewSession(*parallel)

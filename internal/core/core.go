@@ -34,7 +34,21 @@ const (
 	TenGigE
 )
 
-func (n NetworkChoice) profile() network.Profile {
+// ParseNetwork maps a front end's -net value to its NetworkChoice:
+// "1g" or "10g". Any other value is an error, so a typo cannot silently
+// run the other side of the paper's 1 GbE vs 10 GbE comparison.
+func ParseNetwork(s string) (NetworkChoice, error) {
+	switch s {
+	case "1g":
+		return GigE, nil
+	case "10g":
+		return TenGigE, nil
+	}
+	return 0, fmt.Errorf("unknown network %q (want 1g or 10g)", s)
+}
+
+// Profile returns the interconnect's network profile.
+func (n NetworkChoice) Profile() network.Profile {
 	if n == TenGigE {
 		return network.TenGigE
 	}
@@ -44,7 +58,7 @@ func (n NetworkChoice) profile() network.Profile {
 // TX1 returns the paper's proposed cluster: n Jetson TX1 nodes on the
 // chosen network, with the NFS file server attached.
 func TX1(nodes int, net NetworkChoice) cluster.Config {
-	cfg := cluster.TX1Cluster(nodes, net.profile())
+	cfg := cluster.TX1Cluster(nodes, net.Profile())
 	cfg.FileServer = true
 	return cfg
 }
@@ -52,9 +66,9 @@ func TX1(nodes int, net NetworkChoice) cluster.Config {
 // TX2 returns the next-generation what-if cluster from the companion
 // thesis: Jetson TX2 nodes on the chosen network.
 func TX2(nodes int, net NetworkChoice) cluster.Config {
-	cfg := cluster.TX1Cluster(nodes, net.profile())
+	cfg := cluster.TX1Cluster(nodes, net.Profile())
 	cfg.NodeType = soc.JetsonTX2()
-	cfg.Name = fmt.Sprintf("%d-node TX2 %s", nodes, net.profile().Name)
+	cfg.Name = fmt.Sprintf("%d-node TX2 %s", nodes, net.Profile().Name)
 	cfg.FileServer = true
 	return cfg
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"clustersoc/internal/roofline"
@@ -39,6 +40,37 @@ func TestNetworkChoiceMatters(t *testing.T) {
 	}
 	if fast.Runtime >= slow.Runtime {
 		t.Fatal("10GbE should beat 1GbE on ft")
+	}
+}
+
+// Only the exact front-end spellings parse; near misses such as "1G"
+// must not fall through to either network.
+func TestParseNetwork(t *testing.T) {
+	cases := []struct {
+		in      string
+		want    NetworkChoice
+		wantErr bool
+	}{
+		{"1g", GigE, false},
+		{"10g", TenGigE, false},
+		{"1G", 0, true},
+		{"10gbe", 0, true},
+		{"", 0, true},
+		{"100g", 0, true},
+	}
+	for _, tc := range cases {
+		got, err := ParseNetwork(tc.in)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("ParseNetwork(%q) = %v, want an error", tc.in, got)
+			} else if !strings.Contains(err.Error(), "1g or 10g") {
+				t.Errorf("ParseNetwork(%q) error %q does not list the accepted values", tc.in, err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseNetwork(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ func ADIHeat2D(u *Grid2D, dt, h float64) error {
 
 	// Half-step 1: implicit in x (solve along columns), explicit in y.
 	var solveErr error
-	parallelFor(ny, func(lo, hi int) {
+	ParallelFor(ny, func(lo, hi int) {
 		a := make([]float64, nx)
 		b := make([]float64, nx)
 		c := make([]float64, nx)
@@ -78,7 +78,7 @@ func ADIHeat2D(u *Grid2D, dt, h float64) error {
 	}
 
 	// Half-step 2: implicit in y (solve along rows), explicit in x.
-	parallelFor(nx, func(lo, hi int) {
+	ParallelFor(nx, func(lo, hi int) {
 		a := make([]float64, ny)
 		b := make([]float64, ny)
 		c := make([]float64, ny)

@@ -20,7 +20,7 @@ func MatMulBlocked(a, b *Matrix, bs int) (*Matrix, error) {
 	n, m, k := a.Rows, b.Cols, a.Cols
 	// Parallel over row-tiles; each goroutine owns disjoint C rows.
 	tiles := (n + bs - 1) / bs
-	parallelFor(tiles, func(tlo, thi int) {
+	ParallelFor(tiles, func(tlo, thi int) {
 		for t := tlo; t < thi; t++ {
 			i0 := t * bs
 			i1 := i0 + bs

@@ -57,8 +57,8 @@ func ConjugateGradient(a Operator, x, b []float64, tol float64, maxIter int) (CG
 		}
 		beta := rrNew / rr
 		// Search-direction update p = r + beta*p: a stream triad with the
-		// destination aliasing c, dispatched through the compute backend.
-		backend().Triad(p, r, p, beta)
+		// destination aliasing c.
+		StreamTriad(p, r, p, beta)
 		rr = rrNew
 	}
 	return CGResult{Iterations: maxIter, Residual: math.Sqrt(rr) / bnorm}, nil
@@ -85,7 +85,7 @@ func (h *HeatOperator2D) Apply(dst, src []float64) {
 		}
 		return src[i*ny+j]
 	}
-	parallelFor(nx, func(lo, hi int) {
+	ParallelFor(nx, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for j := 0; j < ny; j++ {
 				c := src[i*ny+j]
@@ -114,7 +114,7 @@ func (h *HeatOperator3D) Apply(dst, src []float64) {
 		}
 		return src[(i*ny+j)*nz+k]
 	}
-	parallelFor(nx, func(lo, hi int) {
+	ParallelFor(nx, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for j := 0; j < ny; j++ {
 				for k := 0; k < nz; k++ {
@@ -142,7 +142,7 @@ func (m *CSR) Len() int { return m.N }
 
 // Apply computes dst = M src (parallel SpMV).
 func (m *CSR) Apply(dst, src []float64) {
-	parallelFor(m.N, func(lo, hi int) {
+	ParallelFor(m.N, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s := 0.0
 			for idx := m.RowPtr[i]; idx < m.RowPtr[i+1]; idx++ {

@@ -150,7 +150,7 @@ func (s *EulerState) Step(dt, h float64) float64 {
 		}
 		return i
 	}
-	parallelFor(nx, func(lo, hi int) {
+	ParallelFor(nx, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for j := 0; j < ny; j++ {
 				fxm := flux(clampIdx(i-1, nx), j, i, j, 0)

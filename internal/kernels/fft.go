@@ -61,7 +61,7 @@ func FFT2D(data []complex128, nx, ny int, inverse bool) error {
 		return errors.New("kernels: FFT2D size mismatch")
 	}
 	var rowErr error
-	parallelFor(nx, func(lo, hi int) {
+	ParallelFor(nx, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if err := FFT(data[i*ny:(i+1)*ny], inverse); err != nil {
 				rowErr = err
@@ -72,7 +72,7 @@ func FFT2D(data []complex128, nx, ny int, inverse bool) error {
 		return rowErr
 	}
 	var colErr error
-	parallelFor(ny, func(lo, hi int) {
+	ParallelFor(ny, func(lo, hi int) {
 		col := make([]complex128, nx)
 		for j := lo; j < hi; j++ {
 			for i := 0; i < nx; i++ {

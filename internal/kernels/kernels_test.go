@@ -3,6 +3,8 @@ package kernels
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -554,6 +556,97 @@ func TestMatMulBlockedRejectsBadBlockSize(t *testing.T) {
 		}
 		if err != nil {
 			t.Errorf("bs=%d: rejected: %v", tc.bs, err)
+		}
+	}
+}
+
+func randomSlice(r *rand.Rand, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = r.NormFloat64()
+	}
+	return out
+}
+
+// Fixed-seed determinism: MatMul and Dot must produce identical bytes
+// across repeated runs and across GOMAXPROCS values. MatMul's rows are
+// owner-computes and Dot sums in index order, so the core count must not
+// reach the result.
+func TestMatMulDotDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	const m, k, n = 150, 130, 140
+	r := rand.New(rand.NewSource(5))
+	a := &Matrix{Rows: m, Cols: k, Data: randomSlice(r, m*k)}
+	b := &Matrix{Rows: k, Cols: n, Data: randomSlice(r, k*n)}
+	v := randomSlice(r, 1<<16)
+	w := randomSlice(r, 1<<16)
+	run := func() []uint64 {
+		c, err := MatMul(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits := make([]uint64, 0, len(c.Data)+1)
+		for _, x := range c.Data {
+			bits = append(bits, math.Float64bits(x))
+		}
+		return append(bits, math.Float64bits(Dot(v, w)))
+	}
+	first := run()
+	if again := run(); !slices.Equal(first, again) {
+		t.Fatal("same-process rerun changed bytes")
+	}
+	orig := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(orig)
+	for _, procs := range []int{1, 2, 3, orig} {
+		runtime.GOMAXPROCS(procs)
+		if got := run(); !slices.Equal(first, got) {
+			t.Fatalf("GOMAXPROCS=%d changed bytes", procs)
+		}
+	}
+}
+
+// ger with alpha = -1 must be bitwise the LU trailing update
+// row[j] -= x[i]*y[j], including the x[i] == 0 row skip.
+func TestGerMatchesManualUpdate(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	const rows, cols, lda = 9, 7, 12
+	a := randomSlice(r, rows*lda)
+	x := randomSlice(r, rows)
+	x[4] = 0 // exercise the skip
+	y := randomSlice(r, cols)
+
+	want := append([]float64(nil), a...)
+	for i := 0; i < rows; i++ {
+		if x[i] == 0 {
+			continue
+		}
+		for j := 0; j < cols; j++ {
+			want[i*lda+j] -= x[i] * y[j]
+		}
+	}
+	got := append([]float64(nil), a...)
+	ger(-1, x, y, got, lda)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("ger diverged at %d: %v vs %v", i, got[i], want[i])
+		}
+	}
+}
+
+// StreamTriad must tolerate the destination aliasing the scaled operand
+// (the CG search-direction update p = r + beta*p).
+func TestTriadAliasing(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	p := randomSlice(r, 257)
+	rr := randomSlice(r, 257)
+	beta := 0.75
+	want := make([]float64, len(p))
+	for i := range p {
+		want[i] = rr[i] + beta*p[i]
+	}
+	StreamTriad(p, rr, p, beta)
+	for i := range want {
+		if math.Float64bits(p[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("aliased triad diverged at %d", i)
 		}
 	}
 }

@@ -50,18 +50,37 @@ func Factor(a *Matrix) (*LU, error) {
 			m.Set(i, k, m.At(i, k)/pivot)
 		}
 		// Trailing update (the DGEMM-shaped bulk hpl offloads to the GPU):
-		// a rank-1 update A' -= l ⊗ rowK dispatched through the compute
-		// backend. alpha = -1 makes the backend's += alpha*x[i]*y[j]
-		// bitwise the seed's row[j] -= l*rowK[j].
+		// the rank-1 update A' -= l ⊗ rowK. alpha = -1 makes ger's
+		// += alpha*x[i]*y[j] bitwise row[j] -= l*rowK[j].
 		if k+1 < n {
 			for i := k + 1; i < n; i++ {
 				lcol[i-k-1] = m.At(i, k)
 			}
-			backend().Ger(-1, lcol[:n-k-1], m.Data[k*n+k+1:(k+1)*n],
+			ger(-1, lcol[:n-k-1], m.Data[k*n+k+1:(k+1)*n],
 				m.Data[(k+1)*n+k+1:], n)
 		}
 	}
 	return &LU{A: m, Piv: piv}, nil
+}
+
+// ger applies the rank-1 update a[i*lda+j] += alpha*x[i]*y[j] for
+// i < len(x), j < len(y), in parallel over rows, where a points at the
+// first element of a submatrix with row stride lda. Rows with x[i] == 0
+// are skipped.
+func ger(alpha float64, x, y, a []float64, lda int) {
+	n := len(y)
+	ParallelFor(len(x), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if x[i] == 0 {
+				continue
+			}
+			ax := alpha * x[i]
+			row := a[i*lda : i*lda+n]
+			for j, v := range y {
+				row[j] += ax * v
+			}
+		}
+	})
 }
 
 // Solve solves Ax=b given the factorization.

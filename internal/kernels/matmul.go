@@ -13,8 +13,8 @@ package kernels
 import (
 	"errors"
 	"math"
-
-	"clustersoc/internal/compute"
+	"runtime"
+	"sync"
 )
 
 // Matrix is a dense row-major matrix.
@@ -43,49 +43,107 @@ func (m *Matrix) Clone() *Matrix {
 
 // ParallelFor runs body over [0,n) split into contiguous chunks across
 // the available cores — the standard HPC decomposition, which keeps each
-// worker streaming through adjacent memory. Exported for the other
-// numeric packages (internal/nn) to share.
-func ParallelFor(n int, body func(lo, hi int)) { compute.ParallelFor(n, body) }
+// worker streaming through adjacent memory. Chunking depends on
+// GOMAXPROCS, so only elementwise or owner-computes work (where each
+// index's result is independent of the partition) may rely on it for
+// deterministic output. Exported for the other numeric packages
+// (internal/nn) to share.
+func ParallelFor(n int, body func(lo, hi int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		body(0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	chunk := (n + workers - 1) / workers
+	for lo := 0; lo < n; lo += chunk {
+		hi := lo + chunk
+		if hi > n {
+			hi = n
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			body(lo, hi)
+		}(lo, hi)
+	}
+	wg.Wait()
+}
 
-// parallelFor is the package-internal alias the kernel loops use.
-func parallelFor(n int, body func(lo, hi int)) { compute.ParallelFor(n, body) }
-
-// backend returns the process-wide compute backend every dense primitive
-// in this package dispatches through (see internal/compute; the default
-// Reference backend reproduces the seed loops bit-for-bit).
-func backend() compute.Backend { return compute.Default() }
-
-// MatMul computes c = a*b through the compute backend. Dimensions must
-// agree.
+// MatMul computes c = a*b in parallel over rows. Dimensions must agree.
 func MatMul(a, b *Matrix) (*Matrix, error) {
 	if a.Cols != b.Rows {
 		return nil, errors.New("kernels: matmul dimension mismatch")
 	}
 	c := NewMatrix(a.Rows, b.Cols)
-	backend().MatMul(c.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols)
+	m, k, n := a.Rows, a.Cols, b.Cols
+	ParallelFor(m, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			arow := a.Data[i*k : (i+1)*k]
+			crow := c.Data[i*n : (i+1)*n]
+			for kk, av := range arow {
+				if av == 0 {
+					continue
+				}
+				brow := b.Data[kk*n : (kk+1)*n]
+				for j, bv := range brow {
+					crow[j] += av * bv
+				}
+			}
+		}
+	})
 	return c, nil
 }
 
-// MatVec computes y = a*x through the compute backend (an accumulating
-// Gemv over a zeroed y).
+// MatVec computes y = a*x.
 func MatVec(a *Matrix, x []float64) ([]float64, error) {
 	if a.Cols != len(x) {
 		return nil, errors.New("kernels: matvec dimension mismatch")
 	}
 	y := make([]float64, a.Rows)
-	backend().Gemv(y, a.Data, x, a.Rows, a.Cols)
+	Gemv(y, a.Data, x, a.Rows, a.Cols)
 	return y, nil
+}
+
+// Gemv accumulates y += a*x in parallel over rows, for a row-major
+// (m x n) a. Each row's sum starts from y[i] and adds the products in
+// column order, so a caller that preloads y with biases (the nn FC
+// layer) gets bias-first accumulation.
+func Gemv(y, a, x []float64, m, n int) {
+	ParallelFor(m, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := a[i*n : (i+1)*n]
+			s := y[i]
+			for j, v := range row {
+				s += v * x[j]
+			}
+			y[i] = s
+		}
+	})
 }
 
 // MatMulFlops returns the FLOPs of an (m x k) * (k x n) product.
 func MatMulFlops(m, k, n int) float64 { return 2 * float64(m) * float64(k) * float64(n) }
 
-// Dot returns the inner product of two equal-length vectors, through the
-// compute backend.
-func Dot(a, b []float64) float64 { return backend().Dot(a, b) }
+// Dot returns the inner product of two equal-length vectors, summed
+// sequentially in index order.
+func Dot(a, b []float64) float64 {
+	s := 0.0
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
+}
 
-// Axpy computes y += alpha*x in place, through the compute backend.
-func Axpy(alpha float64, x, y []float64) { backend().Axpy(alpha, x, y) }
+// Axpy computes y += alpha*x in place.
+func Axpy(alpha float64, x, y []float64) {
+	for i := range y {
+		y[i] += alpha * x[i]
+	}
+}
 
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {

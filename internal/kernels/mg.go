@@ -60,7 +60,7 @@ func VCycle(u, f *Grid2D, h float64, pre, post int) {
 func residualGrid(u, f *Grid2D, h float64) *Grid2D {
 	r := NewGrid2D(u.NX, u.NY)
 	stride := u.NY + 2
-	parallelFor(u.NX, func(lo, hi int) {
+	ParallelFor(u.NX, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := (i + 1) * stride
 			for j := 1; j <= u.NY; j++ {

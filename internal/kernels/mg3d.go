@@ -30,7 +30,7 @@ func (g *Grid3D) Set(i, j, k int, v float64) { g.Data[g.idx(i, j, k)] = v }
 // Laplacian: dst = (1-w)src + w*jacobi(src).
 func DampedJacobi3D(dst, src, f *Grid3D, h, omega float64) {
 	nx, ny, nz := src.NX, src.NY, src.NZ
-	parallelFor(nx, func(lo, hi int) {
+	ParallelFor(nx, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for j := 0; j < ny; j++ {
 				for k := 0; k < nz; k++ {
@@ -70,7 +70,7 @@ func Residual3D(u, f *Grid3D, h float64) float64 {
 // residual3D computes r = f + lap(u).
 func residual3D(u, f *Grid3D, h float64) *Grid3D {
 	r := NewGrid3D(u.NX, u.NY, u.NZ)
-	parallelFor(u.NX, func(lo, hi int) {
+	ParallelFor(u.NX, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for j := 0; j < u.NY; j++ {
 				for k := 0; k < u.NZ; k++ {

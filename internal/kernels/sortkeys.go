@@ -29,7 +29,7 @@ func BucketSort(keys []int32, maxKey int32, buckets int) []int32 {
 		bins[b] = append(bins[b], k)
 	}
 	// Sort buckets in parallel (counting sort within each bucket range).
-	parallelFor(buckets, func(lo, hi int) {
+	ParallelFor(buckets, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			bin := bins[b]
 			if len(bin) == 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"clustersoc/internal/compute"
 	"clustersoc/internal/kernels"
 )
 
@@ -76,19 +75,10 @@ func (c *Conv) ensureWeights(inC int) {
 	fillWeights(c.bias, c.seed^0x9e3779b9, 1)
 }
 
-// Forward runs the convolution. Under the default Reference backend it
-// executes the seed's direct loops (output channels in parallel),
-// preserving the exact summation order; an accelerated backend routes
-// through the im2col→GEMM path — the dispatch Caffe makes when cuDNN is
-// available — falling back to the direct loops if the geometry is one
-// im2col rejects.
+// Forward runs the convolution (naive direct loops, output channels in
+// parallel).
 func (c *Conv) Forward(in *Tensor) *Tensor {
 	c.ensureWeights(in.Shape.C)
-	if compute.Default().Accelerated() {
-		if out, err := c.ForwardGEMM(in); err == nil {
-			return out
-		}
-	}
 	out := NewTensor(c.OutShape(in.Shape))
 	inCPerG := in.Shape.C / c.Groups
 	outCPerG := c.OutC / c.Groups
@@ -292,12 +282,10 @@ func (f *FC) Forward(in *Tensor) *Tensor {
 		fillWeights(f.weights, f.seed, n)
 		fillWeights(f.bias, f.seed^0xabcdef, 1)
 	}
-	// y = W*x + b as an accumulating Gemv over the bias vector, through
-	// the compute backend: the Reference engine reproduces the seed loop
-	// (s starts at the bias, then adds in column order) bit-for-bit.
+	// y = W*x + b: Gemv accumulates onto the preloaded biases.
 	out := NewTensor(Shape{C: f.Out, H: 1, W: 1})
 	copy(out.Data, f.bias)
-	compute.Default().Gemv(out.Data, f.weights, in.Data, f.Out, n)
+	kernels.Gemv(out.Data, f.weights, in.Data, f.Out, n)
 	return out
 }
 

@@ -235,99 +235,3 @@ func TestJPEGDecodeCostScales(t *testing.T) {
 		t.Fatal("cost proportions nonsensical")
 	}
 }
-
-// im2col + GEMM must agree with the direct convolution loops — the same
-// equivalence Caffe relies on.
-func TestForwardGEMMMatchesDirect(t *testing.T) {
-	cases := []*Conv{
-		NewConv("a", 6, 3, 1, 1, 1, 21),
-		NewConv("b", 8, 5, 2, 2, 1, 22),
-		NewConv("c", 8, 3, 1, 1, 2, 23), // grouped, like AlexNet's conv2
-		NewConv("d", 4, 1, 1, 0, 1, 24), // 1x1, like the inception reducers
-	}
-	in := NewTensor(Shape{C: 4, H: 11, W: 13})
-	g := lcg(77)
-	for i := range in.Data {
-		in.Data[i] = g.next()
-	}
-	for _, c := range cases {
-		direct := c.Forward(in)
-		gemm, err := c.ForwardGEMM(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gemm.Shape != direct.Shape {
-			t.Fatalf("%s: shapes differ", c.Label)
-		}
-		for i := range direct.Data {
-			if math.Abs(gemm.Data[i]-direct.Data[i]) > 1e-9 {
-				t.Fatalf("%s: element %d = %v vs direct %v", c.Label, i, gemm.Data[i], direct.Data[i])
-			}
-		}
-	}
-}
-
-func TestIm2colShape(t *testing.T) {
-	in := NewTensor(Shape{C: 3, H: 8, W: 8})
-	m, err := Im2col(in, 3, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows != 3*9 || m.Cols != 64 {
-		t.Fatalf("im2col shape %dx%d", m.Rows, m.Cols)
-	}
-}
-
-// The im2col patch matrix must agree with Conv.OutShape for every
-// geometry, including the zero-padding edge cases (pad 0, pad >= k/2,
-// stride > 1, kernel as large as the padded input).
-func TestIm2colShapeMatchesConvOutShape(t *testing.T) {
-	in := NewTensor(Shape{C: 3, H: 9, W: 7})
-	cases := []struct{ k, stride, pad int }{
-		{1, 1, 0}, {3, 1, 0}, {3, 1, 1}, {3, 2, 1}, {5, 2, 2},
-		{7, 1, 0}, {7, 3, 3}, {9, 1, 1}, {5, 4, 0},
-	}
-	for _, tc := range cases {
-		m, err := Im2col(in, tc.k, tc.stride, tc.pad)
-		if err != nil {
-			t.Fatalf("k=%d s=%d p=%d: %v", tc.k, tc.stride, tc.pad, err)
-		}
-		conv := NewConv("probe", 1, tc.k, tc.stride, tc.pad, 1, 1)
-		want := conv.OutShape(in.Shape)
-		if m.Rows != in.Shape.C*tc.k*tc.k {
-			t.Fatalf("k=%d s=%d p=%d: rows %d, want %d", tc.k, tc.stride, tc.pad,
-				m.Rows, in.Shape.C*tc.k*tc.k)
-		}
-		if m.Cols != want.H*want.W {
-			t.Fatalf("k=%d s=%d p=%d: cols %d, want %dx%d from Conv.OutShape",
-				tc.k, tc.stride, tc.pad, m.Cols, want.H, want.W)
-		}
-	}
-}
-
-// Degenerate geometries must be rejected, not silently produce empty or
-// negatively-shaped patch matrices.
-func TestIm2colRejectsBadGeometry(t *testing.T) {
-	in := NewTensor(Shape{C: 2, H: 5, W: 5})
-	cases := []struct {
-		name           string
-		k, stride, pad int
-	}{
-		{"zero kernel", 0, 1, 0},
-		{"negative kernel", -3, 1, 0},
-		{"zero stride", 3, 0, 1},
-		{"negative stride", 3, -1, 1},
-		{"negative padding", 3, 1, -1},
-		{"kernel exceeds padded input", 8, 1, 1},
-		{"kernel exceeds unpadded input", 7, 1, 0},
-	}
-	for _, tc := range cases {
-		if _, err := Im2col(in, tc.k, tc.stride, tc.pad); err == nil {
-			t.Errorf("%s (k=%d s=%d p=%d): accepted", tc.name, tc.k, tc.stride, tc.pad)
-		}
-	}
-	// The boundary case is legal: a kernel exactly filling the padded input.
-	if _, err := Im2col(in, 7, 1, 1); err != nil {
-		t.Errorf("kernel == padded input rejected: %v", err)
-	}
-}

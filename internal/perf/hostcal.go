@@ -4,17 +4,16 @@ import (
 	"math/rand"
 	"time"
 
-	"clustersoc/internal/compute"
+	"clustersoc/internal/kernels"
 )
 
-// HostKernel is one calibration kernel timed on the host machine through
-// a compute backend. The simulator's rooflines are analytic; these
-// measurements anchor them — the same kernels the timing models count
-// FLOPs for, actually executed, so a model/host discrepancy is visible
-// as a rate gap rather than hidden inside a constant.
+// HostKernel is one calibration kernel timed on the host machine. The
+// simulator's rooflines are analytic; these measurements anchor them —
+// the same kernels the timing models count FLOPs for, actually executed,
+// so a model/host discrepancy is visible as a rate gap rather than hidden
+// inside a constant.
 type HostKernel struct {
 	Name    string  // gemm, triad, dot, jacobi
-	Backend string  // compute backend that produced the timing
 	Flops   float64 // floating-point operations per run
 	Bytes   float64 // bytes the streaming model charges per run
 	Seconds float64 // best-of-trials wall time for one run
@@ -37,13 +36,13 @@ func (h HostKernel) OI() float64 {
 	return h.Flops / h.Bytes
 }
 
-// MeasureHostKernels times the four calibration kernels on the host
-// under backend b and returns one entry per kernel: an n x n x n GEMM,
-// a STREAM triad and a dot product over n*n elements, and one 5-point
-// Jacobi sweep of an n x n grid. Each kernel keeps the best of trials
-// runs (trials < 1 is treated as 1). Inputs are deterministic, so two
-// calls differ only in the measured wall time.
-func MeasureHostKernels(b compute.Backend, n, trials int) []HostKernel {
+// MeasureHostKernels times the four calibration kernels of
+// internal/kernels on the host and returns one entry per kernel: an
+// n x n x n GEMM, a STREAM triad and a dot product over n*n elements,
+// and one 5-point Jacobi sweep of an n x n grid. Each kernel keeps the
+// best of trials runs (trials < 1 is treated as 1). Inputs are
+// deterministic, so two calls differ only in the measured wall time.
+func MeasureHostKernels(n, trials int) []HostKernel {
 	if trials < 1 {
 		trials = 1
 	}
@@ -68,42 +67,41 @@ func MeasureHostKernels(b compute.Backend, n, trials int) []HostKernel {
 	}
 
 	m := n * n
-	am, bm, cm := fill(m), fill(m), make([]float64, m)
+	am := &kernels.Matrix{Rows: n, Cols: n, Data: fill(m)}
+	bm := &kernels.Matrix{Rows: n, Cols: n, Data: fill(m)}
 	va, vb, vc := fill(m), fill(m), fill(m)
-	halo := (n + 2) * (n + 2) // Jacobi5 grids carry a one-cell halo
-	grid, src, f := make([]float64, halo), fill(halo), fill(halo)
+	halo := (n + 2) * (n + 2) // Jacobi grids carry a one-cell halo
+	grid := kernels.NewGrid2D(n, n)
+	src := &kernels.Grid2D{NX: n, NY: n, Data: fill(halo)}
+	f := &kernels.Grid2D{NX: n, NY: n, Data: fill(halo)}
 	fn, fm := float64(n), float64(m)
 
-	out := []HostKernel{
+	return []HostKernel{
 		{
-			Name: "gemm", Backend: b.Name(),
+			Name:  "gemm",
 			Flops: 2 * fn * fn * fn,
 			Bytes: 3 * 8 * fm, // stream A and B, write C
 			Seconds: best(func() {
-				for i := range cm {
-					cm[i] = 0
-				}
-				b.MatMul(cm, am, bm, n, n, n)
+				_, _ = kernels.MatMul(am, bm) // square operands always agree
 			}),
 		},
 		{
-			Name: "triad", Backend: b.Name(),
+			Name:    "triad",
 			Flops:   2 * fm,
 			Bytes:   3 * 8 * fm, // read b and c, write a
-			Seconds: best(func() { b.Triad(va, vb, vc, 3.0) }),
+			Seconds: best(func() { kernels.StreamTriad(va, vb, vc, 3.0) }),
 		},
 		{
-			Name: "dot", Backend: b.Name(),
+			Name:    "dot",
 			Flops:   2 * fm,
 			Bytes:   2 * 8 * fm,
-			Seconds: best(func() { _ = b.Dot(vb, vc) }),
+			Seconds: best(func() { _ = kernels.Dot(vb, vc) }),
 		},
 		{
-			Name: "jacobi", Backend: b.Name(),
+			Name:    "jacobi",
 			Flops:   6 * fm,
 			Bytes:   3 * 8 * fm, // read src and f, write dst
-			Seconds: best(func() { _ = b.Jacobi5(grid, src, f, n, n, 1.0/fn) }),
+			Seconds: best(func() { _ = kernels.JacobiStep(grid, src, f, 1.0/fn) }),
 		},
 	}
-	return out
 }

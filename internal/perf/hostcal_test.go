@@ -1,51 +1,38 @@
 package perf
 
-import (
-	"testing"
+import "testing"
 
-	"clustersoc/internal/compute"
-)
-
-// Host calibration returns one well-formed entry per kernel for every
-// backend. No timing assertions: wall times only need to be positive.
+// Host calibration returns one well-formed entry per kernel. No timing
+// assertions: wall times only need to be positive.
 func TestMeasureHostKernels(t *testing.T) {
-	for _, name := range compute.Names() {
-		be, err := compute.ByName(name)
-		if err != nil {
-			t.Fatal(err)
+	ks := MeasureHostKernels(48, 1)
+	if len(ks) != 4 {
+		t.Fatalf("got %d kernels", len(ks))
+	}
+	seen := map[string]bool{}
+	for _, k := range ks {
+		if seen[k.Name] {
+			t.Errorf("duplicate kernel %q", k.Name)
 		}
-		ks := MeasureHostKernels(be, 48, 1)
-		if len(ks) != 4 {
-			t.Fatalf("%s: got %d kernels", name, len(ks))
+		seen[k.Name] = true
+		if k.Flops <= 0 || k.Bytes <= 0 {
+			t.Errorf("%s: non-positive work: %v FLOPs, %v bytes", k.Name, k.Flops, k.Bytes)
 		}
-		seen := map[string]bool{}
-		for _, k := range ks {
-			if seen[k.Name] {
-				t.Errorf("%s: duplicate kernel %q", name, k.Name)
-			}
-			seen[k.Name] = true
-			if k.Backend != name {
-				t.Errorf("%s/%s: backend label %q", name, k.Name, k.Backend)
-			}
-			if k.Flops <= 0 || k.Bytes <= 0 {
-				t.Errorf("%s/%s: non-positive work: %v FLOPs, %v bytes", name, k.Name, k.Flops, k.Bytes)
-			}
-			if k.Seconds <= 0 {
-				t.Errorf("%s/%s: non-positive wall time %v", name, k.Name, k.Seconds)
-			}
-			if k.FlopRate() <= 0 {
-				t.Errorf("%s/%s: non-positive FLOP rate", name, k.Name)
-			}
-			if k.OI() <= 0 {
-				t.Errorf("%s/%s: non-positive OI", name, k.Name)
-			}
+		if k.Seconds <= 0 {
+			t.Errorf("%s: non-positive wall time %v", k.Name, k.Seconds)
+		}
+		if k.FlopRate() <= 0 {
+			t.Errorf("%s: non-positive FLOP rate", k.Name)
+		}
+		if k.OI() <= 0 {
+			t.Errorf("%s: non-positive OI", k.Name)
 		}
 	}
 }
 
 // MeasureHostKernels must clamp trials below 1 and tolerate tiny grids.
 func TestMeasureHostKernelsClampsTrials(t *testing.T) {
-	ks := MeasureHostKernels(compute.Reference{}, 8, 0)
+	ks := MeasureHostKernels(8, 0)
 	if len(ks) != 4 {
 		t.Fatalf("got %d kernels", len(ks))
 	}
@@ -59,7 +46,7 @@ func TestMeasureHostKernelsClampsTrials(t *testing.T) {
 // The OI of the calibration GEMM must exceed the streaming kernels' —
 // the property the roofline placement relies on.
 func TestHostKernelOIOrdering(t *testing.T) {
-	ks := MeasureHostKernels(compute.Reference{}, 32, 1)
+	ks := MeasureHostKernels(32, 1)
 	oi := map[string]float64{}
 	for _, k := range ks {
 		oi[k.Name] = k.OI()

@@ -65,6 +65,29 @@ func entryFile(t *testing.T, s *Store) string {
 	return path
 }
 
+// entryDamage mutates a schema-7 entry file every way the container
+// format can detect.
+var entryDamage = []struct {
+	name string
+	mut  func(data []byte) []byte
+}{
+	{"zero-byte entry", func([]byte) []byte { return nil }},
+	{"truncated payload", func(d []byte) []byte { return d[:len(d)-4] }},
+	{"truncated mid-header", func(d []byte) []byte { return d[:10] }},
+	{"flipped payload byte", func(d []byte) []byte {
+		out := append([]byte(nil), d...)
+		out[len(out)-2] ^= 0x40
+		return out
+	}},
+	{"wrong container version", func(d []byte) []byte {
+		return bytes.Replace(d, []byte("clustersoc-store v1 "), []byte("clustersoc-store v9 "), 1)
+	}},
+	{"wrong schema tag", func(d []byte) []byte {
+		return bytes.Replace(d, []byte("schema=7"), []byte("schema=8"), 1)
+	}},
+	{"no header at all", func([]byte) []byte { return []byte("free-form garbage\nwithout a header") }},
+}
+
 // TestCorruptEntriesReadAsCorrupt damages one stored entry every way the
 // container format can detect — truncation, zero bytes, a flipped
 // payload bit, a wrong container version, a wrong schema tag, a missing
@@ -72,27 +95,7 @@ func entryFile(t *testing.T, s *Store) string {
 // repair by re-simulating and rewriting) rather than serving bad bytes.
 func TestCorruptEntriesReadAsCorrupt(t *testing.T) {
 	payload := []byte(`{"result":42}`)
-	damage := []struct {
-		name string
-		mut  func(data []byte) []byte
-	}{
-		{"zero-byte entry", func([]byte) []byte { return nil }},
-		{"truncated payload", func(d []byte) []byte { return d[:len(d)-4] }},
-		{"truncated mid-header", func(d []byte) []byte { return d[:10] }},
-		{"flipped payload byte", func(d []byte) []byte {
-			out := append([]byte(nil), d...)
-			out[len(out)-2] ^= 0x40
-			return out
-		}},
-		{"wrong container version", func(d []byte) []byte {
-			return bytes.Replace(d, []byte("clustersoc-store v1 "), []byte("clustersoc-store v9 "), 1)
-		}},
-		{"wrong schema tag", func(d []byte) []byte {
-			return bytes.Replace(d, []byte("schema=7"), []byte("schema=8"), 1)
-		}},
-		{"no header at all", func([]byte) []byte { return []byte("free-form garbage\nwithout a header") }},
-	}
-	for _, tc := range damage {
+	for _, tc := range entryDamage {
 		t.Run(tc.name, func(t *testing.T) {
 			s := open(t, 7)
 			if err := s.Put("the-key", payload); err != nil {
