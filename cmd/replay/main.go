@@ -89,7 +89,11 @@ func main() {
 		model.Name, model.Bandwidth, model.Latency = p.Name, p.Throughput, p.Latency
 	}
 
-	replayed := dimemas.Replay(t, dimemas.Options{Net: model, IdealLoadBalance: *idealLB, Buses: *buses})
+	replayed, err := dimemas.Replay(t, dimemas.Options{Net: model, IdealLoadBalance: *idealLB, Buses: *buses})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "replay:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("replayed on %s", model.Name)
 	if *buses > 0 {
 		fmt.Printf(" (%d buses)", *buses)
@@ -99,7 +103,11 @@ func main() {
 	}
 	fmt.Printf(": %s  (%.2fx vs measured)\n", units.Seconds(replayed), s.Runtime/replayed)
 
-	e := dimemas.Decompose(t)
+	e, err := dimemas.Decompose(t)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "replay:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("\nefficiency decomposition of the measured run:\n")
 	fmt.Printf("  LB = %.3f   Ser = %.3f   Trf = %.3f   eta = %.3f\n", e.LB, e.Ser, e.Trf, e.Eta)
 

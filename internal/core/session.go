@@ -161,9 +161,10 @@ func (s *Session) Scalability(cfg cluster.Config, workload string, sizes []int, 
 		res := results[i]
 		out.Runtimes = append(out.Runtimes, res.Runtime)
 		if n == sizes[len(sizes)-1] {
-			out.Efficiency = dimemas.Decompose(res.Trace)
-			ideal := dimemas.Replay(res.Trace, dimemas.Options{Net: dimemas.IdealNetwork})
-			lb := dimemas.Replay(res.Trace, dimemas.Options{
+			if out.Efficiency, err = dimemas.Decompose(res.Trace); err != nil {
+				return nil, err
+			}
+			lb, err := dimemas.Replay(res.Trace, dimemas.Options{
 				Net: dimemas.NetworkModel{
 					Name:           cfg.Network.Name,
 					Bandwidth:      cfg.Network.Throughput,
@@ -173,7 +174,11 @@ func (s *Session) Scalability(cfg cluster.Config, workload string, sizes []int, 
 				},
 				IdealLoadBalance: true,
 			})
-			if ideal > 0 {
+			if err != nil {
+				return nil, err
+			}
+			// Decompose's TIdeal is the ideal-network replay.
+			if ideal := out.Efficiency.TIdeal; ideal > 0 {
 				out.IdealNetworkGain = res.Runtime / ideal
 			}
 			if lb > 0 {

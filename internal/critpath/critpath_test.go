@@ -121,7 +121,10 @@ func TestIdealNetworkMatchesDimemas(t *testing.T) {
 	if res.Trace == nil {
 		t.Fatal("no trace recorded")
 	}
-	ref := dimemas.Replay(res.Trace, dimemas.Options{Net: dimemas.IdealNetwork})
+	ref, err := dimemas.Replay(res.Trace, dimemas.Options{Net: dimemas.IdealNetwork})
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := res.CritPath.WhatIf.IdealNetwork
 	if rel := math.Abs(got-ref) / ref; rel > 1e-3 {
 		t.Fatalf("ideal-network what-if %g vs dimemas replay %g (rel %.2e, budget 0.1%%)", got, ref, rel)

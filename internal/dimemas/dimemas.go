@@ -55,9 +55,10 @@ type Options struct {
 type matchKey struct{ src, dst, tag int }
 
 // Replay re-times the trace under opts and returns the simulated runtime.
-// It panics on a malformed trace (unmatched receives), which in this
-// codebase indicates a recording bug rather than an input condition.
-func Replay(t *trace.Trace, opts Options) float64 {
+// A receive that no send can ever match deadlocks the replay, which is
+// reported as an error: traces arrive from files as well as from the
+// simulator. Peers must index ranks of t, which trace.Read guarantees.
+func Replay(t *trace.Trace, opts Options) (float64, error) {
 	n := len(t.Ranks)
 	scale := computeScales(t, opts.IdealLoadBalance)
 
@@ -121,7 +122,12 @@ func Replay(t *trace.Trace, opts Options) float64 {
 						stuck = true // sender not replayed yet; revisit next pass
 						continue
 					}
-					arrivals[k] = q[1:]
+					// Keep only messages still in flight in the map.
+					if len(q) == 1 {
+						delete(arrivals, k)
+					} else {
+						arrivals[k] = q[1:]
+					}
 					if q[0] > clocks[r] {
 						clocks[r] = q[0]
 					}
@@ -132,7 +138,7 @@ func Replay(t *trace.Trace, opts Options) float64 {
 			}
 		}
 		if !progress {
-			panic(fmt.Sprintf("dimemas: replay deadlock with %d ops remaining", remaining))
+			return 0, fmt.Errorf("dimemas: replay deadlock with %d ops remaining (a receive no send matches)", remaining)
 		}
 	}
 	max := 0.0
@@ -141,7 +147,7 @@ func Replay(t *trace.Trace, opts Options) float64 {
 			max = c
 		}
 	}
-	return max
+	return max, nil
 }
 
 // computeScales returns per-rank, per-phase multipliers for compute time.
@@ -211,8 +217,8 @@ type Efficiency struct {
 }
 
 // Decompose computes the efficiency factors of a traced run whose measured
-// runtime is t.Runtime.
-func Decompose(t *trace.Trace) Efficiency {
+// runtime is t.Runtime. It fails when the ideal-network replay does.
+func Decompose(t *trace.Trace) (Efficiency, error) {
 	comp := t.ComputeSeconds()
 	sum, max := 0.0, 0.0
 	for _, c := range comp {
@@ -222,7 +228,10 @@ func Decompose(t *trace.Trace) Efficiency {
 		}
 	}
 	mean := sum / float64(len(comp))
-	tIdeal := Replay(t, Options{Net: IdealNetwork})
+	tIdeal, err := Replay(t, Options{Net: IdealNetwork})
+	if err != nil {
+		return Efficiency{}, err
+	}
 	e := Efficiency{
 		TIdeal:    tIdeal,
 		TMeasured: t.Runtime,
@@ -237,7 +246,7 @@ func Decompose(t *trace.Trace) Efficiency {
 		e.Trf = clamp01(tIdeal / t.Runtime)
 	}
 	e.Eta = e.LB * e.Ser * e.Trf
-	return e
+	return e, nil
 }
 
 func clamp01(x float64) float64 {

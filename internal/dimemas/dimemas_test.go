@@ -2,6 +2,7 @@ package dimemas
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"clustersoc/internal/mpi"
@@ -52,9 +53,30 @@ func ringWorkload(computeSec float64, iters int, haloBytes float64, imbalance fu
 
 func balanced(int) float64 { return 1 }
 
+// mustReplay replays a trace the simulator recorded, which cannot
+// deadlock.
+func mustReplay(t *testing.T, tr *trace.Trace, opts Options) float64 {
+	t.Helper()
+	v, err := Replay(tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// mustDecompose is Decompose for a trace the simulator recorded.
+func mustDecompose(t *testing.T, tr *trace.Trace) Efficiency {
+	t.Helper()
+	e, err := Decompose(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestReplayIdentityReproducesRuntime(t *testing.T) {
 	tr := traceRun(4, network.GigE, ringWorkload(0.01, 10, 1*units.MB, balanced))
-	replayed := Replay(tr, Options{Net: NetworkModel{
+	replayed := mustReplay(t, tr, Options{Net: NetworkModel{
 		Name:           "1GbE",
 		Bandwidth:      network.GigE.Throughput,
 		Latency:        network.GigE.Latency,
@@ -68,7 +90,7 @@ func TestReplayIdentityReproducesRuntime(t *testing.T) {
 
 func TestIdealNetworkNeverSlower(t *testing.T) {
 	tr := traceRun(4, network.GigE, ringWorkload(0.002, 10, 4*units.MB, balanced))
-	ideal := Replay(tr, Options{Net: IdealNetwork})
+	ideal := mustReplay(t, tr, Options{Net: IdealNetwork})
 	if ideal > tr.Runtime {
 		t.Fatalf("ideal network replay %.5f slower than measured %.5f", ideal, tr.Runtime)
 	}
@@ -88,8 +110,8 @@ func TestIdealLoadBalanceHelpsImbalancedRun(t *testing.T) {
 		IntraBandwidth: network.MemoryPathBandwidth,
 		IntraLatency:   network.MemoryPathLatency,
 	}
-	base := Replay(tr, Options{Net: real})
-	lb := Replay(tr, Options{Net: real, IdealLoadBalance: true})
+	base := mustReplay(t, tr, Options{Net: real})
+	lb := mustReplay(t, tr, Options{Net: real, IdealLoadBalance: true})
 	if lb >= base {
 		t.Fatalf("ideal LB replay %.5f not faster than base %.5f", lb, base)
 	}
@@ -104,7 +126,7 @@ func TestIdealLoadBalanceNoopOnBalancedRun(t *testing.T) {
 	tr := traceRun(4, network.TenGigE, ringWorkload(0.01, 5, 10*units.KB, balanced))
 	real := Options{Net: IdealNetwork}
 	balancedOpts := Options{Net: IdealNetwork, IdealLoadBalance: true}
-	a, b := Replay(tr, real), Replay(tr, balancedOpts)
+	a, b := mustReplay(t, tr, real), mustReplay(t, tr, balancedOpts)
 	if math.Abs(a-b)/a > 1e-9 {
 		t.Fatalf("ideal LB changed a balanced run: %v vs %v", a, b)
 	}
@@ -113,7 +135,7 @@ func TestIdealLoadBalanceNoopOnBalancedRun(t *testing.T) {
 func TestDecomposeBounds(t *testing.T) {
 	skew := func(rank int) float64 { return 1 + float64(rank)*0.3 }
 	tr := traceRun(4, network.GigE, ringWorkload(0.005, 10, 2*units.MB, skew))
-	e := Decompose(tr)
+	e := mustDecompose(t, tr)
 	for name, v := range map[string]float64{"LB": e.LB, "Ser": e.Ser, "Trf": e.Trf, "Eta": e.Eta} {
 		if v < 0 || v > 1 {
 			t.Errorf("%s = %v out of [0,1]", name, v)
@@ -136,7 +158,7 @@ func TestDecomposeBounds(t *testing.T) {
 // runtime) up to the clamping — the decomposition's defining identity.
 func TestDecompositionIdentity(t *testing.T) {
 	tr := traceRun(4, network.GigE, ringWorkload(0.01, 8, 1*units.MB, func(r int) float64 { return 1 + 0.2*float64(r) }))
-	e := Decompose(tr)
+	e := mustDecompose(t, tr)
 	comp := tr.ComputeSeconds()
 	sum := 0.0
 	for _, c := range comp {
@@ -164,17 +186,19 @@ func TestPhaseChopping(t *testing.T) {
 	}
 }
 
-func TestReplayUnmatchedRecvPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unmatched recv")
-		}
-	}()
+// A receive no send matches deadlocks the replay. Traces arrive from
+// files, so that is an error for the caller, not a panic.
+func TestReplayUnmatchedRecvIsAnError(t *testing.T) {
 	tr := &trace.Trace{Ranks: []*trace.RankTrace{
 		{Rank: 0, Node: 0, Ops: []trace.Op{{Kind: trace.OpRecv, Peer: 1, Tag: 1}}},
 		{Rank: 1, Node: 1},
 	}, Runtime: 1}
-	Replay(tr, Options{Net: IdealNetwork})
+	if _, err := Replay(tr, Options{Net: IdealNetwork}); err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("Replay error = %v, want a deadlock error", err)
+	}
+	if _, err := Decompose(tr); err == nil {
+		t.Fatal("Decompose accepted a trace whose replay deadlocks")
+	}
 }
 
 // The DIMEMAS bus-contention model: unlimited buses matches the default
@@ -189,13 +213,13 @@ func TestBusContention(t *testing.T) {
 		IntraBandwidth: network.MemoryPathBandwidth,
 		IntraLatency:   network.MemoryPathLatency,
 	}
-	free := Replay(tr, Options{Net: net})
-	unlimited := Replay(tr, Options{Net: net, Buses: 1 << 20})
+	free := mustReplay(t, tr, Options{Net: net})
+	unlimited := mustReplay(t, tr, Options{Net: net, Buses: 1 << 20})
 	if math.Abs(free-unlimited)/free > 1e-9 {
 		t.Fatalf("huge bus count (%v) should match the free model (%v)", unlimited, free)
 	}
-	one := Replay(tr, Options{Net: net, Buses: 1})
-	two := Replay(tr, Options{Net: net, Buses: 2})
+	one := mustReplay(t, tr, Options{Net: net, Buses: 1})
+	two := mustReplay(t, tr, Options{Net: net, Buses: 2})
 	if one < free {
 		t.Fatalf("one bus (%v) cannot beat the contention-free model (%v)", one, free)
 	}

@@ -482,7 +482,10 @@ func TestReplayIdentityAcrossWorkloads(t *testing.T) {
 			cfg.FileServer = true
 		}
 		res := cluster.New(cfg).Run(w.Body(workloads.Config{Scale: 0.04}))
-		replayed := dimemas.Replay(res.Trace, dimemas.Options{Net: netModel(pair.prof)})
+		replayed, err := dimemas.Replay(res.Trace, dimemas.Options{Net: netModel(pair.prof)})
+		if err != nil {
+			t.Fatal(err)
+		}
 		ratio := replayed / res.Runtime
 		if ratio < 0.6 || ratio > 1.2 {
 			t.Errorf("%s on %s: identity replay ratio %.3f", pair.name, pair.prof.Name, ratio)

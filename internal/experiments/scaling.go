@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"clustersoc/internal/dimemas"
 	"clustersoc/internal/network"
 	"clustersoc/internal/runner"
@@ -75,19 +77,30 @@ func scalingFor(ws []workloads.Workload, o Options) *Scaling {
 	i := 0
 	for _, w := range ws {
 		c := &ScalingCurve{Workload: w.Name(), Nodes: sizes}
-		for range sizes {
+		for _, n := range sizes {
 			r1, r10 := res[i], res[i+1]
 			i += 2
 			c.Runtime1G = append(c.Runtime1G, r1.Runtime)
 			c.Runtime10G = append(c.Runtime10G, r10.Runtime)
 
 			tr := r10.Trace
-			c.IdealNet = append(c.IdealNet, dimemas.Replay(tr, dimemas.Options{Net: dimemas.IdealNetwork}))
-			c.IdealLB = append(c.IdealLB, dimemas.Replay(tr, dimemas.Options{
-				Net:              netModel(network.TenGigE),
-				IdealLoadBalance: true,
-			}))
-			c.Eff = append(c.Eff, dimemas.Decompose(tr))
+			eff, err := dimemas.Decompose(tr)
+			var lb float64
+			if err == nil {
+				lb, err = dimemas.Replay(tr, dimemas.Options{
+					Net:              netModel(network.TenGigE),
+					IdealLoadBalance: true,
+				})
+			}
+			if err != nil {
+				// The simulator recorded this trace, so a replay deadlock is
+				// a bug, reported like a failed scenario.
+				panic(fmt.Sprintf("experiments: %s on %d nodes: %v", w.Name(), n, err))
+			}
+			// Decompose's TIdeal is the ideal-network replay.
+			c.IdealNet = append(c.IdealNet, eff.TIdeal)
+			c.IdealLB = append(c.IdealLB, lb)
+			c.Eff = append(c.Eff, eff)
 		}
 		c.Fit1G, _ = stats.FitScaling(sizes, c.Runtime1G)
 		c.Fit10G, _ = stats.FitScaling(sizes, c.Runtime10G)

@@ -8,6 +8,7 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,15 +17,17 @@ import (
 	"clustersoc/internal/critpath"
 	"clustersoc/internal/obs"
 	"clustersoc/internal/store"
+	"clustersoc/internal/trace"
 )
 
 // StoreSchemaVersion is the persisted-result schema. Bump it whenever
-// the JSON encoding of a stored entry changes meaning — Result gaining,
-// losing, or reinterpreting a field; obs.Profile or critpath.Report
-// schema changes; anything that would make an old entry decode into a
-// different value than a fresh simulation produces. Bumping re-addresses
-// every key, so old entries become unreachable instead of wrong.
-const StoreSchemaVersion = 1
+// the encoding of a stored entry changes meaning — Result gaining,
+// losing, or reinterpreting a field; obs.Profile, critpath.Report or
+// trace format changes; anything that would make an old entry decode
+// into a different value than a fresh simulation produces. Bumping
+// re-addresses every key, so old entries become unreachable instead of
+// wrong. Schema 2 moved traces out of the JSON into a binary section.
+const StoreSchemaVersion = 2
 
 // OpenStore opens (creating if needed) a persistent result store rooted
 // at dir, addressed with the run-plane's current result schema.
@@ -55,6 +58,13 @@ func (r *Runner) Store() *store.Store {
 // the simulator, Profile and CritPath live in sidecars) are first-class
 // here, so a store hit reconstructs the full in-memory Result — and
 // -profile/-critpath replays against a warm store are free.
+//
+// An entry is the JSON of storedEntry with the trace left out, then, for
+// a traced run only, a newline and the trace in its binary file format
+// (trace.Write). json.Marshal never emits a raw newline, so the first
+// one ends the JSON head. Traces are nearly all of a store's bytes, and
+// the binary section is about a third the size of their JSON and decodes
+// many times faster.
 type storedEntry struct {
 	Fingerprint string           `json:"fingerprint"`
 	Events      uint64           `json:"events"`
@@ -72,28 +82,47 @@ func (e *storedEntry) result() Result {
 	return res
 }
 
-// encodeStored serializes a Result for the store.
+// encodeStored serializes a Result for the store. res is a copy, so
+// clearing its Trace leaves the shared cached Result intact.
 func encodeStored(fp string, res Result) ([]byte, error) {
-	e := storedEntry{
+	tr := res.Trace
+	res.Trace = nil
+	head, err := json.Marshal(storedEntry{
 		Fingerprint: fp,
 		Events:      res.Events,
 		Result:      res,
 		Profile:     res.Profile,
 		CritPath:    res.CritPath,
+	})
+	if err != nil || tr == nil {
+		return head, err
 	}
-	return json.Marshal(e)
+	buf := bytes.NewBuffer(head)
+	buf.WriteByte('\n')
+	if err := tr.Write(buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // decodeStored parses a stored payload and verifies it echoes the
 // requested fingerprint — the guard against an (astronomically
 // unlikely) content-address collision or a misfiled entry.
 func decodeStored(data []byte, fp string) (*storedEntry, error) {
+	head, tail, traced := bytes.Cut(data, []byte{'\n'})
 	var e storedEntry
-	if err := json.Unmarshal(data, &e); err != nil {
+	if err := json.Unmarshal(head, &e); err != nil {
 		return nil, fmt.Errorf("runner: stored entry undecodable: %w", err)
 	}
 	if e.Fingerprint != fp {
 		return nil, fmt.Errorf("runner: stored entry fingerprint mismatch (got %q)", e.Fingerprint)
+	}
+	if traced {
+		tr, err := trace.Decode(tail)
+		if err != nil {
+			return nil, fmt.Errorf("runner: stored entry trace section: %w", err)
+		}
+		e.Result.Trace = tr
 	}
 	return &e, nil
 }
@@ -233,10 +262,10 @@ func (r *Runner) tryLoad(st *store.Store, fp string, profiled, checked, critpath
 // other's Put and the last writer would drop the other's record. Three
 // defenses close that: writers that do not already hold the key's
 // singleflight lock take it here when it is free, serializing the merge;
-// the merge re-peeks immediately before the Put; and after the Put the
-// writer re-reads the entry and, on a detected downgrade (the current
-// entry lacking a record this writer knows about), re-merges and
-// rewrites. Two writers that both fail to take the lock can still in
+// the merge re-peeks immediately before the Put; and after the Put a
+// writer holding a record re-reads the entry and, on a detected
+// downgrade (the current entry lacking a record this writer knows
+// about), re-merges and rewrites. Two writers that both fail to take the lock can still in
 // principle interleave pathologically — the residual loss is an optional
 // observer record (regenerable, never a wrong result), and every rewrite
 // converges toward the union.
@@ -281,7 +310,9 @@ func (r *Runner) persist(st *store.Store, fp string, res Result, locked bool) {
 	if r.persistPrePut != nil {
 		r.persistPrePut()
 	}
-	if !write() {
+	if !write() || (res.Profile == nil && res.CritPath == nil) {
+		// A downgrade is an entry missing a record this writer holds;
+		// a writer holding none has nothing to verify.
 		return
 	}
 	// Downgrade detection: if a concurrent writer replaced the entry with

@@ -1,6 +1,8 @@
 package runner
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -93,6 +95,19 @@ func TestStoreTierRoundTripsTracedRun(t *testing.T) {
 	if !reflect.DeepEqual(want.Trace, got.Trace) {
 		t.Fatal("trace changed in the store round trip")
 	}
+	// simd serves a traced result as JSON: the store-served bytes must be
+	// the simulated ones, down to ranks without ops staying null.
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wantJSON, gotJSON) {
+		t.Fatal("store-served traced result marshals to different JSON than the simulated one")
+	}
 }
 
 // mangleEntry rewrites the single *.entry file under dir with mut.
@@ -119,33 +134,50 @@ func mangleEntry(t *testing.T, dir string, mut func([]byte) []byte) {
 
 // TestStoreCorruptEntryFallsBackToSimulation is the corruption satellite
 // at the run-plane level: truncated entries, zero-byte entries, wrong
-// version tags, and garbage payloads each read as a miss, get counted
-// corrupt, and are repaired by simulate-and-rewrite — after which a
-// fresh Runner hits.
+// version tags, garbage payloads and damaged trace sections each read as
+// a miss, get counted corrupt, and are repaired by simulate-and-rewrite
+// — after which a fresh Runner hits.
 func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
-	sc := tinyScenario("hpl", 2, network.GigE)
-	fp := sc.Fingerprint()
+	plain := tinyScenario("hpl", 2, network.GigE)
+	traced := tinyScenario("cg", 2, network.GigE)
+	traced.Cluster.Traced = true
+	// rewriteTrace re-puts the entry under fp with its trace section
+	// mangled, inside a valid container and after a valid JSON head.
+	rewriteTrace := func(t *testing.T, st *store.Store, fp string, mut func([]byte) []byte) {
+		data, err := st.Peek(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, tail, ok := bytes.Cut(data, []byte{'\n'})
+		if !ok {
+			t.Fatal("setup: traced entry has no trace section")
+		}
+		if err := st.Put(fp, append(append(head, '\n'), mut(tail)...)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := []struct {
 		name    string
-		corrupt func(t *testing.T, dir string, st *store.Store)
+		sc      Scenario
+		corrupt func(t *testing.T, dir string, st *store.Store, fp string)
 	}{
-		{"truncated entry", func(t *testing.T, dir string, _ *store.Store) {
+		{"truncated entry", plain, func(t *testing.T, dir string, _ *store.Store, _ string) {
 			mangleEntry(t, dir, func(d []byte) []byte { return d[:len(d)/2] })
 		}},
-		{"zero-byte entry", func(t *testing.T, dir string, _ *store.Store) {
+		{"zero-byte entry", plain, func(t *testing.T, dir string, _ *store.Store, _ string) {
 			mangleEntry(t, dir, func([]byte) []byte { return nil })
 		}},
-		{"wrong version tag", func(t *testing.T, dir string, _ *store.Store) {
+		{"wrong version tag", plain, func(t *testing.T, dir string, _ *store.Store, _ string) {
 			mangleEntry(t, dir, func(d []byte) []byte {
 				return []byte(strings.Replace(string(d), "clustersoc-store v1 ", "clustersoc-store v9 ", 1))
 			})
 		}},
-		{"valid container, garbage JSON payload", func(t *testing.T, _ string, st *store.Store) {
+		{"valid container, garbage JSON payload", plain, func(t *testing.T, _ string, st *store.Store, fp string) {
 			if err := st.Put(fp, []byte("{this is not json")); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"valid entry for the wrong fingerprint", func(t *testing.T, _ string, st *store.Store) {
+		{"valid entry for the wrong fingerprint", plain, func(t *testing.T, _ string, st *store.Store, fp string) {
 			other := tinyScenario("cg", 2, network.GigE)
 			data, err := encodeStored(other.Fingerprint(), Result{})
 			if err != nil {
@@ -155,9 +187,19 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"valid container and head, truncated trace section", traced, func(t *testing.T, _ string, st *store.Store, fp string) {
+			rewriteTrace(t, st, fp, func(tail []byte) []byte { return tail[:len(tail)-5] })
+		}},
+		{"trace section with a foreign magic line", traced, func(t *testing.T, _ string, st *store.Store, fp string) {
+			rewriteTrace(t, st, fp, func(tail []byte) []byte {
+				_, body, _ := bytes.Cut(tail, []byte{'\n'})
+				return append([]byte("some-other-format v2\n"), body...)
+			})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			sc, fp := tc.sc, tc.sc.Fingerprint()
 			dir := t.TempDir()
 			seed := New(1)
 			seed.SetStore(openStore(t, dir))
@@ -165,7 +207,7 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.corrupt(t, dir, seed.Store())
+			tc.corrupt(t, dir, seed.Store(), fp)
 
 			r := New(1)
 			r.SetStore(openStore(t, dir))

@@ -185,6 +185,38 @@ func TestPersistUnderKeyLockMergesPrior(t *testing.T) {
 	}
 }
 
+// TestPersistWithoutRecordsSkipsVerification: a downgrade is an entry
+// missing a record this writer holds, so a writer holding neither a
+// Profile nor a CritPath returns after its write instead of re-reading
+// and re-decoding the entry it has just written.
+func TestPersistWithoutRecordsSkipsVerification(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	sc := tinyScenario("cg", 2, network.TenGigE)
+	sc.Cluster.Traced = true
+	fp := sc.Fingerprint()
+	res, err := Execute(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(1)
+	verified := 0
+	r.persistPreVerify = func() { verified++ }
+	r.persist(st, fp, res, false)
+	if verified != 0 {
+		t.Fatalf("record-less persist ran %d post-write verification pass(es), want 0", verified)
+	}
+	if r.Stats().StoreWrites != 1 {
+		t.Fatalf("persist did not write: %+v", r.Stats())
+	}
+	data, err := st.Peek(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeStored(data, fp); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // mustReport produces a real critical-path report for sc, so stored
 // entries in these tests round-trip through the full schema.
 func mustReport(t *testing.T, sc Scenario) *critpath.Report {

@@ -242,52 +242,59 @@ func TestStreamCarriesEveryIndexOnce(t *testing.T) {
 // TestServedBytesMatchDirectRunner is the fidelity check: the result
 // embedded in a stream line is byte-identical to marshalling the
 // run-plane's Result directly — the service adds nothing, strips
-// nothing, warms from any tier.
+// nothing, warms from any tier. A traced result carries its trace, which
+// the store holds in binary and the stream carries as JSON.
 func TestServedBytesMatchDirectRunner(t *testing.T) {
-	dir := t.TempDir()
-	st, err := runner.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := runner.New(1)
-	warm.SetStore(st)
-	direct, err := warm.Run(mustResolve(t, tiny()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mustJSON(t, direct)
+	traced := tiny()
+	traced.Traced = true
+	for name, q := range map[string]Request{"untraced": tiny(), "traced": traced} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := runner.OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm := runner.New(1)
+			warm.SetStore(st)
+			direct, err := warm.Run(mustResolve(t, q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := mustJSON(t, direct)
 
-	// A fresh runner on the same store: the service answer is a store
-	// decode, and must carry the same bytes.
-	st2, err := runner.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := runner.New(1)
-	r.SetStore(st2)
-	_, ts := newTestServer(t, Config{Runner: r})
-	resp := postBatch(t, ts.URL, "", tiny())
-	defer resp.Body.Close()
-	var line struct {
-		Source string          `json:"source"`
-		Result json.RawMessage `json:"result"`
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
-		t.Fatalf("empty stream: %v", sc.Err())
-	}
-	if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-		t.Fatal(err)
-	}
-	if line.Source != runner.SourceStore {
-		t.Fatalf("source = %q, want store", line.Source)
-	}
-	if !bytes.Equal(line.Result, want) {
-		t.Fatalf("served result bytes diverge from direct runner output:\n  served: %s\n  direct: %s", line.Result, want)
-	}
-	if st := r.Stats(); st.Simulated != 0 {
-		t.Fatalf("warm serve simulated %d times, want 0", st.Simulated)
+			// A fresh runner on the same store: the service answer is a
+			// store decode, and must carry the same bytes.
+			st2, err := runner.OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := runner.New(1)
+			r.SetStore(st2)
+			_, ts := newTestServer(t, Config{Runner: r})
+			resp := postBatch(t, ts.URL, "", q)
+			defer resp.Body.Close()
+			var line struct {
+				Source string          `json:"source"`
+				Result json.RawMessage `json:"result"`
+			}
+			sc := bufio.NewScanner(resp.Body)
+			sc.Buffer(make([]byte, 1<<20), 16<<20) // the traced line is about 1.3 MB
+			if !sc.Scan() {
+				t.Fatalf("empty stream: %v", sc.Err())
+			}
+			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+				t.Fatal(err)
+			}
+			if line.Source != runner.SourceStore {
+				t.Fatalf("source = %q, want store", line.Source)
+			}
+			if !bytes.Equal(line.Result, want) {
+				t.Fatalf("served result bytes diverge from direct runner output:\n  served: %s\n  direct: %s", line.Result, want)
+			}
+			if st := r.Stats(); st.Simulated != 0 {
+				t.Fatalf("warm serve simulated %d times, want 0", st.Simulated)
+			}
+		})
 	}
 }
 
