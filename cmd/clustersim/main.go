@@ -18,6 +18,7 @@ import (
 	"clustersoc/internal/core"
 	"clustersoc/internal/critpath"
 	"clustersoc/internal/network"
+	"clustersoc/internal/runflags"
 	"clustersoc/internal/runner"
 	"clustersoc/internal/soc"
 	"clustersoc/internal/units"
@@ -34,7 +35,7 @@ func main() {
 		list   = flag.Bool("list", false, "list available workloads and exit")
 		traceF = flag.String("trace", "", "write an Extrae-style execution trace to this file (replay it with cmd/replay)")
 		critP  = flag.String("critpath", "", "record the causal event graph, print the blame and what-if tables, and write a critical-path sidecar to this file ('-' prints tables only; inspect sidecars with cmd/whatif)")
-		storeD = flag.String("store", os.Getenv("CLUSTERSOC_STORE"), "persistent content-addressed result store directory (default $CLUSTERSOC_STORE): the run is served from a warm entry when present, simulated and persisted otherwise")
+		rf     = runflags.Register(flag.CommandLine, runflags.Store)
 	)
 	flag.Parse()
 
@@ -56,6 +57,10 @@ func main() {
 	}
 	if (*system == "tx1" || *system == "gtx980") && *nodes < 1 {
 		fmt.Fprintf(os.Stderr, "clustersim: -nodes must be at least 1, got %d\n", *nodes)
+		os.Exit(2)
+	}
+	if !(*scale > 0 && *scale <= 1) {
+		fmt.Fprintf(os.Stderr, "clustersim: -scale must be in (0,1], got %g\n", *scale)
 		os.Exit(2)
 	}
 	w, err := workloads.ByName(*name)
@@ -99,45 +104,27 @@ func main() {
 		cfg.Traced = true
 	}
 
-	var res cluster.Result
-	var report *critpath.Report
-	if *storeD != "" {
-		// The store tier lives in the run-plane, so a stored run goes
-		// through a single-worker runner: a warm entry (including its
-		// persisted critical-path report) decodes instead of simulating.
-		st, err := runner.OpenStore(*storeD)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		rn := runner.New(1)
-		rn.SetStore(st)
-		rn.SetCritPath(*critP != "")
-		rres, err := rn.Run(runner.Scenario{
-			Cluster:  cfg,
-			Workload: w.Name(),
-			Config:   workloads.Config{Scale: *scale},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		res = rres.Result
-		report = rres.CritPath
-		rst := rn.Stats()
-		fmt.Fprintf(os.Stderr, "store: %d hits, %d misses, %d writes, %d corrupt (%s, schema %d)\n",
-			rst.StoreHits, rst.StoreMisses, rst.StoreWrites, rst.StoreCorrupt, st.Dir(), st.Schema())
-	} else {
-		cl := cluster.New(cfg)
-		if *critP != "" {
-			cl.RecordCritPath()
-		}
-		res = cl.Run(w.Body(workloads.Config{Scale: *scale}))
-		if *critP != "" {
-			report = critpath.Analyze(cl.CritPath(),
-				fmt.Sprintf("%s on %s", w.Name(), cfg.Name), "", res.Runtime)
-		}
+	// Every run goes through a one-worker runner, so a run with and
+	// without -store is the same scenario: with a store, a warm entry
+	// (and its stored critical-path report) decodes instead of
+	// simulating.
+	rf.Observers.CritPath = *critP != ""
+	rn, err := rf.Runner()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "clustersim:", err)
+		os.Exit(1)
 	}
+	rres, err := rn.Run(runner.Scenario{
+		Cluster:  cfg,
+		Workload: w.Name(),
+		Config:   workloads.Config{Scale: *scale},
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	runflags.Report(os.Stderr, rn)
+	res, report := rres.Result, rres.CritPath
 
 	if *traceF != "" {
 		f, err := os.Create(*traceF)

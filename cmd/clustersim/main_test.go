@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -47,9 +48,12 @@ func TestBadFlagValuesAreUsageErrors(t *testing.T) {
 		{"-nodes", []string{"-nodes", "0"}},
 		{"-nodes", []string{"-system", "gtx980", "-nodes", "-2"}},
 		{"-net", []string{"-net", "1G"}},
+		{"-scale", []string{"-scale", "0"}},
+		{"-scale", []string{"-scale", "5"}},
 	}
 	for _, tc := range cases {
-		code, stderr := runCLI(t, append(tc.args, "-workload", "hpl", "-scale", "0.01")...)
+		// tc.args come last, so a -scale among them wins.
+		code, stderr := runCLI(t, append([]string{"-workload", "hpl", "-scale", "0.01"}, tc.args...)...)
 		if code != 2 {
 			t.Errorf("%v: exit %d, want 2 (stderr %q)", tc.args, code, stderr)
 		}
@@ -59,5 +63,33 @@ func TestBadFlagValuesAreUsageErrors(t *testing.T) {
 		if strings.Contains(stderr, "panic:") {
 			t.Errorf("%v: panicked:\n%s", tc.args, stderr)
 		}
+	}
+}
+
+// A run with and without -store is the same scenario, so it writes the
+// same critical-path sidecar, fingerprint included.
+func TestCritPathSidecarIndependentOfStore(t *testing.T) {
+	t.Setenv("CLUSTERSOC_STORE", "")
+	dir := t.TempDir()
+	sidecar := func(name string, extra ...string) []byte {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		args := append([]string{"-workload", "cg", "-nodes", "4", "-scale", "0.02", "-critpath", path}, extra...)
+		if code, stderr := runCLI(t, args...); code != 0 {
+			t.Fatalf("clustersim %v: exit %d\n%s", args, code, stderr)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	plain := sidecar("plain.json")
+	stored := sidecar("stored.json", "-store", filepath.Join(dir, "store"))
+	if !bytes.Equal(plain, stored) {
+		t.Fatalf("sidecar differs with -store:\nwithout: %s\nwith:    %s", plain, stored)
+	}
+	if !bytes.Contains(plain, []byte(`"fingerprint"`)) {
+		t.Fatalf("sidecar carries no scenario fingerprint: %s", plain)
 	}
 }

@@ -11,6 +11,8 @@
 //	experiments -only fig1,tab6  # a subset
 //	experiments -scale 0.25     # closer to paper-sized problems
 //	experiments -parallel 1      # sequential run-plane
+//	experiments -check           # simcheck audit, plus the collective cost models
+//	experiments -profile         # profiles sidecar, merged simulated metrics on stderr
 package main
 
 import (
@@ -26,7 +28,7 @@ import (
 	"clustersoc/internal/network"
 	"clustersoc/internal/obs"
 	"clustersoc/internal/plot"
-	"clustersoc/internal/runner"
+	"clustersoc/internal/runflags"
 	"clustersoc/internal/simcheck"
 )
 
@@ -42,17 +44,17 @@ func main() {
 		scale    = flag.Float64("scale", 0.08, "problem scale in (0,1]; shapes are scale-invariant")
 		only     = flag.String("only", "", "comma-separated subset: "+strings.Join(artifactKeys, ","))
 		jsonPath = flag.String("json", "", "also write every generated artifact as JSON to this file")
-		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = sequential)")
-		check    = flag.Bool("check", false, "audit every simulated scenario with simcheck (flow conservation, MPI schedule balance, port utilization) and cross-check the collective cost models; violations fail the run")
 		faultsOn = flag.Bool("faults", false, "run the fault-injection study (fault-class matrix + checkpoint-interval sweep); also reachable via -only faults")
-		profile  = flag.Bool("profile", false, "collect per-scenario observability profiles: writes a *.profile.json sidecar and a merged metrics summary on stderr")
-		critPath = flag.Bool("critpath", false, "record the causal event graph of every simulated scenario and write a *.critpath.json sidecar with per-component blame, slack, and what-if bounds (inspect with cmd/whatif)")
 		traceOut = flag.String("trace-out", "", "write a Chrome/Perfetto trace of a representative run (hpl @ 8 nodes, 10GbE) to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the regeneration to this file (host profiling of the simulator itself; written on clean completion)")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file (written on clean completion)")
-		storeDir = flag.String("store", os.Getenv("CLUSTERSOC_STORE"), "persistent content-addressed result store directory (default $CLUSTERSOC_STORE): warm entries decode instead of re-simulating, and results are deterministic so entries never go stale")
+		rf       = runflags.Register(flag.CommandLine, runflags.All)
 	)
 	flag.Parse()
+	if !(*scale > 0 && *scale <= 1) {
+		fmt.Fprintf(os.Stderr, "experiments: -scale must be in (0,1], got %g\n", *scale)
+		os.Exit(2)
+	}
 
 	// Host-side pprof of the simulator itself — the engine's allocation
 	// and event-loop cost is what these catch; the simulated metrics go
@@ -91,17 +93,10 @@ func main() {
 
 	o := experiments.DefaultOptions()
 	o.Scale = *scale
-	o.Runner = runner.New(*parallel)
-	o.Runner.SetProfiling(*profile)
-	o.Runner.SetChecking(*check)
-	o.Runner.SetCritPath(*critPath)
-	if *storeDir != "" {
-		st, err := runner.OpenStore(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		o.Runner.SetStore(st)
+	var err error
+	if o.Runner, err = rf.Runner(); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
 	}
 
 	known := map[string]bool{}
@@ -325,29 +320,23 @@ func main() {
 	if *traceOut != "" {
 		writeChromeTrace(o, *traceOut)
 	}
-	if *profile {
+	if rf.Observers.Profile {
 		writeProfileSidecar(o, *jsonPath)
 	}
-	if *critPath {
+	if rf.Observers.CritPath {
 		writeCritPathSidecar(o, *jsonPath)
 	}
 
-	if *check {
+	if rf.Observers.Check {
 		if err := simcheck.Error(simcheck.AuditCollectives()); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: collective cost models:", err)
 			os.Exit(1)
 		}
 	}
 
-	st := o.Runner.Stats()
-	fmt.Fprintf(os.Stderr, "run-plane: %d scenarios submitted, %d simulated, %d duplicates served from cache (%d workers, peak %d in flight, %.1fs simulation wall)\n",
-		st.Submitted, st.Simulated, st.Hits, o.Runner.Workers(), st.MaxInFlight, st.WallSeconds)
-	if ps := o.Runner.Store(); ps != nil {
-		fmt.Fprintf(os.Stderr, "store: %d hits, %d misses, %d writes, %d corrupt (%s, schema %d)\n",
-			st.StoreHits, st.StoreMisses, st.StoreWrites, st.StoreCorrupt, ps.Dir(), ps.Schema())
-	}
-	if *check {
-		fmt.Fprintf(os.Stderr, "simcheck: %d scenario(s) audited, collective cost models verified — no invariant violations\n", st.Audited)
+	runflags.Report(os.Stderr, o.Runner)
+	if rf.Observers.Check {
+		fmt.Fprintf(os.Stderr, "simcheck: %d scenario(s) audited, collective cost models verified — no invariant violations\n", o.Runner.Stats().Audited)
 	}
 }
 

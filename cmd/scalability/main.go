@@ -2,6 +2,9 @@
 // for one workload: trace runs across cluster sizes, fit and extrapolate
 // the speedup curve, and decompose the parallel efficiency into
 // eta = LB * Ser * Trf with ideal-network / ideal-load-balance replays.
+// -profile and -critpath write scalability.profile.json and
+// scalability.critpath.json; -critpath also prints the largest run's
+// blame and what-if tables.
 //
 //	scalability -workload tealeaf3d
 //	scalability -workload ft -net 1g -extrapolate 128
@@ -16,21 +19,17 @@ import (
 	"clustersoc/internal/core"
 	"clustersoc/internal/critpath"
 	"clustersoc/internal/obs"
-	"clustersoc/internal/runner"
+	"clustersoc/internal/runflags"
 )
 
 func main() {
 	var (
 		workload    = flag.String("workload", "hpl", "workload to study")
 		netArg      = flag.String("net", "10g", "network: 1g or 10g")
-		scale       = flag.Float64("scale", 0.08, "problem scale")
+		scale       = flag.Float64("scale", 0.08, "problem scale in (0,1]")
 		extrapolate = flag.Int("extrapolate", 64, "extrapolate the fitted curve to this many nodes")
-		parallel    = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = sequential)")
-		check       = flag.Bool("check", false, "audit every simulated scenario with simcheck; violations fail the run")
-		profile     = flag.Bool("profile", false, "collect per-scenario observability profiles and write a scalability.profile.json sidecar")
-		critPath    = flag.Bool("critpath", false, "record causal event graphs, print the largest run's blame table, and write a scalability.critpath.json sidecar (inspect with cmd/whatif)")
 		traceOut    = flag.String("trace-out", "", "write a Chrome/Perfetto trace of the largest traced run to this file")
-		storeDir    = flag.String("store", os.Getenv("CLUSTERSOC_STORE"), "persistent content-addressed result store directory (default $CLUSTERSOC_STORE): warm entries decode instead of re-simulating")
+		rf          = runflags.Register(flag.CommandLine, runflags.All)
 	)
 	flag.Parse()
 
@@ -39,34 +38,30 @@ func main() {
 		fmt.Fprintln(os.Stderr, "scalability: -net:", err)
 		os.Exit(2)
 	}
-	sizes := []int{1, 2, 4, 6, 8}
-	session := core.NewSession(*parallel)
-	session.SetChecking(*check)
-	session.SetProfiling(*profile)
-	session.SetCritPath(*critPath)
-	if *storeDir != "" {
-		st, err := runner.OpenStore(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		session.SetStore(st)
+	if !(*scale > 0 && *scale <= 1) {
+		fmt.Fprintf(os.Stderr, "scalability: -scale must be in (0,1], got %g\n", *scale)
+		os.Exit(2)
 	}
+	if *extrapolate < 1 {
+		fmt.Fprintf(os.Stderr, "scalability: -extrapolate must be at least 1, got %d\n", *extrapolate)
+		os.Exit(2)
+	}
+	r, err := rf.Runner()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scalability:", err)
+		os.Exit(1)
+	}
+	sizes := []int{1, 2, 4, 6, 8}
+	session := core.NewSessionWith(r)
 	cfg := core.TX1(8, net)
 	res, err := session.Scalability(cfg, *workload, sizes, *scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	st := session.Stats()
-	fmt.Fprintf(os.Stderr, "run-plane: %d scenarios submitted, %d simulated, %d duplicates served from cache (%d workers, peak %d in flight, %.1fs simulation wall)\n",
-		st.Submitted, st.Simulated, st.Hits, session.Runner().Workers(), st.MaxInFlight, st.WallSeconds)
-	if ps := session.Runner().Store(); ps != nil {
-		fmt.Fprintf(os.Stderr, "store: %d hits, %d misses, %d writes, %d corrupt (%s, schema %d)\n",
-			st.StoreHits, st.StoreMisses, st.StoreWrites, st.StoreCorrupt, ps.Dir(), ps.Schema())
-	}
-	if *check {
-		fmt.Fprintf(os.Stderr, "simcheck: %d scenario(s) audited — no invariant violations\n", st.Audited)
+	runflags.Report(os.Stderr, r)
+	if rf.Observers.Check {
+		fmt.Fprintf(os.Stderr, "simcheck: %d scenario(s) audited — no invariant violations\n", r.Stats().Audited)
 	}
 
 	fmt.Printf("strong scaling of %s on the TX1 cluster (%s)\n\n", *workload, *netArg)
@@ -93,13 +88,13 @@ func main() {
 	// The largest traced run is already cached by Scalability, so the
 	// exports below join the cache instead of re-simulating.
 	largest := sizes[len(sizes)-1]
-	if *traceOut != "" || *critPath {
+	if *traceOut != "" || rf.Observers.CritPath {
 		point, err := session.ScalabilityPoint(cfg, *workload, largest, *scale)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if *critPath && point.CritPath != nil {
+		if rf.Observers.CritPath && point.CritPath != nil {
 			fmt.Printf("\ncritical-path blame at %d nodes:\n%s\n%s", largest,
 				point.CritPath.BlameTable(), point.CritPath.WhatIfTable())
 		}
@@ -124,15 +119,15 @@ func main() {
 			fmt.Printf("\nwrote Chrome trace of the %d-node run to %s (open in chrome://tracing or ui.perfetto.dev)\n", largest, *traceOut)
 		}
 	}
-	if *profile {
+	if rf.Observers.Profile {
 		writeSidecar("scalability.profile.json", func(f *os.File) error {
-			return obs.WriteProfiles(f, session.Profiles())
-		}, len(session.Profiles()), "profiles")
+			return obs.WriteProfiles(f, r.Profiles())
+		}, len(r.Profiles()), "profiles")
 	}
-	if *critPath {
+	if rf.Observers.CritPath {
 		writeSidecar("scalability.critpath.json", func(f *os.File) error {
-			return critpath.WriteReports(f, session.CritPathReports())
-		}, len(session.CritPathReports()), "critical-path reports")
+			return critpath.WriteReports(f, r.Reports())
+		}, len(r.Reports()), "critical-path reports")
 	}
 }
 

@@ -1,0 +1,64 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// runMainEnv makes the test binary run the command instead of the
+// tests, so a test can check what a user sees: exit code and stderr.
+const runMainEnv = "SCALABILITY_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runCLI runs the command with args and returns its exit code and
+// stderr.
+func runCLI(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("scalability %v: %v", args, err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
+
+// A bad flag value is a usage error: exit 2 with a message naming the
+// flag. A runtime panic also exits 2, so the test also rules one out.
+func TestBadFlagValuesAreUsageErrors(t *testing.T) {
+	cases := []struct {
+		flag string
+		args []string
+	}{
+		{"-scale", []string{"-scale", "1.5"}},
+		{"-extrapolate", []string{"-extrapolate", "0"}},
+		{"-extrapolate", []string{"-extrapolate", "-4"}},
+	}
+	for _, tc := range cases {
+		// tc.args come last, so a -scale among them wins.
+		code, stderr := runCLI(t, append([]string{"-workload", "cg", "-scale", "0.01"}, tc.args...)...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr %q)", tc.args, code, stderr)
+		}
+		if !strings.Contains(stderr, tc.flag) {
+			t.Errorf("%v: stderr %q does not name %s", tc.args, stderr, tc.flag)
+		}
+		if strings.Contains(stderr, "panic:") {
+			t.Errorf("%v: panicked:\n%s", tc.args, stderr)
+		}
+	}
+}

@@ -25,15 +25,14 @@ import (
 	"syscall"
 	"time"
 
-	"clustersoc/internal/runner"
+	"clustersoc/internal/runflags"
 	"clustersoc/internal/simd"
 )
 
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		storeDir   = flag.String("store", os.Getenv("CLUSTERSOC_STORE"), "persistent content-addressed result store directory (default $CLUSTERSOC_STORE); strongly recommended: it makes every answer durable and shared across replicas")
-		parallel   = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+		rf         = runflags.Register(flag.CommandLine, runflags.Store|runflags.Parallel)
 		maxPending = flag.Int("max-pending", 256, "admission bound: max admitted-but-unfinished scenarios before batches get 429")
 		maxBatch   = flag.Int("max-batch", 0, "max scenarios per POST (0 = max-pending)")
 		rate       = flag.Float64("rate", 0, "per-client rate limit in scenario requests/s (0 = unlimited)")
@@ -42,14 +41,10 @@ func main() {
 	)
 	flag.Parse()
 
-	r := runner.New(*parallel)
-	if *storeDir != "" {
-		st, err := runner.OpenStore(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simd:", err)
-			os.Exit(1)
-		}
-		r.SetStore(st)
+	r, err := rf.Runner()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "simd:", err)
+		os.Exit(1)
 	}
 	s, err := simd.NewServer(simd.Config{
 		Runner:     r,
@@ -96,11 +91,5 @@ func main() {
 		fmt.Fprintln(os.Stderr, "simd:", err)
 	}
 
-	st := r.Stats()
-	fmt.Fprintf(os.Stderr, "run-plane: %d scenarios submitted, %d simulated, %d duplicates served from cache (%d workers, peak %d in flight, %.1fs simulation wall)\n",
-		st.Submitted, st.Simulated, st.Hits, r.Workers(), st.MaxInFlight, st.WallSeconds)
-	if ps := r.Store(); ps != nil {
-		fmt.Fprintf(os.Stderr, "store: %d hits, %d misses, %d writes, %d corrupt (%s, schema %d)\n",
-			st.StoreHits, st.StoreMisses, st.StoreWrites, st.StoreCorrupt, ps.Dir(), ps.Schema())
-	}
+	runflags.Report(os.Stderr, r)
 }

@@ -4,13 +4,10 @@ import (
 	"fmt"
 
 	"clustersoc/internal/cluster"
-	"clustersoc/internal/critpath"
 	"clustersoc/internal/dimemas"
 	"clustersoc/internal/network"
-	"clustersoc/internal/obs"
 	"clustersoc/internal/runner"
 	"clustersoc/internal/stats"
-	"clustersoc/internal/store"
 	"clustersoc/internal/workloads"
 )
 
@@ -30,41 +27,14 @@ func NewSession(parallel int) *Session {
 	return &Session{r: runner.New(parallel)}
 }
 
-// NewSessionWith wraps an existing runner — e.g. the one cmd/experiments
-// shares with the figure generators — so Session helpers and generators
-// dedupe against each other.
+// NewSessionWith wraps an existing runner — e.g. one a front end built
+// from its run-plane flags, with a store and observers attached — so
+// Session helpers and everything else sharing that runner dedupe
+// against each other.
 func NewSessionWith(r *runner.Runner) *Session { return &Session{r: r} }
-
-// Runner exposes the underlying run-plane (for experiments.Options).
-func (s *Session) Runner() *runner.Runner { return s.r }
 
 // Stats reports the session's cache accounting.
 func (s *Session) Stats() runner.Stats { return s.r.Stats() }
-
-// SetProfiling toggles per-scenario observability profiles on the
-// session's run-plane (see runner.Runner.SetProfiling).
-func (s *Session) SetProfiling(on bool) { s.r.SetProfiling(on) }
-
-// Profiles returns the profiles collected so far, sorted by scenario
-// fingerprint.
-func (s *Session) Profiles() []*obs.Profile { return s.r.Profiles() }
-
-// SetChecking toggles the simcheck physical-invariant audit on the
-// session's run-plane (see runner.Runner.SetChecking).
-func (s *Session) SetChecking(on bool) { s.r.SetChecking(on) }
-
-// SetCritPath toggles causal event-graph recording and critical-path
-// analysis on the session's run-plane (see runner.Runner.SetCritPath).
-func (s *Session) SetCritPath(on bool) { s.r.SetCritPath(on) }
-
-// SetStore attaches a persistent content-addressed result store as the
-// session's second cache tier (see runner.Runner.SetStore). Open one
-// with runner.OpenStore.
-func (s *Session) SetStore(st *store.Store) { s.r.SetStore(st) }
-
-// CritPathReports returns the critical-path reports collected so far,
-// sorted by scenario fingerprint.
-func (s *Session) CritPathReports() []*critpath.Report { return s.r.Reports() }
 
 // NewScenario validates and normalizes a run request into the canonical
 // runner.Scenario exactly the way Session.Run does: the workload must be

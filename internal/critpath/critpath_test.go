@@ -40,12 +40,12 @@ func scenario(t *testing.T, workload string, nodes int, net core.NetworkChoice, 
 
 func analyzed(t *testing.T, s runner.Scenario) *critpath.Report {
 	t.Helper()
-	res, err := runner.ExecuteCritPath(s)
+	res, err := runner.Execute(s, runner.Observers{CritPath: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.CritPath == nil {
-		t.Fatal("ExecuteCritPath returned no report")
+		t.Fatal("Execute with Observers.CritPath returned no report")
 	}
 	return res.CritPath
 }
@@ -114,7 +114,7 @@ func TestBlameSumsToMakespan(t *testing.T) {
 // model the same limit; the async-kernel workloads legitimately differ).
 func TestIdealNetworkMatchesDimemas(t *testing.T) {
 	s := scenario(t, "cg", 8, core.TenGigE, 0.04, true)
-	res, err := runner.ExecuteCritPath(s)
+	res, err := runner.Execute(s, runner.Observers{CritPath: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestIdealNetworkMatchesDimemas(t *testing.T) {
 // result artifacts, carry the analysis).
 func TestRecordingLeavesResultIdentical(t *testing.T) {
 	s := scenario(t, "cg", 4, core.TenGigE, 0.04, true)
-	off, err := runner.Execute(s)
+	off, err := runner.Execute(s, runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := runner.ExecuteCritPath(s)
+	on, err := runner.Execute(s, runner.Observers{CritPath: true})
 	if err != nil {
 		t.Fatal(err)
 	}

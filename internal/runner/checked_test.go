@@ -19,11 +19,11 @@ func TestCheckedExecutionByteIdentical(t *testing.T) {
 		tinyScenario("ep", 1, network.GigE),
 	}
 	for _, s := range scenarios {
-		plain, err := Execute(s)
+		plain, err := Execute(s, Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checked, err := ExecuteChecked(s)
+		checked, err := Execute(s, Observers{Check: true})
 		if err != nil {
 			t.Fatalf("%s/%d failed its audit: %v", s.Workload, s.Cluster.Nodes, err)
 		}
@@ -31,13 +31,13 @@ func TestCheckedExecutionByteIdentical(t *testing.T) {
 	}
 
 	r := New(2)
-	r.SetChecking(true)
+	r.SetObservers(Observers{Check: true})
 	results, err := r.RunAll(scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range scenarios {
-		plain, _ := Execute(s)
+		plain, _ := Execute(s, Observers{})
 		assertIdentical(t, "checking run-plane", s, results[i].Result, plain.Result)
 	}
 	if st := r.Stats(); st.Audited != len(scenarios) {
@@ -49,7 +49,7 @@ func TestCheckedExecutionByteIdentical(t *testing.T) {
 // fingerprint, not once per submission.
 func TestAuditOncePerFingerprint(t *testing.T) {
 	r := New(2)
-	r.SetChecking(true)
+	r.SetObservers(Observers{Check: true})
 	s := tinyScenario("cg", 2, network.GigE)
 	if _, err := r.Run(s); err != nil {
 		t.Fatal(err)
@@ -67,23 +67,23 @@ func TestAuditOncePerFingerprint(t *testing.T) {
 // points at the offending run.
 func TestCheckedFailureNamesScenario(t *testing.T) {
 	r := New(1)
-	r.SetChecking(true)
+	r.SetObservers(Observers{Check: true})
 	s := tinyScenario("hpl", 2, network.GigE)
 	sawChecked := false
-	r.exec = func(s Scenario, _, checked, _ bool) (Result, error) {
-		sawChecked = checked
-		return defaultExec(s, false, checked, false)
+	r.exec = func(s Scenario, o Observers) (Result, error) {
+		sawChecked = o.Check
+		return Execute(s, o)
 	}
 	if _, err := r.Run(s); err != nil {
 		t.Fatal(err)
 	}
 	if !sawChecked {
-		t.Fatal("SetChecking(true) did not reach the executor")
+		t.Fatal("Observers.Check did not reach the executor")
 	}
 	// And the real executor wraps violations with the scenario name: drive
 	// it through a scenario that cannot exist to confirm the plumbing
 	// returns errors (the audit-failure path shares it).
-	if _, err := Execute(Scenario{Workload: "no-such-workload"}); err == nil || !strings.Contains(err.Error(), "no-such-workload") {
+	if _, err := Execute(Scenario{Workload: "no-such-workload"}, Observers{}); err == nil || !strings.Contains(err.Error(), "no-such-workload") {
 		t.Fatalf("executor error plumbing broken: %v", err)
 	}
 }

@@ -30,7 +30,7 @@ func critpathBatch() []Scenario {
 func TestCritPathSidecarDeterministicAcrossPlanes(t *testing.T) {
 	sidecar := func(workers int) []byte {
 		r := New(workers)
-		r.SetCritPath(true)
+		r.SetObservers(Observers{CritPath: true})
 		if _, err := r.RunAll(critpathBatch()); err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestCritPathDoesNotChangeResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	recR := New(2)
-	recR.SetCritPath(true)
+	recR.SetObservers(Observers{CritPath: true})
 	recorded, err := recR.RunAll(critpathBatch())
 	if err != nil {
 		t.Fatal(err)

@@ -25,10 +25,10 @@ func TestDeterminism(t *testing.T) {
 	second := make([]Result, len(scenarios))
 	for i, s := range scenarios {
 		var err error
-		if first[i], err = Execute(s); err != nil {
+		if first[i], err = Execute(s, Observers{}); err != nil {
 			t.Fatal(err)
 		}
-		if second[i], err = Execute(s); err != nil {
+		if second[i], err = Execute(s, Observers{}); err != nil {
 			t.Fatal(err)
 		}
 	}

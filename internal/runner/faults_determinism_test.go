@@ -19,7 +19,7 @@ func TestFaultPlanDeterminism(t *testing.T) {
 	// Measure the fault-free runtime first so the plan's scales are
 	// meaningful at the test's tiny workload scale.
 	base := tinyScenario("jacobi", 2, network.GigE)
-	bres, err := Execute(base)
+	bres, err := Execute(base, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +36,14 @@ func TestFaultPlanDeterminism(t *testing.T) {
 		CheckpointInterval: T / 8, CheckpointSeconds: T / 400,
 	}
 
-	first, err := Execute(s)
+	first, err := Execute(s, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Faults == nil {
 		t.Fatal("seeded plan produced no fault stats")
 	}
-	second, err := Execute(s)
+	second, err := Execute(s, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

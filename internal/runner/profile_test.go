@@ -13,23 +13,23 @@ import (
 
 // TestProfilingDoesNotChangeResults is the observability layer's hard
 // guarantee: enabling instrumentation must not move a single simulated
-// byte. It compares a plain Execute against ExecuteProfiled on a real
+// byte. It compares a plain Execute against a profiled one on a real
 // simulation, both as Go values and as marshalled artifact JSON.
 func TestProfilingDoesNotChangeResults(t *testing.T) {
 	for _, sc := range []Scenario{
 		tinyScenario("hpl", 2, network.GigE),
 		tinyScenario("ft", 2, network.TenGigE),
 	} {
-		plain, err := Execute(sc)
+		plain, err := Execute(sc, Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		profiled, err := ExecuteProfiled(sc)
+		profiled, err := Execute(sc, Observers{Profile: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if profiled.Profile == nil {
-			t.Fatalf("%s: ExecuteProfiled returned no profile", sc.Workload)
+			t.Fatalf("%s: profiled Execute returned no profile", sc.Workload)
 		}
 
 		// Artifact JSON is byte-identical: Profile is json:"-".
@@ -57,11 +57,11 @@ func TestProfilingDoesNotChangeResults(t *testing.T) {
 // the simulated section is byte-identical; only the wall section may vary.
 func TestProfileSimSectionDeterministic(t *testing.T) {
 	sc := tinyScenario("hpl", 2, network.TenGigE)
-	a, err := ExecuteProfiled(sc)
+	a, err := Execute(sc, Observers{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ExecuteProfiled(sc)
+	b, err := Execute(sc, Observers{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestProfileSimSectionDeterministic(t *testing.T) {
 // result's profile rather than re-simulating or re-profiling.
 func TestCachedProfileShared(t *testing.T) {
 	r := New(2)
-	r.SetProfiling(true)
+	r.SetObservers(Observers{Profile: true})
 	sc := tinyScenario("hpl", 2, network.GigE)
 	a, err := r.Run(sc)
 	if err != nil {
@@ -121,7 +121,7 @@ func TestCachedProfileShared(t *testing.T) {
 
 func TestProfilesSortedByFingerprint(t *testing.T) {
 	r := New(2)
-	r.SetProfiling(true)
+	r.SetObservers(Observers{Profile: true})
 	scs := []Scenario{
 		tinyScenario("hpl", 4, network.TenGigE),
 		tinyScenario("hpl", 2, network.GigE),

@@ -81,15 +81,15 @@ type Result struct {
 	// tallies its simultaneous hpl runs.
 	JobThroughputs []float64
 	// Profile is the scenario's observability snapshot, present only when
-	// the Runner (or ExecuteProfiled) ran with profiling enabled. It is
-	// excluded from JSON so result artifacts are byte-identical with and
-	// without profiling; sidecar files carry profiles instead. Cached
-	// results share one Profile — treat it as immutable.
+	// it ran with Observers.Profile. It is excluded from JSON so result
+	// artifacts are byte-identical with and without profiling; sidecar
+	// files carry profiles instead. Cached results share one Profile —
+	// treat it as immutable.
 	Profile *obs.Profile `json:"-"`
 	// CritPath is the scenario's critical-path analysis, present only when
-	// the Runner (or ExecuteCritPath) ran with recording enabled. Like
-	// Profile it is excluded from JSON — *.critpath.json sidecars carry
-	// reports — and shared between cached results: treat it as immutable.
+	// it ran with Observers.CritPath. Like Profile it is excluded from
+	// JSON — *.critpath.json sidecars carry reports — and shared between
+	// cached results: treat it as immutable.
 	CritPath *critpath.Report `json:"-"`
 }
 
@@ -105,7 +105,7 @@ type Stats struct {
 	// Simulated counts distinct scenarios actually executed.
 	Simulated int
 	// Audited counts executed scenarios that passed the simcheck
-	// physical-invariant audit (SetChecking). Memoization means each
+	// physical-invariant audit (Observers.Check). Memoization means each
 	// fingerprint is audited at most once per cache lifetime.
 	Audited int
 	// WallSeconds accumulates the host wall time of every executed
@@ -126,14 +126,15 @@ type Stats struct {
 	StoreHits int
 	// StoreMisses counts store lookups that found no servable entry (no
 	// entry, a corrupt one, or one missing a requested profile/critpath
-	// record). Lookups are bypassed entirely under SetChecking — the
+	// record). Lookups are bypassed entirely under Observers.Check — the
 	// audit needs a live simulation — and those do not count.
 	StoreMisses int
-	// StoreWrites counts entries this Runner persisted.
+	// StoreWrites counts executions this Runner persisted: a result entry
+	// and the observer records stored next to it count once.
 	StoreWrites int
-	// StoreCorrupt counts entries that existed but failed container
-	// verification or payload decoding; each was treated as a miss and
-	// repaired by simulate-and-rewrite.
+	// StoreCorrupt counts entries and observer records that existed but
+	// failed container verification or payload decoding; each was
+	// treated as a miss and repaired by simulate-and-rewrite.
 	StoreCorrupt int
 }
 
@@ -200,24 +201,39 @@ type Runner struct {
 	workers int
 	sem     chan struct{}
 	// exec runs one scenario; tests substitute it to control timing.
-	exec func(s Scenario, profiled, checked, critpathOn bool) (Result, error)
+	exec func(Scenario, Observers) (Result, error)
 
 	mu        sync.Mutex
 	cache     map[string]*entry
 	stats     Stats
-	profiling bool
-	checking  bool
-	critpath  bool
+	observers Observers
 	inFlight  int
 	// store is the optional persistent second tier (SetStore): lookups
 	// fall through the in-memory map to it, executions persist into it.
 	store *store.Store
+}
 
-	// persistPrePut/persistPreVerify are test-only interleaving hooks in
-	// the persist path (between the merge peek and the Put, and before
-	// each post-Put verification read); nil outside the tests.
-	persistPrePut    func()
-	persistPreVerify func()
+// Observers selects the passive observers attached to each executed
+// scenario. None of them changes a simulated byte: a Result is
+// byte-identical with any combination on or off, a property locked in
+// by this package's determinism tests. Observers apply per execution —
+// scenarios already cached keep whatever they were (or were not)
+// observed with, and later duplicate submissions are served as-is.
+type Observers struct {
+	// Profile attaches a per-scenario observability profile
+	// (Result.Profile): the run's full simulated metric snapshot plus
+	// host wall time.
+	Profile bool
+	// Check validates each finished simulation against its physical
+	// invariants (flow conservation at every port, send/receive balance
+	// in every communicator, port-utilization sanity); a violation fails
+	// the scenario with the full diagnostic list. The audit needs a live
+	// simulation, so checking runs never read from the store.
+	Check bool
+	// CritPath records the causal event graph and attaches its
+	// critical-path analysis (Result.CritPath): blame breakdown, what-if
+	// bounds, the critical path itself.
+	CritPath bool
 }
 
 // New returns a Runner executing at most workers simulations
@@ -230,61 +246,20 @@ func New(workers int) *Runner {
 	return &Runner{
 		workers: workers,
 		sem:     make(chan struct{}, workers),
-		exec:    defaultExec,
+		exec:    Execute,
 		cache:   map[string]*entry{},
 	}
-}
-
-// defaultExec is the Runner's executor: Execute, or ExecuteProfiled when
-// the run-plane has profiling enabled, with the simcheck audit and
-// critical-path recording threaded through when enabled.
-func defaultExec(s Scenario, profiled, checked, critpathOn bool) (Result, error) {
-	if profiled {
-		return executeProfiled(s, checked, critpathOn)
-	}
-	return execute(s, nil, checked, critpathOn)
 }
 
 // Workers returns the worker-pool bound.
 func (r *Runner) Workers() int { return r.workers }
 
-// SetProfiling toggles per-scenario observability profiles. Enable it
-// before submitting work: scenarios simulated while profiling is off are
-// cached without a profile, and later duplicate submissions are served
-// from that cache as-is. Profiling never changes simulation results —
-// profiled and unprofiled runs of one scenario produce byte-identical
-// Result values (locked in by this package's determinism tests).
-func (r *Runner) SetProfiling(on bool) {
+// SetObservers selects the observers attached to subsequently executed
+// scenarios. Set it before submitting work.
+func (r *Runner) SetObservers(o Observers) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.profiling = on
-}
-
-// SetChecking toggles the simcheck physical-invariant audit for
-// subsequently executed scenarios: each simulation is validated after it
-// finishes (flow conservation at every port, send/receive balance in
-// every communicator, port-utilization sanity), and a violation fails
-// the scenario with the full diagnostic list. The audit is read-only and
-// post-run, so results stay byte-identical with checking on — a property
-// locked in by this package's determinism tests. Like SetProfiling it
-// applies per execution: scenarios already cached are not re-audited.
-func (r *Runner) SetChecking(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checking = on
-}
-
-// SetCritPath toggles causal event-graph recording and critical-path
-// analysis for subsequently executed scenarios (cluster.RecordCritPath +
-// critpath.Analyze). Recording is passive — a recorded run's Result is
-// byte-identical to an unrecorded one, a property locked in by this
-// package's determinism tests. Like SetProfiling it applies per
-// execution: scenarios already cached keep whatever they were (or were
-// not) recorded with.
-func (r *Runner) SetCritPath(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.critpath = on
+	r.observers = o
 }
 
 // Reports returns the critical-path reports of every completed,
@@ -365,10 +340,9 @@ func (r *Runner) RunTracked(s Scenario) (Result, Outcome, error) {
 
 	r.sem <- struct{}{} // acquire a worker slot
 	r.mu.Lock()
-	profiled, checked, critpathOn := r.profiling, r.checking, r.critpath
-	st := r.store
+	o, st := r.observers, r.store
 	r.mu.Unlock()
-	e.res, e.source, e.err = r.runTiered(s, fp, st, profiled, checked, critpathOn)
+	e.res, e.source, e.err = r.runTiered(s, fp, st, o)
 	<-r.sem
 	close(e.done)
 	return e.res, Outcome{Source: e.source}, e.err
@@ -378,7 +352,7 @@ func (r *Runner) RunTracked(s Scenario) (Result, Outcome, error) {
 // worker-occupancy, audit, and wall accounting attached. Only actual
 // executions pass through here — cache and store hits never do, so
 // Stats.Simulated counts simulations, not submissions.
-func (r *Runner) executeCounted(s Scenario, profiled, checked, critpathOn bool) (Result, error) {
+func (r *Runner) executeCounted(s Scenario, o Observers) (Result, error) {
 	r.mu.Lock()
 	r.stats.Simulated++
 	r.inFlight++
@@ -387,11 +361,11 @@ func (r *Runner) executeCounted(s Scenario, profiled, checked, critpathOn bool) 
 	}
 	r.mu.Unlock()
 	start := time.Now()
-	res, err := r.exec(s, profiled, checked, critpathOn)
+	res, err := r.exec(s, o)
 	wall := time.Since(start).Seconds()
 	r.mu.Lock()
 	r.inFlight--
-	if checked && err == nil {
+	if o.Check && err == nil {
 		r.stats.Audited++
 	}
 	r.stats.WallSeconds += wall
@@ -425,70 +399,29 @@ func (r *Runner) RunAll(scenarios []Scenario) ([]Result, error) {
 	return results, nil
 }
 
-// Execute runs one scenario directly — no cache, no pool, no profiling,
-// no audit. It is the reference implementation the determinism tests
-// compare against.
-func Execute(s Scenario) (Result, error) {
-	return execute(s, nil, false, false)
-}
-
-// ExecuteChecked is Execute with the simcheck physical-invariant audit:
-// the finished simulation is validated and a violation fails the run
-// with the full diagnostic list. The Result is byte-identical to
-// Execute's — the audit only reads the finished cluster.
-func ExecuteChecked(s Scenario) (Result, error) {
-	return execute(s, nil, true, false)
-}
-
-// ExecuteProfiled is Execute with observability attached: the returned
-// Result carries a Profile holding the run's full simulated metric
-// snapshot plus host wall time. The simulation itself is unchanged —
-// everything but the Profile field is byte-identical to Execute's.
-func ExecuteProfiled(s Scenario) (Result, error) {
-	return executeProfiled(s, false, false)
-}
-
-// ExecuteCritPath is Execute with causal event-graph recording: the
-// returned Result carries a CritPath report (blame breakdown, what-if
-// bounds, the critical path itself). The simulation is unchanged —
-// everything but the CritPath field is byte-identical to Execute's.
-func ExecuteCritPath(s Scenario) (Result, error) {
-	return execute(s, nil, false, true)
-}
-
-func executeProfiled(s Scenario, checked, critpathOn bool) (Result, error) {
-	reg := obs.NewRegistry()
+// Execute runs one scenario directly — no cache, no pool — with the
+// observers o attached. Execute(s, Observers{}) is the reference
+// implementation the determinism tests compare against. With o.Check,
+// match-time validation is armed before any rank spawns and the finished
+// run is audited; with o.Profile and o.CritPath, the Result carries the
+// profile and the critical-path report. None of them alters the
+// simulation.
+func Execute(s Scenario, o Observers) (Result, error) {
 	start := time.Now()
-	res, err := execute(s, reg, checked, critpathOn)
-	wall := time.Since(start).Seconds()
-	if err != nil {
-		return res, err
-	}
-	res.Profile = &obs.Profile{
-		Scenario:    fmt.Sprintf("%s on %s", s.Workload, s.Cluster.Name),
-		Fingerprint: s.Fingerprint(),
-		Sim:         reg.Snapshot(),
-		Wall:        &obs.WallStats{Note: obs.WallNote, Seconds: wall},
-	}
-	return res, nil
-}
-
-// execute runs one scenario, attaching reg (may be nil) to the cluster
-// before any rank spawns. With checked, match-time validation is armed
-// before spawning and the finished run is audited against its physical
-// invariants; with critpathOn, the causal event graph is recorded and
-// analyzed after the run. Neither alters the simulation.
-func execute(s Scenario, reg *obs.Registry, checked, critpathOn bool) (Result, error) {
 	w, err := workloads.ByName(s.Workload)
 	if err != nil {
 		return Result{}, err
 	}
+	var reg *obs.Registry
+	if o.Profile {
+		reg = obs.NewRegistry()
+	}
 	cl := cluster.New(s.Cluster)
 	cl.Instrument(reg)
-	if checked {
+	if o.Check {
 		cl.EnableChecking()
 	}
-	if critpathOn {
+	if o.CritPath {
 		cl.RecordCritPath()
 	}
 	jobs := []*cluster.Job{cl.Spawn(w.Body(s.Config))}
@@ -503,14 +436,22 @@ func execute(s Scenario, reg *obs.Registry, checked, critpathOn bool) (Result, e
 	for _, j := range jobs {
 		res.JobThroughputs = append(res.JobThroughputs, j.Throughput())
 	}
-	if checked {
+	if o.Check {
 		if err := simcheck.Error(simcheck.AuditCluster(cl, res.Result)); err != nil {
 			return res, fmt.Errorf("scenario %q on %q failed its audit: %w", s.Workload, s.Cluster.Name, err)
 		}
 	}
-	if critpathOn {
-		res.CritPath = critpath.Analyze(cl.CritPath(),
-			fmt.Sprintf("%s on %s", s.Workload, s.Cluster.Name), s.Fingerprint(), res.Runtime)
+	name := fmt.Sprintf("%s on %s", s.Workload, s.Cluster.Name)
+	if o.CritPath {
+		res.CritPath = critpath.Analyze(cl.CritPath(), name, s.Fingerprint(), res.Runtime)
+	}
+	if o.Profile {
+		res.Profile = &obs.Profile{
+			Scenario:    name,
+			Fingerprint: s.Fingerprint(),
+			Sim:         reg.Snapshot(),
+			Wall:        &obs.WallStats{Note: obs.WallNote, Seconds: time.Since(start).Seconds()},
+		}
 	}
 	return res, nil
 }

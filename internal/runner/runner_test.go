@@ -32,7 +32,7 @@ func tinyScenario(workload string, nodes int, prof network.Profile) Scenario {
 // no simulation, controlled timing.
 func stubRunner(workers int, exec func(Scenario) (Result, error)) *Runner {
 	r := New(workers)
-	r.exec = func(s Scenario, _, _, _ bool) (Result, error) { return exec(s) }
+	r.exec = func(s Scenario, _ Observers) (Result, error) { return exec(s) }
 	return r
 }
 
@@ -223,7 +223,7 @@ func TestBatchEqualsNaive(t *testing.T) {
 	naive := make([]Result, len(palette))
 	for i, s := range palette {
 		var err error
-		naive[i], err = Execute(s)
+		naive[i], err = Execute(s, Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,11 +53,10 @@ func (r *Runner) Store() *store.Store {
 	return r.store
 }
 
-// storedEntry is the persisted form of one scenario's Result. The
-// fields Result excludes from JSON on purpose (Events is a property of
-// the simulator, Profile and CritPath live in sidecars) are first-class
-// here, so a store hit reconstructs the full in-memory Result — and
-// -profile/-critpath replays against a warm store are free.
+// storedEntry is the persisted form of one scenario's Result. Events,
+// which Result excludes from JSON on purpose (it is a property of the
+// simulator), is first-class here, so a store hit reconstructs the full
+// in-memory Result.
 //
 // An entry is the JSON of storedEntry with the trace left out, then, for
 // a traced run only, a newline and the trace in its binary file format
@@ -65,21 +64,30 @@ func (r *Runner) Store() *store.Store {
 // one ends the JSON head. Traces are nearly all of a store's bytes, and
 // the binary section is about a third the size of their JSON and decodes
 // many times faster.
+//
+// Entries written before observer records moved to their own keys carry
+// inline "profile" and "critpath" fields; decoding ignores them, so such
+// an entry still serves the Result a record-less simulation produces.
 type storedEntry struct {
-	Fingerprint string           `json:"fingerprint"`
-	Events      uint64           `json:"events"`
-	Result      Result           `json:"result"`
-	Profile     *obs.Profile     `json:"profile,omitempty"`
-	CritPath    *critpath.Report `json:"critpath,omitempty"`
+	Fingerprint string `json:"fingerprint"`
+	Events      uint64 `json:"events"`
+	Result      Result `json:"result"`
 }
 
-// result reassembles the in-memory Result from a decoded entry.
-func (e *storedEntry) result() Result {
-	res := e.Result
-	res.Events = e.Events
-	res.Profile = e.Profile
-	res.CritPath = e.CritPath
-	return res
+// Observer records live under their own store keys next to the result
+// entry: the record kind's prefix, then the scenario fingerprint. A
+// fingerprint always starts with the cluster config's JSON "{", so no
+// record key equals a fingerprint.
+const (
+	profileKey  = "profile:"
+	critPathKey = "critpath:"
+)
+
+// storedRecord is the persisted form of one observer record. It echoes
+// the scenario fingerprint, as an entry does.
+type storedRecord[T any] struct {
+	Fingerprint string `json:"fingerprint"`
+	Record      *T     `json:"record"`
 }
 
 // encodeStored serializes a Result for the store. res is a copy, so
@@ -87,13 +95,7 @@ func (e *storedEntry) result() Result {
 func encodeStored(fp string, res Result) ([]byte, error) {
 	tr := res.Trace
 	res.Trace = nil
-	head, err := json.Marshal(storedEntry{
-		Fingerprint: fp,
-		Events:      res.Events,
-		Result:      res,
-		Profile:     res.Profile,
-		CritPath:    res.CritPath,
-	})
+	head, err := json.Marshal(storedEntry{Fingerprint: fp, Events: res.Events, Result: res})
 	if err != nil || tr == nil {
 		return head, err
 	}
@@ -107,37 +109,55 @@ func encodeStored(fp string, res Result) ([]byte, error) {
 
 // decodeStored parses a stored payload and verifies it echoes the
 // requested fingerprint — the guard against an (astronomically
-// unlikely) content-address collision or a misfiled entry.
-func decodeStored(data []byte, fp string) (*storedEntry, error) {
+// unlikely) content-address collision or a misfiled entry. The decoded
+// Result carries no observer records.
+func decodeStored(data []byte, fp string) (Result, error) {
 	head, tail, traced := bytes.Cut(data, []byte{'\n'})
 	var e storedEntry
 	if err := json.Unmarshal(head, &e); err != nil {
-		return nil, fmt.Errorf("runner: stored entry undecodable: %w", err)
+		return Result{}, fmt.Errorf("runner: stored entry undecodable: %w", err)
 	}
 	if e.Fingerprint != fp {
-		return nil, fmt.Errorf("runner: stored entry fingerprint mismatch (got %q)", e.Fingerprint)
+		return Result{}, fmt.Errorf("runner: stored entry fingerprint mismatch (got %q)", e.Fingerprint)
 	}
+	res := e.Result
+	res.Events = e.Events
 	if traced {
 		tr, err := trace.Decode(tail)
 		if err != nil {
-			return nil, fmt.Errorf("runner: stored entry trace section: %w", err)
+			return Result{}, fmt.Errorf("runner: stored entry trace section: %w", err)
 		}
-		e.Result.Trace = tr
+		res.Trace = tr
 	}
-	return &e, nil
+	return res, nil
+}
+
+// decodeRecord parses a stored observer record and verifies it echoes
+// the requested fingerprint.
+func decodeRecord[T any](data []byte, fp string) (*T, error) {
+	var r storedRecord[T]
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, fmt.Errorf("runner: stored record undecodable: %w", err)
+	}
+	if r.Fingerprint != fp {
+		return nil, fmt.Errorf("runner: stored record fingerprint mismatch (got %q)", r.Fingerprint)
+	}
+	if r.Record == nil {
+		return nil, errors.New("runner: stored record is empty")
+	}
+	return r.Record, nil
 }
 
 // runTiered resolves one claimed fingerprint through the store tier:
 // decode a servable entry, or take the cross-process lock, simulate,
 // and persist. Checking always simulates (the simcheck audit needs the
 // live cluster, not a decoded result); profiling/critpath requests are
-// served from the store only when the entry carries the corresponding
-// record, and an execution forced by a missing record rewrites the
-// entry with the record added (read-merge keeps the other one).
-func (r *Runner) runTiered(s Scenario, fp string, st *store.Store, profiled, checked, critpathOn bool) (Result, string, error) {
+// served from the store only when the corresponding record is stored
+// too, and an execution forced by a missing record persists it.
+func (r *Runner) runTiered(s Scenario, fp string, st *store.Store, o Observers) (Result, string, error) {
 	var release func()
 	if st != nil {
-		if res, ok := r.tryLoad(st, fp, profiled, checked, critpathOn, false); ok {
+		if res, ok := r.tryLoad(st, fp, o, false); ok {
 			return res, SourceStore, nil
 		}
 		// Cross-process singleflight: take the key's lock, or wait for
@@ -162,7 +182,7 @@ func (r *Runner) runTiered(s Scenario, fp string, st *store.Store, profiled, che
 				release = rel
 				// Another process may have persisted and released between
 				// our first load and the lock; serve that entry.
-				if res, ok := r.tryLoad(st, fp, profiled, checked, critpathOn, true); ok {
+				if res, ok := r.tryLoad(st, fp, o, true); ok {
 					release()
 					return res, SourceStore, nil
 				}
@@ -174,7 +194,7 @@ func (r *Runner) runTiered(s Scenario, fp string, st *store.Store, profiled, che
 			if !st.WaitUnlocked(fp, deadline) {
 				break // stuck or stale holder: simulate without the lock
 			}
-			if res, ok := r.tryLoad(st, fp, profiled, checked, critpathOn, true); ok {
+			if res, ok := r.tryLoad(st, fp, o, true); ok {
 				return res, SourceStore, nil
 			}
 			if !st.Locked(fp) {
@@ -185,9 +205,9 @@ func (r *Runner) runTiered(s Scenario, fp string, st *store.Store, profiled, che
 			}
 		}
 	}
-	res, err := r.executeCounted(s, profiled, checked, critpathOn)
+	res, err := r.executeCounted(s, o)
 	if err == nil && st != nil {
-		r.persist(st, fp, res, release != nil)
+		r.persist(st, fp, res)
 	}
 	if release != nil {
 		release()
@@ -195,153 +215,100 @@ func (r *Runner) runTiered(s Scenario, fp string, st *store.Store, profiled, che
 	return res, SourceSimulated, err
 }
 
-// tryLoad attempts to serve fp from the store. Checking bypasses reads
-// entirely (the audit needs a live simulation); a corrupt container or
-// undecodable payload counts corrupt and falls back to simulation (the
-// rewrite repairs the entry). A quiet load is a singleflight re-check:
-// it never counts a miss — the submission already counted one — and
-// reads through Peek so the store's own counters stay per-submission.
-func (r *Runner) tryLoad(st *store.Store, fp string, profiled, checked, critpathOn, quiet bool) (Result, bool) {
-	if checked {
+// tryLoad attempts to serve fp from the store: the result entry, then
+// each observer record o asks for. Checking bypasses reads entirely (the
+// audit needs a live simulation). A quiet load is a singleflight
+// re-check: it never counts a miss — the submission already counted one
+// — and reads through Peek so the store's own counters stay
+// per-submission.
+func (r *Runner) tryLoad(st *store.Store, fp string, o Observers, quiet bool) (Result, bool) {
+	if o.Check {
 		return Result{}, false
 	}
-	var data []byte
-	var err error
-	if quiet {
-		data, err = st.Peek(fp)
-	} else {
-		data, err = st.Get(fp)
+	var res Result
+	ok := r.load(st, fp, quiet, func(data []byte) (err error) {
+		res, err = decodeStored(data, fp)
+		return err
+	})
+	if ok && o.Profile {
+		ok = r.load(st, profileKey+fp, quiet, func(data []byte) (err error) {
+			res.Profile, err = decodeRecord[obs.Profile](data, fp)
+			return err
+		})
 	}
-	if err != nil {
-		if !quiet {
-			r.mu.Lock()
-			if errors.Is(err, store.ErrCorrupt) {
-				r.stats.StoreCorrupt++
-			}
-			r.stats.StoreMisses++
-			r.mu.Unlock()
-		}
-		return Result{}, false
+	if ok && o.CritPath {
+		ok = r.load(st, critPathKey+fp, quiet, func(data []byte) (err error) {
+			res.CritPath, err = decodeRecord[critpath.Report](data, fp)
+			return err
+		})
 	}
-	e, err := decodeStored(data, fp)
-	if err != nil {
-		// Payload-level corruption is real whichever load saw it.
-		st.Invalidate(fp)
-		r.mu.Lock()
-		r.stats.StoreCorrupt++
-		if !quiet {
-			r.stats.StoreMisses++
-		}
-		r.mu.Unlock()
-		return Result{}, false
-	}
-	if (profiled && e.Profile == nil) || (critpathOn && e.CritPath == nil) {
-		// The entry predates the requested observer record; simulate with
-		// the observer attached and upgrade the entry.
-		if !quiet {
-			r.mu.Lock()
-			r.stats.StoreMisses++
-			r.mu.Unlock()
-		}
+	if !ok {
 		return Result{}, false
 	}
 	r.mu.Lock()
 	r.stats.StoreHits++
 	r.mu.Unlock()
-	return e.result(), true
+	return res, true
 }
 
-// persist writes res under fp, carrying forward any observer record the
-// existing entry has that this execution did not produce (results are
-// deterministic, so records from different executions are coherent).
-// Persistence is best-effort: an encode or write failure leaves the
-// store cold for this key, never wrong.
-//
-// The read-merge is a check-then-act, so two concurrent upgraders (one
-// adding a Profile, one adding a CritPath) could each Peek before the
-// other's Put and the last writer would drop the other's record. Three
-// defenses close that: writers that do not already hold the key's
-// singleflight lock take it here when it is free, serializing the merge;
-// the merge re-peeks immediately before the Put; and after the Put a
-// writer holding a record re-reads the entry and, on a detected
-// downgrade (the current entry lacking a record this writer knows
-// about), re-merges and rewrites. Two writers that both fail to take the lock can still in
-// principle interleave pathologically — the residual loss is an optional
-// observer record (regenerable, never a wrong result), and every rewrite
-// converges toward the union.
-func (r *Runner) persist(st *store.Store, fp string, res Result, locked bool) {
-	if !locked {
-		if rel, ok := st.TryLock(fp); ok {
-			locked = true
-			defer rel()
-		}
+// load reads one store key and decodes it. An absent key is a miss; a
+// corrupt container counts corrupt; a payload that fails to decode is
+// corruption the container checksum cannot see, so the key is
+// invalidated and counted corrupt whichever load saw it. Either way the
+// caller simulates, and the rewrite repairs the key. Quiet loads count
+// no miss.
+func (r *Runner) load(st *store.Store, key string, quiet bool, decode func([]byte) error) bool {
+	read := st.Get
+	if quiet {
+		read = st.Peek
 	}
-	// Re-peek and merge (under the key lock when we hold it): fill the
-	// records this execution did not produce from the current entry.
-	merge := func() {
-		if res.Profile != nil && res.CritPath != nil {
-			return
+	data, err := read(key)
+	corrupt := !quiet && errors.Is(err, store.ErrCorrupt)
+	if err == nil {
+		if decode(data) == nil {
+			return true
 		}
-		if data, err := st.Peek(fp); err == nil {
-			if prior, err := decodeStored(data, fp); err == nil {
-				if res.Profile == nil {
-					res.Profile = prior.Profile
-				}
-				if res.CritPath == nil {
-					res.CritPath = prior.CritPath
-				}
-			}
-		}
+		st.Invalidate(key)
+		corrupt = true
 	}
-	write := func() bool {
-		data, err := encodeStored(fp, res)
-		if err != nil {
-			return false
-		}
-		if st.Put(fp, data) != nil {
-			return false
-		}
-		r.mu.Lock()
-		r.stats.StoreWrites++
-		r.mu.Unlock()
-		return true
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if corrupt {
+		r.stats.StoreCorrupt++
 	}
-	merge()
-	if r.persistPrePut != nil {
-		r.persistPrePut()
+	if !quiet {
+		r.stats.StoreMisses++
 	}
-	if !write() || (res.Profile == nil && res.CritPath == nil) {
-		// A downgrade is an entry missing a record this writer holds;
-		// a writer holding none has nothing to verify.
+	return false
+}
+
+// persist writes res under fp, then each observer record it holds under
+// the record's own key. Results are deterministic, so every key only
+// ever receives an equivalent value: concurrent writers race to install
+// interchangeable bytes, no writer merges, and none can drop another's
+// record. Persistence is best-effort: an encode or write failure leaves
+// the store cold for that key, never wrong.
+func (r *Runner) persist(st *store.Store, fp string, res Result) {
+	data, err := encodeStored(fp, res)
+	if err != nil || st.Put(fp, data) != nil {
 		return
 	}
-	// Downgrade detection: if a concurrent writer replaced the entry with
-	// one missing a record we hold, merge its records with ours and
-	// rewrite. Bounded — each pass only fires when the entry on disk
-	// lost information relative to this writer.
-	for attempt := 0; attempt < 4; attempt++ {
-		if r.persistPreVerify != nil {
-			r.persistPreVerify()
-		}
-		data, err := st.Peek(fp)
-		if err != nil {
-			return // unreadable or gone: nothing to verify against
-		}
-		cur, err := decodeStored(data, fp)
-		if err != nil {
-			return
-		}
-		if (res.Profile == nil || cur.Profile != nil) && (res.CritPath == nil || cur.CritPath != nil) {
-			return // the installed entry covers every record we know about
-		}
-		if res.Profile == nil {
-			res.Profile = cur.Profile
-		}
-		if res.CritPath == nil {
-			res.CritPath = cur.CritPath
-		}
-		if !write() {
-			return
-		}
+	r.mu.Lock()
+	r.stats.StoreWrites++
+	r.mu.Unlock()
+	if res.Profile != nil {
+		putRecord(st, profileKey+fp, fp, res.Profile)
+	}
+	if res.CritPath != nil {
+		putRecord(st, critPathKey+fp, fp, res.CritPath)
+	}
+}
+
+// putRecord persists one observer record under key. Like the entry it
+// is best-effort: a failed encode or write leaves the record cold, and
+// the next request that asks for it simulates and writes it again.
+func putRecord[T any](st *store.Store, key, fp string, rec *T) {
+	if data, err := json.Marshal(storedRecord[T]{Fingerprint: fp, Record: rec}); err == nil {
+		_ = st.Put(key, data)
 	}
 }

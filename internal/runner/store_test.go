@@ -13,6 +13,7 @@ import (
 
 	"clustersoc/internal/faults"
 	"clustersoc/internal/network"
+	"clustersoc/internal/obs"
 	"clustersoc/internal/store"
 	"clustersoc/internal/workloads"
 )
@@ -134,9 +135,10 @@ func mangleEntry(t *testing.T, dir string, mut func([]byte) []byte) {
 
 // TestStoreCorruptEntryFallsBackToSimulation is the corruption satellite
 // at the run-plane level: truncated entries, zero-byte entries, wrong
-// version tags, garbage payloads and damaged trace sections each read as
+// version tags, garbage payloads, damaged trace sections, and observer
+// records that fail to decode or belong to another scenario each read as
 // a miss, get counted corrupt, and are repaired by simulate-and-rewrite
-// — after which a fresh Runner hits.
+// — after which a fresh Runner with the same observers hits.
 func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 	plain := tinyScenario("hpl", 2, network.GigE)
 	traced := tinyScenario("cg", 2, network.GigE)
@@ -156,28 +158,30 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	profiled := Observers{Profile: true}
 	cases := []struct {
 		name    string
 		sc      Scenario
+		o       Observers
 		corrupt func(t *testing.T, dir string, st *store.Store, fp string)
 	}{
-		{"truncated entry", plain, func(t *testing.T, dir string, _ *store.Store, _ string) {
+		{"truncated entry", plain, Observers{}, func(t *testing.T, dir string, _ *store.Store, _ string) {
 			mangleEntry(t, dir, func(d []byte) []byte { return d[:len(d)/2] })
 		}},
-		{"zero-byte entry", plain, func(t *testing.T, dir string, _ *store.Store, _ string) {
+		{"zero-byte entry", plain, Observers{}, func(t *testing.T, dir string, _ *store.Store, _ string) {
 			mangleEntry(t, dir, func([]byte) []byte { return nil })
 		}},
-		{"wrong version tag", plain, func(t *testing.T, dir string, _ *store.Store, _ string) {
+		{"wrong version tag", plain, Observers{}, func(t *testing.T, dir string, _ *store.Store, _ string) {
 			mangleEntry(t, dir, func(d []byte) []byte {
 				return []byte(strings.Replace(string(d), "clustersoc-store v1 ", "clustersoc-store v9 ", 1))
 			})
 		}},
-		{"valid container, garbage JSON payload", plain, func(t *testing.T, _ string, st *store.Store, fp string) {
+		{"valid container, garbage JSON payload", plain, Observers{}, func(t *testing.T, _ string, st *store.Store, fp string) {
 			if err := st.Put(fp, []byte("{this is not json")); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"valid entry for the wrong fingerprint", plain, func(t *testing.T, _ string, st *store.Store, fp string) {
+		{"valid entry for the wrong fingerprint", plain, Observers{}, func(t *testing.T, _ string, st *store.Store, fp string) {
 			other := tinyScenario("cg", 2, network.GigE)
 			data, err := encodeStored(other.Fingerprint(), Result{})
 			if err != nil {
@@ -187,14 +191,29 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"valid container and head, truncated trace section", traced, func(t *testing.T, _ string, st *store.Store, fp string) {
+		{"valid container and head, truncated trace section", traced, Observers{}, func(t *testing.T, _ string, st *store.Store, fp string) {
 			rewriteTrace(t, st, fp, func(tail []byte) []byte { return tail[:len(tail)-5] })
 		}},
-		{"trace section with a foreign magic line", traced, func(t *testing.T, _ string, st *store.Store, fp string) {
+		{"trace section with a foreign magic line", traced, Observers{}, func(t *testing.T, _ string, st *store.Store, fp string) {
 			rewriteTrace(t, st, fp, func(tail []byte) []byte {
 				_, body, _ := bytes.Cut(tail, []byte{'\n'})
 				return append([]byte("some-other-format v2\n"), body...)
 			})
+		}},
+		{"profile record with a garbage payload", plain, profiled, func(t *testing.T, _ string, st *store.Store, fp string) {
+			if err := st.Put(profileKey+fp, []byte("{this is not json")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"valid profile record for the wrong fingerprint", plain, profiled, func(t *testing.T, _ string, st *store.Store, fp string) {
+			other := tinyScenario("cg", 2, network.GigE).Fingerprint()
+			data, err := json.Marshal(storedRecord[obs.Profile]{Fingerprint: other, Record: &obs.Profile{Fingerprint: other}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put(profileKey+fp, data); err != nil {
+				t.Fatal(err)
+			}
 		}},
 	}
 	for _, tc := range cases {
@@ -203,6 +222,7 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 			dir := t.TempDir()
 			seed := New(1)
 			seed.SetStore(openStore(t, dir))
+			seed.SetObservers(tc.o)
 			want, err := seed.Run(sc)
 			if err != nil {
 				t.Fatal(err)
@@ -211,6 +231,7 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 
 			r := New(1)
 			r.SetStore(openStore(t, dir))
+			r.SetObservers(tc.o)
 			got, err := r.Run(sc)
 			if err != nil {
 				t.Fatal(err)
@@ -222,12 +243,13 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 			if st.Simulated != 1 || st.StoreWrites != 1 || st.StoreHits != 0 {
 				t.Fatalf("corrupt entry must simulate-and-rewrite: %+v", st)
 			}
-			if !reflect.DeepEqual(want, got) {
+			if !sameServed(want, got) {
 				t.Fatal("re-simulated result differs")
 			}
 			// The rewrite repaired the entry: a fresh Runner now hits.
 			r3 := New(1)
 			r3.SetStore(openStore(t, dir))
+			r3.SetObservers(tc.o)
 			again, err := r3.Run(sc)
 			if err != nil {
 				t.Fatal(err)
@@ -235,11 +257,24 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 			if r3.Stats().StoreHits != 1 || r3.Stats().Simulated != 0 {
 				t.Fatalf("repaired entry must serve: %+v", r3.Stats())
 			}
-			if !reflect.DeepEqual(want, again) {
+			if !sameServed(want, again) {
 				t.Fatal("repaired entry decodes to a different result")
 			}
 		})
 	}
+}
+
+// sameServed compares two results of one scenario, profiles by their
+// simulated section only: a profile's wall time varies run to run.
+func sameServed(a, b Result) bool {
+	if (a.Profile == nil) != (b.Profile == nil) {
+		return false
+	}
+	if a.Profile != nil && !reflect.DeepEqual(a.Profile.Sim, b.Profile.Sim) {
+		return false
+	}
+	a.Profile, b.Profile = nil, nil
+	return reflect.DeepEqual(a, b)
 }
 
 // TestStoreConcurrentRunnersSingleflight submits the same scenario to
@@ -288,10 +323,11 @@ func TestStoreConcurrentRunnersSingleflight(t *testing.T) {
 	}
 }
 
-// TestStoreTierWithProfiling pins the observer upgrade protocol: an
-// entry persisted without a profile cannot serve a profiling run — the
-// run re-simulates with the observer attached and upgrades the entry,
-// after which profiled and unprofiled requests both hit.
+// TestStoreTierWithProfiling pins the observer-record protocol: an entry
+// persisted without a profile record cannot serve a profiling run — the
+// run re-simulates with the observer attached and persists the record
+// under its own key, after which profiled and unprofiled requests both
+// hit.
 func TestStoreTierWithProfiling(t *testing.T) {
 	dir := t.TempDir()
 	sc := tinyScenario("hpl", 2, network.TenGigE)
@@ -304,7 +340,7 @@ func TestStoreTierWithProfiling(t *testing.T) {
 
 	prof := New(1)
 	prof.SetStore(openStore(t, dir))
-	prof.SetProfiling(true)
+	prof.SetObservers(Observers{Profile: true})
 	res, err := prof.Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -317,17 +353,17 @@ func TestStoreTierWithProfiling(t *testing.T) {
 		t.Fatal("profiling run lost its profile")
 	}
 
-	// The upgraded entry now serves profiling runs from disk, profile
-	// included — the -profile warm replay is free.
+	// The entry and its record now serve profiling runs from disk,
+	// profile included — the -profile warm replay is free.
 	prof2 := New(1)
 	prof2.SetStore(openStore(t, dir))
-	prof2.SetProfiling(true)
+	prof2.SetObservers(Observers{Profile: true})
 	res2, err := prof2.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if prof2.Stats().StoreHits != 1 || prof2.Stats().Simulated != 0 {
-		t.Fatalf("upgraded entry must serve profiled run: %+v", prof2.Stats())
+		t.Fatalf("stored profile record must serve a profiled run: %+v", prof2.Stats())
 	}
 	if res2.Profile == nil {
 		t.Fatal("stored profile not decoded")
@@ -340,23 +376,23 @@ func TestStoreTierWithProfiling(t *testing.T) {
 	}
 }
 
-// TestStoreTierWithCritPath mirrors the profiling upgrade for the
-// critical-path record, and checks the read-merge: upgrading the entry
-// with a critpath report must not drop the profile already stored.
+// TestStoreTierWithCritPath mirrors the profiling protocol for the
+// critical-path record, and checks that records accumulate: persisting a
+// critpath report must not drop the profile record already stored.
 func TestStoreTierWithCritPath(t *testing.T) {
 	dir := t.TempDir()
 	sc := tinyScenario("hpl", 2, network.TenGigE)
 
 	prof := New(1)
 	prof.SetStore(openStore(t, dir))
-	prof.SetProfiling(true)
+	prof.SetObservers(Observers{Profile: true})
 	if _, err := prof.Run(sc); err != nil {
 		t.Fatal(err)
 	}
 
 	cp := New(1)
 	cp.SetStore(openStore(t, dir))
-	cp.SetCritPath(true)
+	cp.SetObservers(Observers{CritPath: true})
 	res, err := cp.Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -368,20 +404,19 @@ func TestStoreTierWithCritPath(t *testing.T) {
 		t.Fatal("critpath run lost its report")
 	}
 
-	// The upgrade merged: one entry now carries profile AND report.
+	// Both records are stored next to the entry.
 	both := New(1)
 	both.SetStore(openStore(t, dir))
-	both.SetProfiling(true)
-	both.SetCritPath(true)
+	both.SetObservers(Observers{Profile: true, CritPath: true})
 	res2, err := both.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if both.Stats().StoreHits != 1 || both.Stats().Simulated != 0 {
-		t.Fatalf("merged entry must serve both observers: %+v", both.Stats())
+		t.Fatalf("stored records must serve both observers: %+v", both.Stats())
 	}
 	if res2.Profile == nil || res2.CritPath == nil {
-		t.Fatalf("merge dropped a record: profile=%v critpath=%v", res2.Profile != nil, res2.CritPath != nil)
+		t.Fatalf("a record was dropped: profile=%v critpath=%v", res2.Profile != nil, res2.CritPath != nil)
 	}
 	if len(both.Reports()) != 1 {
 		t.Fatal("store-served report must appear in Reports() for the sidecar writer")
@@ -390,22 +425,22 @@ func TestStoreTierWithCritPath(t *testing.T) {
 
 // TestStoreTierWithChecking pins the audit rule: the simcheck audit
 // validates a live simulation, so a checking run never decodes from the
-// store — it simulates, audits, and rewrites (keeping stored observer
-// records through the read-merge).
+// store — it simulates, audits, and rewrites the entry (leaving stored
+// observer records under their own keys untouched).
 func TestStoreTierWithChecking(t *testing.T) {
 	dir := t.TempDir()
 	sc := tinyScenario("hpl", 2, network.TenGigE)
 
 	prof := New(1)
 	prof.SetStore(openStore(t, dir))
-	prof.SetProfiling(true)
+	prof.SetObservers(Observers{Profile: true})
 	if _, err := prof.Run(sc); err != nil {
 		t.Fatal(err)
 	}
 
 	chk := New(1)
 	chk.SetStore(openStore(t, dir))
-	chk.SetChecking(true)
+	chk.SetObservers(Observers{Check: true})
 	if _, err := chk.Run(sc); err != nil {
 		t.Fatal(err)
 	}
@@ -420,10 +455,10 @@ func TestStoreTierWithChecking(t *testing.T) {
 		t.Fatalf("checked execution must still persist: %+v", st)
 	}
 
-	// The checked rewrite kept the stored profile.
+	// The checked rewrite left the stored profile record in place.
 	prof2 := New(1)
 	prof2.SetStore(openStore(t, dir))
-	prof2.SetProfiling(true)
+	prof2.SetObservers(Observers{Profile: true})
 	res, err := prof2.Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -609,7 +644,7 @@ func TestStoreWarmSpeedGuard(t *testing.T) {
 // result per iteration.
 func BenchmarkStoreRoundTrip(b *testing.B) {
 	sc := tinyScenario("hpl", 2, network.TenGigE)
-	res, err := Execute(sc)
+	res, err := Execute(sc, Observers{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"clustersoc/internal/critpath"
 	"clustersoc/internal/network"
 	"clustersoc/internal/obs"
+	"clustersoc/internal/store"
 )
 
 // TestTieredRunFallsThroughOnUnwritableStore is the busy-spin
@@ -63,157 +64,82 @@ func TestTieredRunFallsThroughOnUnwritableStore(t *testing.T) {
 }
 
 // TestPersistTwoWriterInterleavingKeepsBothRecords is the lost-record
-// regression: two upgraders of one entry — one adding a Profile, one
-// adding a CritPath — each Peek before the other's Put. Before the fix
-// the last writer silently dropped the other's record; now the lockless
-// writer detects the downgrade on its post-Put verification read and
-// re-merges, so the final entry carries both records.
-//
-// The interleaving is choreographed with the persist test hooks:
-//
-//	A (locked):   merge-peek(empty)  .................  put(P)  verify
-//	B (lockless):                    merge-peek(empty)          put(C)  verify->repair
-//
-// i.e. B's Put lands between A's peek and A's Put, and A's Put clobbers
-// B's record; B's verification read (which runs after A's Put) sees its
-// CritPath gone from the current entry and rewrites the union.
+// regression: two writers of one scenario — one holding only a Profile,
+// one only a CritPath — persist it concurrently, over and over, through
+// two stores sharing one directory. Each record lives under its own
+// key, so however the writes interleave neither writer can drop the
+// other's record, and a fresh runner asking for both hits without
+// simulating. CI runs this package under -race.
 func TestPersistTwoWriterInterleavingKeepsBothRecords(t *testing.T) {
 	dir := t.TempDir()
-	stA := openStore(t, dir)
-	stB := openStore(t, dir)
 	sc := tinyScenario("cg", 2, network.TenGigE)
 	fp := sc.Fingerprint()
-
-	base, err := Execute(sc)
+	base, err := Execute(sc, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resA := base
-	resA.Profile = &obs.Profile{Scenario: "A", Fingerprint: fp}
-	resB := base
-	resB.CritPath = mustReport(t, sc)
+	withProfile := base
+	withProfile.Profile = &obs.Profile{Scenario: "A", Fingerprint: fp}
+	withCrit := base
+	withCrit.CritPath = mustReport(t, sc)
 
-	var (
-		aPeeked = make(chan struct{}) // A holds the lock and has merge-peeked
-		bPut    = make(chan struct{}) // B's Put has landed
-		aPut    = make(chan struct{}) // A's Put has landed
-		once    sync.Once
-		onceA   sync.Once
-		onceB   sync.Once
-	)
-	rA := New(1)
-	rA.persistPrePut = func() {
-		once.Do(func() { close(aPeeked) })
-		<-bPut // hold A between its merge peek and its Put until B has written
-	}
-	rA.persistPreVerify = func() {
-		onceA.Do(func() { close(aPut) })
-	}
-	rB := New(1)
-	rB.persistPreVerify = func() {
-		onceB.Do(func() { close(bPut) })
-		<-aPut // B verifies only after A's clobbering Put
-	}
-
+	const rounds = 20
 	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		rA.persist(stA, fp, resA, false) // takes the key lock
-	}()
-	go func() {
-		defer wg.Done()
-		<-aPeeked
-		rB.persist(stB, fp, resB, false) // lock held by A: goes lockless
-	}()
-	waitDone := make(chan struct{})
-	go func() { wg.Wait(); close(waitDone) }()
-	select {
-	case <-waitDone:
-	case <-time.After(30 * time.Second):
-		t.Fatal("choreographed persist interleaving deadlocked")
+	for _, res := range []Result{withProfile, withCrit} {
+		wg.Add(1)
+		go func(st *store.Store, res Result) {
+			defer wg.Done()
+			r := New(1)
+			for i := 0; i < rounds; i++ {
+				r.persist(st, fp, res)
+			}
+			if got := r.Stats().StoreWrites; got != rounds {
+				t.Errorf("StoreWrites = %d, want %d: one per persisted execution", got, rounds)
+			}
+		}(openStore(t, dir), res)
 	}
-
-	data, err := stA.Peek(fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := decodeStored(data, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Profile == nil {
-		t.Fatal("final entry dropped writer A's Profile record")
-	}
-	if final.CritPath == nil {
-		t.Fatal("final entry dropped writer B's CritPath record")
-	}
+	wg.Wait()
+	serveBoth(t, dir, sc)
 }
 
-// TestPersistUnderKeyLockMergesPrior pins the serialized path: an
-// upgrader that gets the key lock re-peeks under it and carries the
-// existing entry's records forward.
-func TestPersistUnderKeyLockMergesPrior(t *testing.T) {
-	st := openStore(t, t.TempDir())
+// TestPersistSequentialWritersKeepBothRecords is the sequential form of
+// the check above: persist a profile, then a critpath report, then serve
+// both from the store.
+func TestPersistSequentialWritersKeepBothRecords(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
 	sc := tinyScenario("cg", 2, network.TenGigE)
 	fp := sc.Fingerprint()
-
-	base, err := Execute(sc)
+	base, err := Execute(sc, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	withProfile := base
 	withProfile.Profile = &obs.Profile{Scenario: "prior", Fingerprint: fp}
-	r := New(1)
-	r.persist(st, fp, withProfile, false)
-
 	withCrit := base
 	withCrit.CritPath = mustReport(t, sc)
-	r.persist(st, fp, withCrit, false)
-
-	data, err := st.Peek(fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := decodeStored(data, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Profile == nil || final.CritPath == nil {
-		t.Fatalf("sequential upgrades must accumulate records (profile %v, critpath %v)",
-			final.Profile != nil, final.CritPath != nil)
-	}
+	r := New(1)
+	r.persist(st, fp, withProfile)
+	r.persist(st, fp, withCrit)
+	serveBoth(t, dir, sc)
 }
 
-// TestPersistWithoutRecordsSkipsVerification: a downgrade is an entry
-// missing a record this writer holds, so a writer holding neither a
-// Profile nor a CritPath returns after its write instead of re-reading
-// and re-decoding the entry it has just written.
-func TestPersistWithoutRecordsSkipsVerification(t *testing.T) {
-	st := openStore(t, t.TempDir())
-	sc := tinyScenario("cg", 2, network.TenGigE)
-	sc.Cluster.Traced = true
-	fp := sc.Fingerprint()
-	res, err := Execute(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+// serveBoth requires a fresh runner asking for both observer records to
+// be served sc from the store in dir, records included.
+func serveBoth(t *testing.T, dir string, sc Scenario) {
+	t.Helper()
 	r := New(1)
-	verified := 0
-	r.persistPreVerify = func() { verified++ }
-	r.persist(st, fp, res, false)
-	if verified != 0 {
-		t.Fatalf("record-less persist ran %d post-write verification pass(es), want 0", verified)
-	}
-	if r.Stats().StoreWrites != 1 {
-		t.Fatalf("persist did not write: %+v", r.Stats())
-	}
-	data, err := st.Peek(fp)
+	r.SetStore(openStore(t, dir))
+	r.SetObservers(Observers{Profile: true, CritPath: true})
+	res, err := r.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeStored(data, fp); err != nil {
-		t.Fatal(err)
+	if st := r.Stats(); st.StoreHits != 1 || st.Simulated != 0 {
+		t.Fatalf("both records must serve from the store: %+v", st)
+	}
+	if res.Profile == nil || res.CritPath == nil {
+		t.Fatalf("a record was dropped (profile %v, critpath %v)", res.Profile != nil, res.CritPath != nil)
 	}
 }
 
@@ -221,12 +147,12 @@ func TestPersistWithoutRecordsSkipsVerification(t *testing.T) {
 // entries in these tests round-trip through the full schema.
 func mustReport(t *testing.T, sc Scenario) *critpath.Report {
 	t.Helper()
-	res, err := ExecuteCritPath(sc)
+	res, err := Execute(sc, Observers{CritPath: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.CritPath == nil {
-		t.Fatal("ExecuteCritPath returned no report")
+		t.Fatal("Execute with Observers.CritPath returned no report")
 	}
 	return res.CritPath
 }

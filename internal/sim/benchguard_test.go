@@ -205,7 +205,7 @@ func TestTypedWakeupAllocFree(t *testing.T) {
 	})
 	e.Spawn("driver", func(p *Process) {
 		for {
-			p.Sleep(1)            // typed relative wake
+			p.Sleep(1)                               // typed relative wake
 			p.Engine().ResumeAt(p.Now()+0.5, waiter) // typed absolute wake
 		}
 	})

@@ -25,7 +25,7 @@ func scenario(workload string, nodes int, prof network.Profile) runner.Scenario 
 
 func runtimeOf(t *testing.T, s runner.Scenario) float64 {
 	t.Helper()
-	res, err := runner.ExecuteChecked(s)
+	res, err := runner.Execute(s, runner.Observers{Check: true})
 	if err != nil {
 		t.Fatalf("%s on %s failed its audit: %v", s.Workload, s.Cluster.Name, err)
 	}
@@ -59,7 +59,7 @@ func TestMoreNodesNeverIncreasePerRankCompute(t *testing.T) {
 	for _, wl := range []string{"hpl", "cg", "ft"} {
 		prev := 0.0
 		for i, nodes := range []int{2, 4, 8} {
-			res, err := runner.ExecuteChecked(scenario(wl, nodes, network.TenGigE))
+			res, err := runner.Execute(scenario(wl, nodes, network.TenGigE), runner.Observers{Check: true})
 			if err != nil {
 				t.Fatal(err)
 			}

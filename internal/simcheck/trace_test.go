@@ -14,7 +14,7 @@ import (
 func TestAuditTraceFromRealRun(t *testing.T) {
 	s := scenario("cg", 4, network.TenGigE)
 	s.Cluster.Traced = true
-	res, err := runner.Execute(s)
+	res, err := runner.Execute(s, runner.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

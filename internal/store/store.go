@@ -253,8 +253,8 @@ func (s *Store) Get(key string) ([]byte, error) {
 	return payload, err
 }
 
-// Peek is Get without counter accounting — for merge reads and
-// inspection tools that should not skew the hit/miss statistics.
+// Peek is Get without counter accounting — for singleflight re-checks
+// and inspection tools that should not skew the hit/miss statistics.
 func (s *Store) Peek(key string) ([]byte, error) { return s.read(key) }
 
 // Put atomically installs payload under key: the entry is staged in a
