@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"clustersoc/internal/core"
@@ -28,7 +29,7 @@ func main() {
 		in       = flag.String("in", "", "trace file written by clustersim -trace")
 		netArg   = flag.String("net", "10g", "replay network: 1g, 10g, ideal, or custom via -bw/-lat")
 		bw       = flag.Float64("bw", 0, "custom bandwidth, bytes/second (overrides -net)")
-		lat      = flag.Float64("lat", 0, "custom one-way latency, seconds (with -bw)")
+		lat      = flag.Float64("lat", 0, "custom one-way latency, seconds (needs -bw)")
 		check    = flag.Bool("check", false, "audit the trace with simcheck (timing sanity, per-rank ordering, send/receive matching) before replaying; violations fail the run")
 		idealLB  = flag.Bool("ideal-lb", false, "rescale each phase's compute to the mean (LB = 1)")
 		buses    = flag.Int("buses", 0, "DIMEMAS bus-contention limit (0 = contention-free model)")
@@ -40,6 +41,22 @@ func main() {
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "replay: -in is required")
 		os.Exit(2)
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "replay: "+format+"\n", args...)
+		os.Exit(2)
+	}
+	switch {
+	case *buses < 0:
+		usage("-buses must be at least 0, got %d", *buses)
+	case set["bw"] && !(*bw > 0 && !math.IsInf(*bw, 1)):
+		usage("-bw must be a finite bandwidth above 0, got %g", *bw)
+	case math.IsNaN(*lat) || math.IsInf(*lat, 0) || *lat < 0:
+		usage("-lat must be a finite latency of at least 0, got %g", *lat)
+	case set["lat"] && !set["bw"]:
+		usage("-lat needs -bw (it sets the custom network's latency)")
 	}
 	var net core.NetworkChoice
 	if *netArg != "ideal" {

@@ -57,18 +57,7 @@ func TestMalformedTraceIsAnError(t *testing.T) {
 		}}},
 	}
 	for _, tc := range cases {
-		path := filepath.Join(t.TempDir(), "run.trace")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tc.tr.Write(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		code, stderr := runCLI(t, "-in", path)
+		code, stderr := runCLI(t, "-in", writeTrace(t, tc.tr))
 		if code != 1 {
 			t.Errorf("%s: exit %d, want 1 (stderr %q)", tc.name, code, stderr)
 		}
@@ -77,6 +66,61 @@ func TestMalformedTraceIsAnError(t *testing.T) {
 		}
 		if strings.Contains(stderr, "panic:") {
 			t.Errorf("%s: panicked:\n%s", tc.name, stderr)
+		}
+	}
+}
+
+// writeTrace writes tr to a fresh file and returns its path.
+func writeTrace(t *testing.T, tr *trace.Trace) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Write(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// A network flag the replay cannot honour is a usage error naming the
+// flag, not a replay on some other network: a negative bus count, a
+// bandwidth that is not finite and positive, a latency that is negative
+// or not finite, and a latency without the custom bandwidth it belongs
+// to.
+func TestBadNetworkFlagsAreUsageErrors(t *testing.T) {
+	path := writeTrace(t, &trace.Trace{Runtime: 1, Ranks: []*trace.RankTrace{
+		{Rank: 0, Ops: []trace.Op{{Kind: trace.OpSend, Peer: 1, Tag: 1, Bytes: 1000, End: 0.5}}},
+		{Rank: 1, Node: 1, Ops: []trace.Op{{Kind: trace.OpRecv, Peer: 0, Tag: 1, End: 1}}},
+	}})
+	if code, stderr := runCLI(t, "-in", path, "-bw", "1e9", "-lat", "1e-6", "-buses", "2"); code != 0 {
+		t.Fatalf("valid custom network: exit %d (stderr %q)", code, stderr)
+	}
+	cases := []struct {
+		flag string
+		args []string
+	}{
+		{"-buses", []string{"-buses", "-3"}},
+		{"-bw", []string{"-bw", "-5"}},
+		{"-bw", []string{"-bw", "0"}},
+		{"-bw", []string{"-bw", "NaN"}},
+		{"-bw", []string{"-bw", "+Inf"}},
+		{"-lat", []string{"-bw", "1e9", "-lat", "-1"}},
+		{"-lat", []string{"-bw", "1e9", "-lat", "NaN"}},
+		{"-lat", []string{"-bw", "1e9", "-lat", "Inf"}},
+		{"-lat", []string{"-lat", "5e-6"}},
+	}
+	for _, tc := range cases {
+		code, stderr := runCLI(t, append([]string{"-in", path}, tc.args...)...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr %q)", tc.args, code, stderr)
+		}
+		if !strings.HasPrefix(stderr, "replay: "+tc.flag+" ") {
+			t.Errorf("%v: stderr %q does not name %s", tc.args, stderr, tc.flag)
 		}
 	}
 }

@@ -52,7 +52,21 @@ type Options struct {
 	Buses int
 }
 
-type matchKey struct{ src, dst, tag int }
+// inFlight is one replayed message not yet received: its tag and the
+// time its last byte reaches the receiver.
+type inFlight struct {
+	tag     int
+	arrival float64
+}
+
+// fifo is one (src, dst) pair's unreceived messages in send order; q[head:]
+// are live. A sender can run far ahead of its receiver (193 messages in
+// Fig. 6 at scale 0.05), so receives advance head instead of shifting the
+// queue.
+type fifo struct {
+	q    []inFlight
+	head int
+}
 
 // Replay re-times the trace under opts and returns the simulated runtime.
 // A receive that no send can ever match deadlocks the replay, which is
@@ -65,7 +79,10 @@ func Replay(t *trace.Trace, opts Options) (float64, error) {
 	clocks := make([]float64, n)
 	idx := make([]int, n)
 	phase := make([]int, n)
-	arrivals := make(map[matchKey][]float64)
+	// pairs[src*n+dst] holds the pair's messages in flight; a receive
+	// takes the first with its tag, so messages on one (src, dst, tag)
+	// still match in send order.
+	pairs := make([]fifo, n*n)
 	// Bus contention: each inter-node transfer books the earliest-free
 	// bus. With Buses == 0 the slice stays empty and transfers never wait.
 	var buses []float64
@@ -86,7 +103,11 @@ func Replay(t *trace.Trace, opts Options) (float64, error) {
 				op := rt.Ops[idx[r]]
 				switch op.Kind {
 				case trace.OpCompute:
-					clocks[r] += op.Dur * scale[r][phase[r]]
+					d := op.Dur
+					if scale != nil {
+						d *= scale[r][phase[r]]
+					}
+					clocks[r] += d
 				case trace.OpCopy:
 					clocks[r] += op.Dur
 				case trace.OpPhase:
@@ -112,24 +133,27 @@ func Replay(t *trace.Trace, opts Options) (float64, error) {
 						buses[bi] = start + op.Bytes/bw
 					}
 					drain := start + op.Bytes/bw
-					k := matchKey{r, op.Peer, op.Tag}
-					arrivals[k] = append(arrivals[k], drain+lat)
+					f := &pairs[r*n+op.Peer]
+					f.q = append(f.q, inFlight{op.Tag, drain + lat})
 					clocks[r] = drain
 				case trace.OpRecv:
-					k := matchKey{op.Peer, r, op.Tag}
-					q := arrivals[k]
-					if len(q) == 0 {
+					f := &pairs[op.Peer*n+r]
+					i := f.head
+					for i < len(f.q) && f.q[i].tag != op.Tag {
+						i++
+					}
+					if i == len(f.q) {
 						stuck = true // sender not replayed yet; revisit next pass
 						continue
 					}
-					// Keep only messages still in flight in the map.
-					if len(q) == 1 {
-						delete(arrivals, k)
-					} else {
-						arrivals[k] = q[1:]
+					if f.q[i].arrival > clocks[r] {
+						clocks[r] = f.q[i].arrival
 					}
-					if q[0] > clocks[r] {
-						clocks[r] = q[0]
+					// Drop entry i, keeping the skipped ones in send order.
+					copy(f.q[f.head+1:i+1], f.q[f.head:i])
+					f.head++
+					if f.head == len(f.q) {
+						f.q, f.head = f.q[:0], 0 // drained: reuse the storage
 					}
 				}
 				idx[r]++
@@ -150,10 +174,13 @@ func Replay(t *trace.Trace, opts Options) (float64, error) {
 	return max, nil
 }
 
-// computeScales returns per-rank, per-phase multipliers for compute time.
-// Without ideal load balance all factors are 1; with it, each rank's
-// compute in a phase is scaled to the phase mean.
+// computeScales returns per-rank, per-phase multipliers for compute time:
+// each rank's compute in a phase is scaled to the phase mean. Without
+// ideal load balance every factor would be 1, so it returns nil.
 func computeScales(t *trace.Trace, ideal bool) [][]float64 {
+	if !ideal {
+		return nil
+	}
 	n := len(t.Ranks)
 	// Count phases and per-phase compute per rank.
 	perRank := make([][]float64, n)
@@ -180,9 +207,6 @@ func computeScales(t *trace.Trace, ideal bool) [][]float64 {
 		for j := range scale[i] {
 			scale[i][j] = 1
 		}
-	}
-	if !ideal {
-		return scale
 	}
 	for ph := 0; ph < maxPhases; ph++ {
 		sum, cnt := 0.0, 0

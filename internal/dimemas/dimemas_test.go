@@ -1,15 +1,18 @@
 package dimemas
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"clustersoc/internal/cluster"
 	"clustersoc/internal/mpi"
 	"clustersoc/internal/network"
 	"clustersoc/internal/sim"
 	"clustersoc/internal/trace"
 	"clustersoc/internal/units"
+	"clustersoc/internal/workloads"
 )
 
 // traceRun executes a per-rank body with tracing on an n-node cluster and
@@ -74,15 +77,21 @@ func mustDecompose(t *testing.T, tr *trace.Trace) Efficiency {
 	return e
 }
 
-func TestReplayIdentityReproducesRuntime(t *testing.T) {
-	tr := traceRun(4, network.GigE, ringWorkload(0.01, 10, 1*units.MB, balanced))
-	replayed := mustReplay(t, tr, Options{Net: NetworkModel{
-		Name:           "1GbE",
-		Bandwidth:      network.GigE.Throughput,
-		Latency:        network.GigE.Latency,
+// nicModel is the replay network of a NIC profile, with the shared-memory
+// path between ranks on one node.
+func nicModel(prof network.Profile) NetworkModel {
+	return NetworkModel{
+		Name:           prof.Name,
+		Bandwidth:      prof.Throughput,
+		Latency:        prof.Latency,
 		IntraBandwidth: network.MemoryPathBandwidth,
 		IntraLatency:   network.MemoryPathLatency,
-	}})
+	}
+}
+
+func TestReplayIdentityReproducesRuntime(t *testing.T) {
+	tr := traceRun(4, network.GigE, ringWorkload(0.01, 10, 1*units.MB, balanced))
+	replayed := mustReplay(t, tr, Options{Net: nicModel(network.GigE)})
 	if math.Abs(replayed-tr.Runtime)/tr.Runtime > 0.05 {
 		t.Fatalf("identity replay %.5f vs measured %.5f (>5%% off)", replayed, tr.Runtime)
 	}
@@ -103,13 +112,7 @@ func TestIdealNetworkNeverSlower(t *testing.T) {
 func TestIdealLoadBalanceHelpsImbalancedRun(t *testing.T) {
 	skew := func(rank int) float64 { return 1 + float64(rank)*0.5 } // rank 3 does 2.5x work
 	tr := traceRun(4, network.TenGigE, ringWorkload(0.01, 10, 10*units.KB, skew))
-	real := NetworkModel{
-		Name:           "10GbE",
-		Bandwidth:      network.TenGigE.Throughput,
-		Latency:        network.TenGigE.Latency,
-		IntraBandwidth: network.MemoryPathBandwidth,
-		IntraLatency:   network.MemoryPathLatency,
-	}
+	real := nicModel(network.TenGigE)
 	base := mustReplay(t, tr, Options{Net: real})
 	lb := mustReplay(t, tr, Options{Net: real, IdealLoadBalance: true})
 	if lb >= base {
@@ -206,13 +209,7 @@ func TestReplayUnmatchedRecvIsAnError(t *testing.T) {
 // the replay down; more buses monotonically release the pressure.
 func TestBusContention(t *testing.T) {
 	tr := traceRun(4, network.GigE, ringWorkload(0.001, 8, 2*units.MB, balanced))
-	net := NetworkModel{
-		Name:           "1GbE",
-		Bandwidth:      network.GigE.Throughput,
-		Latency:        network.GigE.Latency,
-		IntraBandwidth: network.MemoryPathBandwidth,
-		IntraLatency:   network.MemoryPathLatency,
-	}
+	net := nicModel(network.GigE)
 	free := mustReplay(t, tr, Options{Net: net})
 	unlimited := mustReplay(t, tr, Options{Net: net, Buses: 1 << 20})
 	if math.Abs(free-unlimited)/free > 1e-9 {
@@ -230,5 +227,141 @@ func TestBusContention(t *testing.T) {
 	// actually hurt.
 	if one < free*1.5 {
 		t.Errorf("single-bus replay %v suspiciously close to free %v", one, free)
+	}
+}
+
+// referenceReplay is Replay as it was with map-keyed matching: one FIFO
+// of arrival times per (src, dst, tag). It is the oracle for the
+// slice-matched Replay, which must reproduce its bits and errors, so it
+// keeps its multiply-by-one when load balance is off.
+func referenceReplay(t *trace.Trace, opts Options) (float64, error) {
+	type matchKey struct{ src, dst, tag int }
+	n := len(t.Ranks)
+	scale := computeScales(t, opts.IdealLoadBalance)
+
+	clocks := make([]float64, n)
+	idx := make([]int, n)
+	phase := make([]int, n)
+	arrivals := make(map[matchKey][]float64)
+	var buses []float64
+	if opts.Buses > 0 {
+		buses = make([]float64, opts.Buses)
+	}
+
+	remaining := 0
+	for _, r := range t.Ranks {
+		remaining += len(r.Ops)
+	}
+	for remaining > 0 {
+		progress := false
+		for r := 0; r < n; r++ {
+			rt := t.Ranks[r]
+			stuck := false
+			for idx[r] < len(rt.Ops) && !stuck {
+				op := rt.Ops[idx[r]]
+				switch op.Kind {
+				case trace.OpCompute:
+					f := 1.0
+					if scale != nil {
+						f = scale[r][phase[r]]
+					}
+					clocks[r] += op.Dur * f
+				case trace.OpCopy:
+					clocks[r] += op.Dur
+				case trace.OpPhase:
+					phase[r]++
+				case trace.OpSend:
+					bw, lat := opts.Net.Bandwidth, opts.Net.Latency
+					intra := t.Ranks[op.Peer].Node == rt.Node
+					if intra {
+						bw, lat = opts.Net.IntraBandwidth, opts.Net.IntraLatency
+					}
+					start := clocks[r]
+					if len(buses) > 0 && !intra {
+						bi := 0
+						for i := 1; i < len(buses); i++ {
+							if buses[i] < buses[bi] {
+								bi = i
+							}
+						}
+						if buses[bi] > start {
+							start = buses[bi]
+						}
+						buses[bi] = start + op.Bytes/bw
+					}
+					drain := start + op.Bytes/bw
+					k := matchKey{r, op.Peer, op.Tag}
+					arrivals[k] = append(arrivals[k], drain+lat)
+					clocks[r] = drain
+				case trace.OpRecv:
+					k := matchKey{op.Peer, r, op.Tag}
+					q := arrivals[k]
+					if len(q) == 0 {
+						stuck = true
+						continue
+					}
+					if len(q) == 1 {
+						delete(arrivals, k)
+					} else {
+						arrivals[k] = q[1:]
+					}
+					if q[0] > clocks[r] {
+						clocks[r] = q[0]
+					}
+				}
+				idx[r]++
+				remaining--
+				progress = true
+			}
+		}
+		if !progress {
+			return 0, fmt.Errorf("dimemas: replay deadlock with %d ops remaining (a receive no send matches)", remaining)
+		}
+	}
+	max := 0.0
+	for _, c := range clocks {
+		if c > max {
+			max = c
+		}
+	}
+	return max, nil
+}
+
+// sameReplay reports whether two replay outcomes agree exactly: the same
+// float bits, or the same error text.
+func sameReplay(got float64, gotErr error, want float64, wantErr error) bool {
+	if gotErr != nil || wantErr != nil {
+		return gotErr != nil && wantErr != nil && gotErr.Error() == wantErr.Error()
+	}
+	return math.Float64bits(got) == math.Float64bits(want)
+}
+
+// The replayer returns the reference's bits on a traced run of every
+// registry workload, under the models the artifacts and the replay
+// command use: the ideal network, ideal load balance on 10 GbE (Fig. 5/6)
+// and DIMEMAS bus contention on 1 GbE.
+func TestReplayMatchesReference(t *testing.T) {
+	models := map[string]Options{
+		"ideal network":   {Net: IdealNetwork},
+		"ideal LB 10GbE":  {Net: nicModel(network.TenGigE), IdealLoadBalance: true},
+		"2 buses on 1GbE": {Net: nicModel(network.GigE), Buses: 2},
+	}
+	all := workloads.All()
+	if len(all) != 17 {
+		t.Fatalf("registry holds %d workloads, want 17", len(all))
+	}
+	for _, w := range all {
+		cfg := cluster.TX1Cluster(4, network.TenGigE)
+		cfg.RanksPerNode = w.RanksPerNode()
+		cfg.FileServer = w.GPUAccelerated()
+		cfg.Traced = true
+		tr := cluster.New(cfg).Run(w.Body(workloads.Config{Scale: 0.01})).Trace
+		for name, opts := range models {
+			got, err := Replay(tr, opts)
+			want, refErr := referenceReplay(tr, opts)
+			if err != nil || !sameReplay(got, err, want, refErr) {
+				t.Errorf("%s, %s: Replay = %v (%v), reference %v (%v)", w.Name(), name, got, err, want, refErr)
+			}
+		}
 	}
 }

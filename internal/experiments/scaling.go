@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"clustersoc/internal/dimemas"
 	"clustersoc/internal/network"
@@ -73,40 +74,67 @@ func scalingFor(ws []workloads.Workload, o Options) *Scaling {
 		}
 	}
 	res := runAll(o, scenarios)
+	reps := replayAll(res, o.runner().Workers())
 	out := &Scaling{ExtrapolateTo: 64}
 	i := 0
 	for _, w := range ws {
 		c := &ScalingCurve{Workload: w.Name(), Nodes: sizes}
 		for _, n := range sizes {
-			r1, r10 := res[i], res[i+1]
-			i += 2
+			r1, r10, rep := res[2*i], res[2*i+1], reps[i]
+			i++
 			c.Runtime1G = append(c.Runtime1G, r1.Runtime)
 			c.Runtime10G = append(c.Runtime10G, r10.Runtime)
-
-			tr := r10.Trace
-			eff, err := dimemas.Decompose(tr)
-			var lb float64
-			if err == nil {
-				lb, err = dimemas.Replay(tr, dimemas.Options{
-					Net:              netModel(network.TenGigE),
-					IdealLoadBalance: true,
-				})
-			}
-			if err != nil {
+			if rep.err != nil {
 				// The simulator recorded this trace, so a replay deadlock is
 				// a bug, reported like a failed scenario.
-				panic(fmt.Sprintf("experiments: %s on %d nodes: %v", w.Name(), n, err))
+				panic(fmt.Sprintf("experiments: %s on %d nodes: %v", w.Name(), n, rep.err))
 			}
 			// Decompose's TIdeal is the ideal-network replay.
-			c.IdealNet = append(c.IdealNet, eff.TIdeal)
-			c.IdealLB = append(c.IdealLB, lb)
-			c.Eff = append(c.Eff, eff)
+			c.IdealNet = append(c.IdealNet, rep.eff.TIdeal)
+			c.IdealLB = append(c.IdealLB, rep.lb)
+			c.Eff = append(c.Eff, rep.eff)
 		}
 		c.Fit1G, _ = stats.FitScaling(sizes, c.Runtime1G)
 		c.Fit10G, _ = stats.FitScaling(sizes, c.Runtime10G)
 		out.Curves = append(out.Curves, c)
 	}
 	return out
+}
+
+// replayed is one traced 10 GbE run's DIMEMAS analysis: the efficiency
+// decomposition (whose TIdeal is the ideal-network replay) and the
+// ideal-load-balance replay.
+type replayed struct {
+	eff dimemas.Efficiency
+	lb  float64
+	err error
+}
+
+// replayAll analyses the traced run of every (1 GbE, traced 10 GbE)
+// result pair, on at most workers goroutines. The replays are
+// independent and CPU-bound, so they share the run-plane's bound; each
+// result lands at its pair's index, so the order they finish in cannot
+// show.
+func replayAll(res []runner.Result, workers int) []replayed {
+	reps := make([]replayed, len(res)/2)
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for j := range reps {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(j int) {
+			defer func() { <-sem; wg.Done() }()
+			tr, rep := res[2*j+1].Trace, &reps[j]
+			if rep.eff, rep.err = dimemas.Decompose(tr); rep.err == nil {
+				rep.lb, rep.err = dimemas.Replay(tr, dimemas.Options{
+					Net:              netModel(network.TenGigE),
+					IdealLoadBalance: true,
+				})
+			}
+		}(j)
+	}
+	wg.Wait()
+	return reps
 }
 
 // Fig5 regenerates the GPGPU scalability study (hpl, jacobi, cloverleaf,

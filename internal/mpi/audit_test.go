@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -58,6 +59,69 @@ func TestAuditFlagsUnreceivedMessage(t *testing.T) {
 	if !strings.Contains(diags[1], "rank 1 inbox holds 1 unreceived message(s) from rank 0 with tag 42") {
 		t.Errorf("leftover diagnostic missing rank/tag/src: %q", diags[1])
 	}
+}
+
+// Leftover messages are reported by rank, then by source, then by tag,
+// whatever order they arrived in.
+func TestAuditOrdersLeftoversByRankSourceTag(t *testing.T) {
+	e, c := build(3, network.GigE)
+	runRanks(e, 3, func(p *sim.Process, rank int) {
+		switch rank {
+		case 0:
+			p.Sleep(0.1)
+			for _, tag := range []int{9, 4, 4} {
+				c.Send(p, 0, 2, tag, 100)
+			}
+			c.Send(p, 0, 1, 8, 100)
+		case 1:
+			c.Send(p, 1, 2, 3, 100)
+		}
+	})
+	want := []string{
+		"message counts do not balance: 5 sent vs 0 received",
+		"rank 1 inbox holds 1 unreceived message(s) from rank 0 with tag 8",
+		"rank 2 inbox holds 2 unreceived message(s) from rank 0 with tag 4",
+		"rank 2 inbox holds 1 unreceived message(s) from rank 0 with tag 9",
+		"rank 2 inbox holds 1 unreceived message(s) from rank 1 with tag 3",
+	}
+	if diags := c.Audit(); fmt.Sprint(diags) != fmt.Sprint(want) {
+		t.Fatalf("audit = %q, want %q", diags, want)
+	}
+}
+
+// Receivers still blocked when a RunUntil horizon stops the run are
+// named in rank order, with the rank and tag each waits on.
+func TestAuditFlagsSuspendedReceivers(t *testing.T) {
+	e, c := build(3, network.GigE)
+	e.Spawn("rank0", func(p *sim.Process) {
+		p.Sleep(10) // past the horizon
+		c.Send(p, 0, 1, 5, 100)
+	})
+	e.Spawn("rank2", func(p *sim.Process) { c.Recv(p, 2, 1, 7) })
+	e.Spawn("rank1", func(p *sim.Process) { c.Recv(p, 1, 0, 5) })
+	e.RunUntil(1)
+	want := []string{
+		"rank 1 still has 1 receiver(s) suspended waiting on rank 0 tag 5",
+		"rank 2 still has 1 receiver(s) suspended waiting on rank 1 tag 7",
+	}
+	if diags := c.Audit(); fmt.Sprint(diags) != fmt.Sprint(want) {
+		t.Fatalf("audit = %q, want %q", diags, want)
+	}
+}
+
+// A rank is one blocking process, so it has at most one receive blocked;
+// a second process posting a receive for the same rank is a model bug.
+func TestSecondBlockedReceivePanics(t *testing.T) {
+	e, c := build(2, network.GigE)
+	e.Spawn("a", func(p *sim.Process) { c.Recv(p, 1, 0, 5) })
+	e.Spawn("b", func(p *sim.Process) { c.Recv(p, 1, 0, 6) })
+	defer func() {
+		want := "mpi: rank 1 posted a receive from rank 0 tag 6 while one from rank 0 tag 5 is blocked"
+		if r := recover(); fmt.Sprint(r) != want {
+			t.Fatalf("panic = %v, want %q", r, want)
+		}
+	}()
+	e.Run()
 }
 
 // Sendrecv's declared receive size is validated against the peer's actual

@@ -21,28 +21,28 @@ import (
 // user point-to-point tags.
 const collTagBase = 1 << 20
 
-type key struct {
-	src, tag int
-}
-
 // inboxMsg is one eagerly delivered message that no receive has claimed
-// yet. The size rides along so receives that declare an expected size
-// (Sendrecv's recvBytes) can be validated against what the peer sent;
-// pathID is the PathRecorder's message handle (meaningful only while a
-// recorder is attached), threaded through the inbox so the matching
-// receive can report which send it completed without a second FIFO.
+// yet, tagged with the (src, tag) key a receive matches on. The size rides
+// along so receives that declare an expected size (Sendrecv's recvBytes)
+// can be validated against what the peer sent; pathID is the
+// PathRecorder's message handle (meaningful only while a recorder is
+// attached), threaded through the inbox so the matching receive can report
+// which send it completed without a second FIFO.
 type inboxMsg struct {
-	arrival float64
-	bytes   float64
-	pathID  int32
+	src, tag int
+	arrival  float64
+	bytes    float64
+	pathID   int32
 }
 
-// recvWaiter is a blocked receiver. expect is the byte count the receive
-// declared, or a negative value when it posted no expectation (plain
-// Recv carries no size).
+// recvWaiter is a rank's blocked receive, or the zero value (p == nil)
+// when the rank has none posted. expect is the byte count the receive
+// declared, or a negative value when it posted no expectation (plain Recv
+// carries no size).
 type recvWaiter struct {
-	p      *sim.Process
-	expect float64
+	p        *sim.Process
+	src, tag int
+	expect   float64
 }
 
 // Recorder observes point-to-point traffic; internal/trace implements it
@@ -89,19 +89,16 @@ type Comm struct {
 	// most one receive in flight (guarded by a panic in Send).
 	pendingPath []int32
 
-	boxes   []map[key][]inboxMsg   // per-rank inbox: FIFO per (src,tag)
-	waiters []map[key][]recvWaiter // per-rank blocked receivers, FIFO
-	cseq    []int                  // per-rank collective sequence number
-
-	// spareBox/spareWaiters recycle the backing arrays of drained
-	// inbox/waiter queues. Collective tags are fresh every round, so
-	// drained keys are deleted (the maps stay small) — but without
-	// recycling, every enqueue on a new key allocates a one-entry slice,
-	// which is most of the simulator's steady-state garbage on
-	// communication-heavy runs. Stacks, because several queues can be
-	// in flight per rank at once (wide collectives).
-	spareBox     [][]inboxMsg
-	spareWaiters [][]recvWaiter
+	// boxes holds each rank's unclaimed messages in arrival order; a
+	// receive takes the first entry with its (src, tag), so messages on
+	// one key still leave in send order. Inboxes stay a few entries deep,
+	// so the scan costs less than hashing the key.
+	boxes [][]inboxMsg
+	// waiters holds each rank's one blocked receive. One slot per rank
+	// suffices for the same reason as pendingPath; posting a second
+	// receive while one is blocked panics in recvExpect.
+	waiters []recvWaiter
+	cseq    []int // per-rank collective sequence number
 
 	sentBytes []float64 // per-rank bytes passed to Send (incl. intra-node)
 	sentMsgs  []uint64
@@ -131,8 +128,8 @@ func NewComm(e *sim.Engine, nw *network.Network, rankNode []int) *Comm {
 		eng:       e,
 		nw:        nw,
 		rankNode:  append([]int(nil), rankNode...),
-		boxes:     make([]map[key][]inboxMsg, n),
-		waiters:   make([]map[key][]recvWaiter, n),
+		boxes:     make([][]inboxMsg, n),
+		waiters:   make([]recvWaiter, n),
 		cseq:      make([]int, n),
 		sentBytes: make([]float64, n),
 		sentMsgs:  make([]uint64, n),
@@ -140,10 +137,6 @@ func NewComm(e *sim.Engine, nw *network.Network, rankNode []int) *Comm {
 
 		retransBytes: make([]float64, n),
 		retransMsgs:  make([]uint64, n),
-	}
-	for i := range c.boxes {
-		c.boxes[i] = make(map[key][]inboxMsg)
-		c.waiters[i] = make(map[key][]recvWaiter)
 	}
 	return c
 }
@@ -233,22 +226,14 @@ func (c *Comm) Send(p *sim.Process, src, dst, tag int, bytes float64) {
 	if c.pr != nil {
 		pathID = c.pr.PathSend(src, dst, tag, bytes, start, senderFree, arrival, retrans)
 	}
-	k := key{src, tag}
-	if ws := c.waiters[dst][k]; len(ws) > 0 {
-		w := ws[0]
+	if w := c.waiters[dst]; w.p != nil && w.src == src && w.tag == tag {
 		if c.pr != nil {
 			if c.pendingPath[dst] >= 0 {
 				panic(fmt.Sprintf("mpi: rank %d has two matched receives in flight", dst))
 			}
 			c.pendingPath[dst] = pathID
 		}
-		if len(ws) == 1 {
-			delete(c.waiters[dst], k)
-			ws[0] = recvWaiter{} // don't pin the process via the spare
-			c.spareWaiters = append(c.spareWaiters, ws[:0])
-		} else {
-			c.waiters[dst][k] = ws[1:]
-		}
+		c.waiters[dst] = recvWaiter{} // don't pin the process
 		if c.checking && w.expect >= 0 && w.expect != bytes {
 			c.violations = append(c.violations, fmt.Sprintf(
 				"rank %d expected %g bytes from rank %d (tag %d) but the sender delivered %g",
@@ -256,13 +241,7 @@ func (c *Comm) Send(p *sim.Process, src, dst, tag int, bytes float64) {
 		}
 		c.eng.ResumeAt(arrival, w.p)
 	} else {
-		q := c.boxes[dst][k]
-		if q == nil {
-			if n := len(c.spareBox); n > 0 {
-				q, c.spareBox = c.spareBox[n-1], c.spareBox[:n-1]
-			}
-		}
-		c.boxes[dst][k] = append(q, inboxMsg{arrival: arrival, bytes: bytes, pathID: pathID})
+		c.boxes[dst] = append(c.boxes[dst], inboxMsg{src: src, tag: tag, arrival: arrival, bytes: bytes, pathID: pathID})
 	}
 	p.SleepUntil(senderFree)
 	if c.rec != nil {
@@ -284,16 +263,15 @@ func (c *Comm) recvExpect(p *sim.Process, dst, src, tag int, expect float64) {
 	c.check(src)
 	c.check(dst)
 	start := p.Now()
-	k := key{src, tag}
 	pathID := int32(-1)
-	if q := c.boxes[dst][k]; len(q) > 0 {
-		m := q[0]
-		if len(q) == 1 {
-			delete(c.boxes[dst], k)
-			c.spareBox = append(c.spareBox, q[:0])
-		} else {
-			c.boxes[dst][k] = q[1:]
-		}
+	box := c.boxes[dst]
+	i := 0
+	for i < len(box) && (box[i].src != src || box[i].tag != tag) {
+		i++
+	}
+	if i < len(box) {
+		m := box[i]
+		c.boxes[dst] = append(box[:i], box[i+1:]...)
 		if c.checking && expect >= 0 && expect != m.bytes {
 			c.violations = append(c.violations, fmt.Sprintf(
 				"rank %d expected %g bytes from rank %d (tag %d) but the sender delivered %g",
@@ -302,13 +280,11 @@ func (c *Comm) recvExpect(p *sim.Process, dst, src, tag int, expect float64) {
 		pathID = m.pathID
 		p.SleepUntil(m.arrival)
 	} else {
-		ws := c.waiters[dst][k]
-		if ws == nil {
-			if n := len(c.spareWaiters); n > 0 {
-				ws, c.spareWaiters = c.spareWaiters[n-1], c.spareWaiters[:n-1]
-			}
+		if w := c.waiters[dst]; w.p != nil {
+			panic(fmt.Sprintf("mpi: rank %d posted a receive from rank %d tag %d while one from rank %d tag %d is blocked",
+				dst, src, tag, w.src, w.tag))
 		}
-		c.waiters[dst][k] = append(ws, recvWaiter{p: p, expect: expect})
+		c.waiters[dst] = recvWaiter{p: p, src: src, tag: tag, expect: expect}
 		p.Suspend()
 		if c.pr != nil {
 			pathID = c.pendingPath[dst]
@@ -350,47 +326,30 @@ func (c *Comm) Audit() []string {
 	if sent != recvd {
 		out = append(out, fmt.Sprintf("message counts do not balance: %d sent vs %d received", sent, recvd))
 	}
-	// Only keys with live entries are reported, which keeps Audit
-	// independent of how the hot path recycles drained queue storage.
-	sortedKeys := func(m map[key][]inboxMsg) []key {
-		ks := make([]key, 0, len(m))
-		for k := range m {
-			if len(m[k]) > 0 {
-				ks = append(ks, k)
+	for r, box := range c.boxes {
+		left := append([]inboxMsg(nil), box...)
+		sort.Slice(left, func(i, j int) bool {
+			if left[i].src != left[j].src {
+				return left[i].src < left[j].src
 			}
-		}
-		sort.Slice(ks, func(i, j int) bool {
-			if ks[i].src != ks[j].src {
-				return ks[i].src < ks[j].src
-			}
-			return ks[i].tag < ks[j].tag
+			return left[i].tag < left[j].tag
 		})
-		return ks
-	}
-	for r := range c.boxes {
-		for _, k := range sortedKeys(c.boxes[r]) {
+		for i := 0; i < len(left); {
+			j := i + 1
+			for j < len(left) && left[j].src == left[i].src && left[j].tag == left[i].tag {
+				j++
+			}
 			out = append(out, fmt.Sprintf(
 				"rank %d inbox holds %d unreceived message(s) from rank %d with tag %d",
-				r, len(c.boxes[r][k]), k.src, k.tag))
+				r, j-i, left[i].src, left[i].tag))
+			i = j
 		}
 	}
-	for r := range c.waiters {
-		ks := make([]key, 0, len(c.waiters[r]))
-		for k := range c.waiters[r] {
-			if len(c.waiters[r][k]) > 0 {
-				ks = append(ks, k)
-			}
-		}
-		sort.Slice(ks, func(i, j int) bool {
-			if ks[i].src != ks[j].src {
-				return ks[i].src < ks[j].src
-			}
-			return ks[i].tag < ks[j].tag
-		})
-		for _, k := range ks {
+	for r, w := range c.waiters {
+		if w.p != nil {
 			out = append(out, fmt.Sprintf(
 				"rank %d still has %d receiver(s) suspended waiting on rank %d tag %d",
-				r, len(c.waiters[r][k]), k.src, k.tag))
+				r, 1, w.src, w.tag))
 		}
 	}
 	for r := 1; r < len(c.cseq); r++ {

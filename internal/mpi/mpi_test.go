@@ -104,6 +104,45 @@ func TestTagsMatchIndependently(t *testing.T) {
 	if len(got) != 2 || got[0] != 20 || got[1] != 10 {
 		t.Fatalf("tag matching broken: %v", got)
 	}
+
+	// A receive finds its message behind other tags in the inbox, and the
+	// three tag-30 messages leave in send order: checking audits each
+	// receive's declared size against the message it matched.
+	e, c = build(2, network.TenGigE)
+	c.SetChecking(true)
+	runRanks(e, 2, func(p *sim.Process, rank int) {
+		if rank == 0 {
+			for _, m := range []struct{ tag, bytes int }{{10, 100}, {20, 100}, {30, 1000}, {20, 200}, {30, 2000}, {30, 3000}} {
+				c.Send(p, 0, 1, m.tag, float64(m.bytes))
+			}
+		} else {
+			p.Sleep(1) // every message is in the inbox
+			for _, m := range []struct{ tag, bytes int }{{30, 1000}, {30, 2000}, {30, 3000}, {20, 100}, {20, 200}, {10, 100}} {
+				c.recvExpect(p, 1, 0, m.tag, float64(m.bytes))
+			}
+		}
+	})
+	if diags := c.Audit(); len(diags) != 0 {
+		t.Fatalf("out-of-order receives matched the wrong messages: %v", diags)
+	}
+
+	// A blocked receive resumes only for its own tag: the tag-10 message
+	// sent first goes to the inbox.
+	e, c = build(2, network.TenGigE)
+	c.SetChecking(true)
+	runRanks(e, 2, func(p *sim.Process, rank int) {
+		if rank == 0 {
+			p.Sleep(1) // the receive blocks first
+			c.Send(p, 0, 1, 10, 100)
+			c.Send(p, 0, 1, 20, 200)
+		} else {
+			c.recvExpect(p, 1, 0, 20, 200)
+			c.recvExpect(p, 1, 0, 10, 100)
+		}
+	})
+	if diags := c.Audit(); len(diags) != 0 {
+		t.Fatalf("a blocked receive matched another tag: %v", diags)
+	}
 }
 
 func TestBcastSmallDeliversToAll(t *testing.T) {
