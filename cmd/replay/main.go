@@ -90,20 +90,14 @@ func main() {
 		fmt.Println("simcheck: trace audited — timing, ordering, and message matching all consistent")
 	}
 
-	model := dimemas.NetworkModel{
-		IntraBandwidth: network.MemoryPathBandwidth,
-		IntraLatency:   network.MemoryPathLatency,
-	}
+	var model dimemas.NetworkModel
 	switch {
 	case *bw > 0:
-		model.Name = "custom"
-		model.Bandwidth = *bw
-		model.Latency = *lat
+		model = dimemas.NICModel(network.Profile{Name: "custom", Throughput: *bw, Latency: *lat})
 	case *netArg == "ideal":
 		model = dimemas.IdealNetwork
 	default:
-		p := net.Profile()
-		model.Name, model.Bandwidth, model.Latency = p.Name, p.Throughput, p.Latency
+		model = dimemas.NICModel(net.Profile())
 	}
 
 	replayed, err := dimemas.Replay(t, dimemas.Options{Net: model, IdealLoadBalance: *idealLB, Buses: *buses})

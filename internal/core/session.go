@@ -5,7 +5,6 @@ import (
 
 	"clustersoc/internal/cluster"
 	"clustersoc/internal/dimemas"
-	"clustersoc/internal/network"
 	"clustersoc/internal/runner"
 	"clustersoc/internal/stats"
 	"clustersoc/internal/workloads"
@@ -131,28 +130,17 @@ func (s *Session) Scalability(cfg cluster.Config, workload string, sizes []int, 
 		res := results[i]
 		out.Runtimes = append(out.Runtimes, res.Runtime)
 		if n == sizes[len(sizes)-1] {
-			if out.Efficiency, err = dimemas.Decompose(res.Trace); err != nil {
-				return nil, err
-			}
-			lb, err := dimemas.Replay(res.Trace, dimemas.Options{
-				Net: dimemas.NetworkModel{
-					Name:           cfg.Network.Name,
-					Bandwidth:      cfg.Network.Throughput,
-					Latency:        cfg.Network.Latency,
-					IntraBandwidth: network.MemoryPathBandwidth,
-					IntraLatency:   network.MemoryPathLatency,
-				},
-				IdealLoadBalance: true,
-			})
+			a, err := dimemas.Analyze(res.Trace, dimemas.NICModel(cfg.Network))
 			if err != nil {
 				return nil, err
 			}
+			out.Efficiency = a.Efficiency
 			// Decompose's TIdeal is the ideal-network replay.
-			if ideal := out.Efficiency.TIdeal; ideal > 0 {
-				out.IdealNetworkGain = res.Runtime / ideal
+			if a.TIdeal > 0 {
+				out.IdealNetworkGain = res.Runtime / a.TIdeal
 			}
-			if lb > 0 {
-				out.IdealLoadBalanceGain = res.Runtime / lb
+			if a.IdealLB > 0 {
+				out.IdealLoadBalanceGain = res.Runtime / a.IdealLB
 			}
 		}
 	}

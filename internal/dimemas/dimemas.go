@@ -18,6 +18,7 @@ package dimemas
 import (
 	"fmt"
 
+	"clustersoc/internal/network"
 	"clustersoc/internal/trace"
 )
 
@@ -38,6 +39,19 @@ var IdealNetwork = NetworkModel{
 	Latency:        0,
 	IntraBandwidth: 1e18,
 	IntraLatency:   0,
+}
+
+// NICModel is the replay network of a NIC profile: the profile's
+// throughput and latency between nodes, and the simulator's shared-memory
+// path between ranks on one node.
+func NICModel(prof network.Profile) NetworkModel {
+	return NetworkModel{
+		Name:           prof.Name,
+		Bandwidth:      prof.Throughput,
+		Latency:        prof.Latency,
+		IntraBandwidth: network.MemoryPathBandwidth,
+		IntraLatency:   network.MemoryPathLatency,
+	}
 }
 
 // Options modifies a replay.
@@ -271,6 +285,28 @@ func Decompose(t *trace.Trace) (Efficiency, error) {
 	}
 	e.Eta = e.LB * e.Ser * e.Trf
 	return e, nil
+}
+
+// Analysis is the paper's Sec. III-B.4 study of one traced run: the
+// efficiency decomposition, whose TIdeal is the ideal-network replay,
+// and the ideal-load-balance replay on the run's own network.
+type Analysis struct {
+	Efficiency
+	IdealLB float64
+}
+
+// Analyze runs Decompose and the ideal-load-balance replay of t on net.
+// It fails when either replay does.
+func Analyze(t *trace.Trace, net NetworkModel) (Analysis, error) {
+	eff, err := Decompose(t)
+	if err != nil {
+		return Analysis{}, err
+	}
+	lb, err := Replay(t, Options{Net: net, IdealLoadBalance: true})
+	if err != nil {
+		return Analysis{}, err
+	}
+	return Analysis{Efficiency: eff, IdealLB: lb}, nil
 }
 
 func clamp01(x float64) float64 {

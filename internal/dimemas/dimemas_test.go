@@ -77,21 +77,9 @@ func mustDecompose(t *testing.T, tr *trace.Trace) Efficiency {
 	return e
 }
 
-// nicModel is the replay network of a NIC profile, with the shared-memory
-// path between ranks on one node.
-func nicModel(prof network.Profile) NetworkModel {
-	return NetworkModel{
-		Name:           prof.Name,
-		Bandwidth:      prof.Throughput,
-		Latency:        prof.Latency,
-		IntraBandwidth: network.MemoryPathBandwidth,
-		IntraLatency:   network.MemoryPathLatency,
-	}
-}
-
 func TestReplayIdentityReproducesRuntime(t *testing.T) {
 	tr := traceRun(4, network.GigE, ringWorkload(0.01, 10, 1*units.MB, balanced))
-	replayed := mustReplay(t, tr, Options{Net: nicModel(network.GigE)})
+	replayed := mustReplay(t, tr, Options{Net: NICModel(network.GigE)})
 	if math.Abs(replayed-tr.Runtime)/tr.Runtime > 0.05 {
 		t.Fatalf("identity replay %.5f vs measured %.5f (>5%% off)", replayed, tr.Runtime)
 	}
@@ -112,7 +100,7 @@ func TestIdealNetworkNeverSlower(t *testing.T) {
 func TestIdealLoadBalanceHelpsImbalancedRun(t *testing.T) {
 	skew := func(rank int) float64 { return 1 + float64(rank)*0.5 } // rank 3 does 2.5x work
 	tr := traceRun(4, network.TenGigE, ringWorkload(0.01, 10, 10*units.KB, skew))
-	real := nicModel(network.TenGigE)
+	real := NICModel(network.TenGigE)
 	base := mustReplay(t, tr, Options{Net: real})
 	lb := mustReplay(t, tr, Options{Net: real, IdealLoadBalance: true})
 	if lb >= base {
@@ -209,7 +197,7 @@ func TestReplayUnmatchedRecvIsAnError(t *testing.T) {
 // the replay down; more buses monotonically release the pressure.
 func TestBusContention(t *testing.T) {
 	tr := traceRun(4, network.GigE, ringWorkload(0.001, 8, 2*units.MB, balanced))
-	net := nicModel(network.GigE)
+	net := NICModel(network.GigE)
 	free := mustReplay(t, tr, Options{Net: net})
 	unlimited := mustReplay(t, tr, Options{Net: net, Buses: 1 << 20})
 	if math.Abs(free-unlimited)/free > 1e-9 {
@@ -343,8 +331,8 @@ func sameReplay(got float64, gotErr error, want float64, wantErr error) bool {
 func TestReplayMatchesReference(t *testing.T) {
 	models := map[string]Options{
 		"ideal network":   {Net: IdealNetwork},
-		"ideal LB 10GbE":  {Net: nicModel(network.TenGigE), IdealLoadBalance: true},
-		"2 buses on 1GbE": {Net: nicModel(network.GigE), Buses: 2},
+		"ideal LB 10GbE":  {Net: NICModel(network.TenGigE), IdealLoadBalance: true},
+		"2 buses on 1GbE": {Net: NICModel(network.GigE), Buses: 2},
 	}
 	all := workloads.All()
 	if len(all) != 17 {

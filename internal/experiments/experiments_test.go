@@ -482,7 +482,7 @@ func TestReplayIdentityAcrossWorkloads(t *testing.T) {
 			cfg.FileServer = true
 		}
 		res := cluster.New(cfg).Run(w.Body(workloads.Config{Scale: 0.04}))
-		replayed, err := dimemas.Replay(res.Trace, dimemas.Options{Net: netModel(pair.prof)})
+		replayed, err := dimemas.Replay(res.Trace, dimemas.Options{Net: dimemas.NICModel(pair.prof)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,26 +1,12 @@
 package experiments
 
 import (
-	"fmt"
-	"sync"
-
 	"clustersoc/internal/dimemas"
 	"clustersoc/internal/network"
 	"clustersoc/internal/runner"
 	"clustersoc/internal/stats"
 	"clustersoc/internal/workloads"
 )
-
-// netModel converts a NIC profile into the DIMEMAS-style replay network.
-func netModel(prof network.Profile) dimemas.NetworkModel {
-	return dimemas.NetworkModel{
-		Name:           prof.Name,
-		Bandwidth:      prof.Throughput,
-		Latency:        prof.Latency,
-		IntraBandwidth: network.MemoryPathBandwidth,
-		IntraLatency:   network.MemoryPathLatency,
-	}
-}
 
 // ScalingCurve is one workload's strong-scaling study (Fig. 5 / Fig. 6).
 type ScalingCurve struct {
@@ -61,8 +47,8 @@ type Scaling struct {
 
 // scalingFor runs the study for a set of workloads. Per workload and
 // size it needs two runs: the 1 GbE measurement (the Fig. 1 scenarios at
-// the shared sweep sizes) and a traced 10 GbE run feeding the
-// DIMEMAS-style replays.
+// the shared sweep sizes) and a traced 10 GbE Replay run, whose result
+// carries the DIMEMAS-style replays of its trace.
 func scalingFor(ws []workloads.Workload, o Options) *Scaling {
 	sizes := append([]int{1}, o.sizes()...)
 	var scenarios []runner.Scenario
@@ -70,71 +56,30 @@ func scalingFor(ws []workloads.Workload, o Options) *Scaling {
 		for _, n := range sizes {
 			traced := tx1Scenario(w, n, network.TenGigE, o.scale())
 			traced.Cluster.Traced = true
+			traced.Replay = true
 			scenarios = append(scenarios, tx1Scenario(w, n, network.GigE, o.scale()), traced)
 		}
 	}
 	res := runAll(o, scenarios)
-	reps := replayAll(res, o.runner().Workers())
 	out := &Scaling{ExtrapolateTo: 64}
 	i := 0
 	for _, w := range ws {
 		c := &ScalingCurve{Workload: w.Name(), Nodes: sizes}
-		for _, n := range sizes {
-			r1, r10, rep := res[2*i], res[2*i+1], reps[i]
+		for range sizes {
+			r1, r10 := res[2*i], res[2*i+1]
 			i++
 			c.Runtime1G = append(c.Runtime1G, r1.Runtime)
 			c.Runtime10G = append(c.Runtime10G, r10.Runtime)
-			if rep.err != nil {
-				// The simulator recorded this trace, so a replay deadlock is
-				// a bug, reported like a failed scenario.
-				panic(fmt.Sprintf("experiments: %s on %d nodes: %v", w.Name(), n, rep.err))
-			}
 			// Decompose's TIdeal is the ideal-network replay.
-			c.IdealNet = append(c.IdealNet, rep.eff.TIdeal)
-			c.IdealLB = append(c.IdealLB, rep.lb)
-			c.Eff = append(c.Eff, rep.eff)
+			c.IdealNet = append(c.IdealNet, r10.Replay.TIdeal)
+			c.IdealLB = append(c.IdealLB, r10.Replay.IdealLB)
+			c.Eff = append(c.Eff, r10.Replay.Efficiency)
 		}
 		c.Fit1G, _ = stats.FitScaling(sizes, c.Runtime1G)
 		c.Fit10G, _ = stats.FitScaling(sizes, c.Runtime10G)
 		out.Curves = append(out.Curves, c)
 	}
 	return out
-}
-
-// replayed is one traced 10 GbE run's DIMEMAS analysis: the efficiency
-// decomposition (whose TIdeal is the ideal-network replay) and the
-// ideal-load-balance replay.
-type replayed struct {
-	eff dimemas.Efficiency
-	lb  float64
-	err error
-}
-
-// replayAll analyses the traced run of every (1 GbE, traced 10 GbE)
-// result pair, on at most workers goroutines. The replays are
-// independent and CPU-bound, so they share the run-plane's bound; each
-// result lands at its pair's index, so the order they finish in cannot
-// show.
-func replayAll(res []runner.Result, workers int) []replayed {
-	reps := make([]replayed, len(res)/2)
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for j := range reps {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(j int) {
-			defer func() { <-sem; wg.Done() }()
-			tr, rep := res[2*j+1].Trace, &reps[j]
-			if rep.eff, rep.err = dimemas.Decompose(tr); rep.err == nil {
-				rep.lb, rep.err = dimemas.Replay(tr, dimemas.Options{
-					Net:              netModel(network.TenGigE),
-					IdealLoadBalance: true,
-				})
-			}
-		}(j)
-	}
-	wg.Wait()
-	return reps
 }
 
 // Fig5 regenerates the GPGPU scalability study (hpl, jacobi, cloverleaf,
@@ -178,12 +123,9 @@ func (s *Scaling) AverageR2() float64 {
 // largest measured size.
 func (s *Scaling) AverageIdealNetGain() float64 {
 	sum := 0.0
-	last := 0
 	for _, c := range s.Curves {
-		last = len(c.Nodes) - 1
-		sum += c.IdealNetGain(last)
+		sum += c.IdealNetGain(len(c.Nodes) - 1)
 	}
-	_ = last
 	return sum / float64(len(s.Curves))
 }
 

@@ -23,6 +23,7 @@ import (
 
 	"clustersoc/internal/cluster"
 	"clustersoc/internal/critpath"
+	"clustersoc/internal/dimemas"
 	"clustersoc/internal/obs"
 	"clustersoc/internal/simcheck"
 	"clustersoc/internal/store"
@@ -52,11 +53,16 @@ type Scenario struct {
 	// (sharing its nodes, network, and DRAM), as the Table IV
 	// CPU+GPU collocation experiment does. Usually empty.
 	Colocated []Job
+	// Replay keeps only the DIMEMAS analysis of the run (Result.Replay),
+	// the numbers the Fig. 5/6 scaling study reads: the run is traced,
+	// analysed on its own NIC, and the trace is dropped before the
+	// result is cached or stored.
+	Replay bool
 }
 
 // Fingerprint returns the canonical cache key: the cluster fingerprint,
-// the workload name, the canonical workload-config key, and any
-// co-scheduled jobs.
+// the workload name, the canonical workload-config key, any co-scheduled
+// jobs, and "|replay" for a Replay scenario.
 func (s Scenario) Fingerprint() string {
 	var b strings.Builder
 	b.WriteString(s.Cluster.Fingerprint())
@@ -66,6 +72,9 @@ func (s Scenario) Fingerprint() string {
 	b.WriteString(s.Config.Key())
 	for _, j := range s.Colocated {
 		fmt.Fprintf(&b, "|co=%s/%d/%s", j.Workload, j.RanksPerNode, j.Config.Key())
+	}
+	if s.Replay {
+		b.WriteString("|replay")
 	}
 	return b.String()
 }
@@ -80,6 +89,10 @@ type Result struct {
 	// throughput of a collocation run is their sum, the way the paper
 	// tallies its simultaneous hpl runs.
 	JobThroughputs []float64
+	// Replay is the DIMEMAS analysis of a Replay scenario's trace: the
+	// efficiency decomposition and the ideal-load-balance replay on the
+	// scenario's NIC. Such a Result carries no Trace.
+	Replay *dimemas.Analysis `json:"replay,omitempty"`
 	// Profile is the scenario's observability snapshot, present only when
 	// it ran with Observers.Profile. It is excluded from JSON so result
 	// artifacts are byte-identical with and without profiling; sidecar
@@ -109,15 +122,16 @@ type Stats struct {
 	// fingerprint is audited at most once per cache lifetime.
 	Audited int
 	// WallSeconds accumulates the host wall time of every executed
-	// simulation (worker-seconds: with N workers busy it advances N times
-	// faster than the clock on the wall).
+	// simulation, a Replay scenario's analysis included (worker-seconds:
+	// with N workers busy it advances N times faster than the clock on
+	// the wall).
 	WallSeconds float64
 	// MaxInFlight is the worker-occupancy high-water mark — the most
 	// simulations that were ever executing at once.
 	MaxInFlight int
 
 	// The Store* fields account the persistent second tier (SetStore);
-	// all four stay zero without one. Like the wall fields they are
+	// all five stay zero without one. Like the wall fields they are
 	// host-side diagnostics — what is on disk varies run to run — and
 	// never enter result artifacts.
 
@@ -136,6 +150,10 @@ type Stats struct {
 	// failed container verification or payload decoding; each was
 	// treated as a miss and repaired by simulate-and-rewrite.
 	StoreCorrupt int
+	// StorePutFailed counts result entries and observer records that
+	// failed to encode or to write. Each leaves its key cold; the result
+	// is still served from the simulation.
+	StorePutFailed int
 }
 
 // Snapshot renders the run-plane accounting as a "runner"-scoped obs
@@ -156,6 +174,7 @@ func (s Stats) Snapshot() obs.Snapshot {
 	sc.Counter("store_miss").Add(float64(s.StoreMisses))
 	sc.Counter("store_write").Add(float64(s.StoreWrites))
 	sc.Counter("store_corrupt").Add(float64(s.StoreCorrupt))
+	sc.Counter("store_put_failed").Add(float64(s.StorePutFailed))
 	return reg.Snapshot()
 }
 
@@ -405,7 +424,9 @@ func (r *Runner) RunAll(scenarios []Scenario) ([]Result, error) {
 // match-time validation is armed before any rank spawns and the finished
 // run is audited; with o.Profile and o.CritPath, the Result carries the
 // profile and the critical-path report. None of them alters the
-// simulation.
+// simulation. A Replay scenario is traced whatever its Cluster.Traced
+// says; its Result carries the analysis of the trace instead of the
+// trace.
 func Execute(s Scenario, o Observers) (Result, error) {
 	start := time.Now()
 	w, err := workloads.ByName(s.Workload)
@@ -416,7 +437,9 @@ func Execute(s Scenario, o Observers) (Result, error) {
 	if o.Profile {
 		reg = obs.NewRegistry()
 	}
-	cl := cluster.New(s.Cluster)
+	cfg := s.Cluster
+	cfg.Traced = cfg.Traced || s.Replay
+	cl := cluster.New(cfg)
 	cl.Instrument(reg)
 	if o.Check {
 		cl.EnableChecking()
@@ -440,6 +463,13 @@ func Execute(s Scenario, o Observers) (Result, error) {
 		if err := simcheck.Error(simcheck.AuditCluster(cl, res.Result)); err != nil {
 			return res, fmt.Errorf("scenario %q on %q failed its audit: %w", s.Workload, s.Cluster.Name, err)
 		}
+	}
+	if s.Replay {
+		a, err := dimemas.Analyze(res.Trace, dimemas.NICModel(s.Cluster.Network))
+		if err != nil {
+			return res, fmt.Errorf("scenario %q on %q: %w", s.Workload, s.Cluster.Name, err)
+		}
+		res.Replay, res.Trace = &a, nil
 	}
 	name := fmt.Sprintf("%s on %s", s.Workload, s.Cluster.Name)
 	if o.CritPath {

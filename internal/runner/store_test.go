@@ -111,6 +111,46 @@ func TestStoreTierRoundTripsTracedRun(t *testing.T) {
 	}
 }
 
+// TestStoreTierServesReplayWithoutTrace pins a Replay scenario's entry:
+// the analysis rides in the JSON head, no trace section follows, and a
+// fresh Runner is served the simulated Result from it.
+func TestStoreTierServesReplayWithoutTrace(t *testing.T) {
+	dir := t.TempDir()
+	sc := tinyScenario("cg", 2, network.TenGigE)
+	sc.Cluster.Traced = true
+	sc.Replay = true
+
+	r1 := New(1)
+	r1.SetStore(openStore(t, dir))
+	want, err := r1.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Replay == nil || want.Trace != nil {
+		t.Fatal("setup: a Replay run must carry its analysis and no trace")
+	}
+	data, err := r1.Store().Peek(sc.Fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.IndexByte(data, '\n') >= 0 {
+		t.Fatal("a Replay entry holds a trace section")
+	}
+
+	r2 := New(1)
+	r2.SetStore(openStore(t, dir))
+	got, out, err := r2.RunTracked(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Source != SourceStore || r2.Stats().Simulated != 0 {
+		t.Fatalf("outcome %+v, stats %+v: want a store hit", out, r2.Stats())
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("stored Replay result differs from the simulated one")
+	}
+}
+
 // mangleEntry rewrites the single *.entry file under dir with mut.
 func mangleEntry(t *testing.T, dir string, mut func([]byte) []byte) {
 	t.Helper()
@@ -158,6 +198,9 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	replayed := tinyScenario("cg", 2, network.GigE)
+	replayed.Cluster.Traced = true
+	replayed.Replay = true
 	profiled := Observers{Profile: true}
 	cases := []struct {
 		name    string
@@ -199,6 +242,29 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 				_, body, _ := bytes.Cut(tail, []byte{'\n'})
 				return append([]byte("some-other-format v2\n"), body...)
 			})
+		}},
+		{"replay head of the wrong type", replayed, Observers{}, func(t *testing.T, _ string, st *store.Store, fp string) {
+			data, err := st.Peek(fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e, res map[string]json.RawMessage
+			if err := json.Unmarshal(data, &e); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(e["result"], &res); err != nil || res["replay"] == nil {
+				t.Fatalf("setup: entry has no replay head (%v)", err)
+			}
+			res["replay"] = json.RawMessage(`"damaged"`)
+			if e["result"], err = json.Marshal(res); err != nil {
+				t.Fatal(err)
+			}
+			if data, err = json.Marshal(e); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put(fp, data); err != nil {
+				t.Fatal(err)
+			}
 		}},
 		{"profile record with a garbage payload", plain, profiled, func(t *testing.T, _ string, st *store.Store, fp string) {
 			if err := st.Put(profileKey+fp, []byte("{this is not json")); err != nil {

@@ -1,10 +1,16 @@
 package runner
 
 import (
+	"bytes"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"clustersoc/internal/cluster"
 	"clustersoc/internal/critpath"
 	"clustersoc/internal/network"
 	"clustersoc/internal/obs"
@@ -60,6 +66,89 @@ func TestTieredRunFallsThroughOnUnwritableStore(t *testing.T) {
 	}
 	if got := st.Counters().Writes; got != 0 {
 		t.Fatalf("store recorded %d writes in read-only mode", got)
+	}
+}
+
+// TestFailedPersistIsCounted is the dropped-write regression: a result
+// entry or observer record that fails to encode or to write must leave
+// the scenario served from its simulation, with no error, and count in
+// StorePutFailed. None of the failures rests on file permissions, which
+// do not bind a root test run.
+func TestFailedPersistIsCounted(t *testing.T) {
+	sc := tinyScenario("cg", 2, network.TenGigE)
+	// occupy seeds dir with sc's entries, then puts an empty directory
+	// where the one whose payload contains marker lives, so renaming a
+	// staged write onto it fails.
+	occupy := func(o Observers, marker string) func(*testing.T, string, *store.Store) {
+		return func(t *testing.T, dir string, _ *store.Store) {
+			seed := New(1)
+			seed.SetStore(openStore(t, dir))
+			seed.SetObservers(o)
+			if _, err := seed.Run(sc); err != nil {
+				t.Fatal(err)
+			}
+			found := 0
+			err := filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
+				if err != nil || !strings.HasSuffix(p, ".entry") {
+					return err
+				}
+				data, err := os.ReadFile(p)
+				if err == nil && bytes.Contains(data, []byte(marker)) {
+					found++
+					if err = os.Remove(p); err == nil {
+						err = os.Mkdir(p, 0o755)
+					}
+				}
+				return err
+			})
+			if err != nil || found != 1 {
+				t.Fatalf("setup: occupied %d entries holding %q (err %v), want 1", found, marker, err)
+			}
+		}
+	}
+	cases := []struct {
+		name  string
+		o     Observers
+		exec  func(Scenario, Observers) (Result, error)
+		setup func(*testing.T, string, *store.Store)
+		// writes is the StoreWrites count: 1 when only a record failed.
+		writes int
+	}{
+		{"read-only store", Observers{}, Execute, func(_ *testing.T, _ string, st *store.Store) { st.SetReadOnly(true) }, 0},
+		{"entry path taken by a directory", Observers{}, Execute, occupy(Observers{}, `"events"`), 0},
+		{"profile record path taken by a directory", Observers{Profile: true}, Execute, occupy(Observers{Profile: true}, `"record"`), 1},
+		{"result JSON cannot encode", Observers{}, func(Scenario, Observers) (Result, error) {
+			return Result{Result: cluster.Result{Runtime: math.Inf(1)}}, nil
+		}, func(*testing.T, string, *store.Store) {}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := openStore(t, dir)
+			tc.setup(t, dir, st)
+			r := New(1)
+			r.exec = tc.exec
+			r.SetStore(st)
+			r.SetObservers(tc.o)
+			got, out, err := r.RunTracked(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Source != SourceSimulated {
+				t.Fatalf("source = %q, want %q", out.Source, SourceSimulated)
+			}
+			stats := r.Stats()
+			if stats.StorePutFailed != 1 || stats.StoreWrites != tc.writes || stats.Simulated != 1 {
+				t.Fatalf("stats %+v: want StorePutFailed 1, StoreWrites %d, Simulated 1", stats, tc.writes)
+			}
+			want, err := tc.exec(sc, tc.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameServed(want, got) {
+				t.Fatal("served result differs from the simulation")
+			}
+		})
 	}
 }
 
@@ -199,14 +288,15 @@ func TestRunTrackedOutcomes(t *testing.T) {
 // TestStatsSnapshotRendersRunnerScope pins the obs rendering /statusz
 // merges with the store's snapshot.
 func TestStatsSnapshotRendersRunnerScope(t *testing.T) {
-	s := Stats{Submitted: 5, Hits: 2, Simulated: 3, StoreHits: 1, MaxInFlight: 2}
+	s := Stats{Submitted: 5, Hits: 2, Simulated: 3, StoreHits: 1, MaxInFlight: 2, StorePutFailed: 4}
 	snap := s.Snapshot()
 	want := map[string]float64{
-		"runner.submitted":     5,
-		"runner.hit":           2,
-		"runner.simulated":     3,
-		"runner.store_hit":     1,
-		"runner.max_in_flight": 2,
+		"runner.submitted":        5,
+		"runner.hit":              2,
+		"runner.simulated":        3,
+		"runner.store_hit":        1,
+		"runner.max_in_flight":    2,
+		"runner.store_put_failed": 4,
 	}
 	for name, v := range want {
 		m, ok := snap.Get(name)
