@@ -159,25 +159,7 @@ func BenchmarkAblationHPLWorkSplit(b *testing.B) {
 	}
 }
 
-// --- Micro-benchmarks on the real numeric kernels -----------------------
-
-func BenchmarkKernelLUFactor(b *testing.B) {
-	n := 128
-	a := kernels.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, float64((i*31+j*17)%97)/97)
-		}
-		a.Set(i, i, a.At(i, i)+float64(n))
-	}
-	b.SetBytes(int64(n * n * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := kernels.Factor(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- Micro-benchmarks on the host kernel and the nn accounting ----------
 
 func BenchmarkKernelJacobiSweep(b *testing.B) {
 	n := 256
@@ -190,75 +172,10 @@ func BenchmarkKernelJacobiSweep(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelFFT2D(b *testing.B) {
-	nx, ny := 128, 128
-	data := make([]complex128, nx*ny)
-	for i := range data {
-		data[i] = complex(float64(i%17), 0)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := kernels.FFT2D(data, nx, ny, i%2 == 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKernelCGHeat2D(b *testing.B) {
-	op := &kernels.HeatOperator2D{NX: 64, NY: 64, Tau: 0.25}
-	rhs := make([]float64, op.Len())
-	for i := range rhs {
-		rhs[i] = 1
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x := make([]float64, op.Len())
-		if _, err := kernels.ConjugateGradient(op, x, rhs, 1e-8, 400); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKernelBucketSort(b *testing.B) {
-	keys := kernels.NewNPBRandom(314159265).Keys(1<<16, 1<<19)
-	b.SetBytes(int64(len(keys) * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kernels.BucketSort(keys, 1<<19, 16)
-	}
-}
-
-func BenchmarkKernelEulerStep(b *testing.B) {
-	s := kernels.NewEulerState(128, 128)
-	s.Energy.Set(64, 64, 10/(s.Gamma-1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step(1e-4, 1.0/128)
-	}
-}
-
-func BenchmarkKernelEP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		kernels.EmbarrassinglyParallel(1<<16, 314159265)
-	}
-}
-
 func BenchmarkNNAlexNetAccounting(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net := nn.AlexNet()
 		b.ReportMetric(net.TotalFLOPs()/1e9, "GFLOP/image")
-	}
-}
-
-func BenchmarkNNGoogleNetForward(b *testing.B) {
-	net := nn.GoogleNet()
-	// Forward a small inception module rather than the full 3 GFLOP graph
-	// per iteration; the full graph is exercised by the nn tests.
-	in := nn.NewTensor(nn.Shape{C: 3, H: 56, W: 56})
-	layer := net.Layers[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		layer.Forward(in)
 	}
 }
 

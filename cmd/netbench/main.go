@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"clustersoc/internal/kernels"
 	"clustersoc/internal/mpi"
@@ -56,6 +57,10 @@ func main() {
 	stream := flag.Bool("stream", false, "also run the real STREAM kernels on this host")
 	rounds := flag.Int("rounds", 1000, "ping-pong rounds")
 	flag.Parse()
+	if *rounds < 1 {
+		fmt.Fprintf(os.Stderr, "netbench: -rounds must be at least 1, got %d\n", *rounds)
+		os.Exit(2)
+	}
 
 	fmt.Println("simulated NIC characterization (the paper's iperf + ping-pong numbers):")
 	for _, prof := range []network.Profile{network.GigE, network.TenGigE} {

@@ -36,6 +36,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "roofline: -net:", err)
 		os.Exit(2)
 	}
+	if *nodes < 1 {
+		fmt.Fprintf(os.Stderr, "roofline: -nodes must be at least 1, got %d\n", *nodes)
+		os.Exit(2)
+	}
+	if !(*scale > 0 && *scale <= 1) {
+		fmt.Fprintf(os.Stderr, "roofline: -scale must be in (0,1], got %g\n", *scale)
+		os.Exit(2)
+	}
+	if *points < 2 {
+		fmt.Fprintf(os.Stderr, "roofline: -points must be at least 2, got %d\n", *points)
+		os.Exit(2)
+	}
+	if *hostN < 1 {
+		fmt.Fprintf(os.Stderr, "roofline: -host-n must be at least 1, got %d\n", *hostN)
+		os.Exit(2)
+	}
 	cfg := core.TX1(*nodes, net)
 	single := *workload == "alexnet" || *workload == "googlenet"
 	m := core.RooflineModel(cfg, single)

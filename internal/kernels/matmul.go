@@ -1,18 +1,15 @@
-// Package kernels implements the numerical algorithms behind the paper's
-// benchmarks (Table I and the NPB suite) as real, tested, parallel Go
-// code: dense LU (hpl), Jacobi relaxation (jacobi), conjugate gradients on
-// heat-equation operators (tealeaf, cg), an explicit compressible-Euler
-// step (cloverleaf), FFTs (ft), bucket sort (is), multigrid (mg), and the
-// embarrassingly-parallel Marsaglia generator (ep).
+// Package kernels holds the numeric kernels that run on the host: the
+// four calibration kernels perf.MeasureHostKernels times for roofline
+// -host (a GEMM, a STREAM triad, a dot product and one Jacobi sweep) and
+// the STREAM set netbench -stream runs. No simulated path executes them.
 //
-// The workload models in internal/workloads derive their FLOP, byte, and
-// message counts from the Count functions here, so the simulated cluster
-// executes the same arithmetic shapes these kernels are verified to have.
+// JacobiSweepFlops and JacobiSweepBytes are the one count shared with
+// the simulator: the jacobi workload model charges them per sweep, and
+// the calibration credits the same count to its timed sweep.
 package kernels
 
 import (
 	"errors"
-	"math"
 	"runtime"
 	"sync"
 )
@@ -28,27 +25,13 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// At returns m[i,j].
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns m[i,j].
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// ParallelFor runs body over [0,n) split into contiguous chunks across
+// parallelFor runs body over [0,n) split into contiguous chunks across
 // the available cores — the standard HPC decomposition, which keeps each
 // worker streaming through adjacent memory. Chunking depends on
 // GOMAXPROCS, so only elementwise or owner-computes work (where each
 // index's result is independent of the partition) may rely on it for
-// deterministic output. Exported for the other numeric packages
-// (internal/nn) to share.
-func ParallelFor(n int, body func(lo, hi int)) {
+// deterministic output.
+func parallelFor(n int, body func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
@@ -80,7 +63,7 @@ func MatMul(a, b *Matrix) (*Matrix, error) {
 	}
 	c := NewMatrix(a.Rows, b.Cols)
 	m, k, n := a.Rows, a.Cols, b.Cols
-	ParallelFor(m, func(lo, hi int) {
+	parallelFor(m, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a.Data[i*k : (i+1)*k]
 			crow := c.Data[i*n : (i+1)*n]
@@ -98,36 +81,6 @@ func MatMul(a, b *Matrix) (*Matrix, error) {
 	return c, nil
 }
 
-// MatVec computes y = a*x.
-func MatVec(a *Matrix, x []float64) ([]float64, error) {
-	if a.Cols != len(x) {
-		return nil, errors.New("kernels: matvec dimension mismatch")
-	}
-	y := make([]float64, a.Rows)
-	Gemv(y, a.Data, x, a.Rows, a.Cols)
-	return y, nil
-}
-
-// Gemv accumulates y += a*x in parallel over rows, for a row-major
-// (m x n) a. Each row's sum starts from y[i] and adds the products in
-// column order, so a caller that preloads y with biases (the nn FC
-// layer) gets bias-first accumulation.
-func Gemv(y, a, x []float64, m, n int) {
-	ParallelFor(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := a[i*n : (i+1)*n]
-			s := y[i]
-			for j, v := range row {
-				s += v * x[j]
-			}
-			y[i] = s
-		}
-	})
-}
-
-// MatMulFlops returns the FLOPs of an (m x k) * (k x n) product.
-func MatMulFlops(m, k, n int) float64 { return 2 * float64(m) * float64(k) * float64(n) }
-
 // Dot returns the inner product of two equal-length vectors, summed
 // sequentially in index order.
 func Dot(a, b []float64) float64 {
@@ -136,20 +89,4 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Axpy computes y += alpha*x in place.
-func Axpy(alpha float64, x, y []float64) {
-	for i := range y {
-		y[i] += alpha * x[i]
-	}
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }

@@ -17,14 +17,14 @@ type StreamResult struct {
 
 // StreamCopy runs c = a.
 func StreamCopy(a, c []float64) {
-	ParallelFor(len(a), func(lo, hi int) {
+	parallelFor(len(a), func(lo, hi int) {
 		copy(c[lo:hi], a[lo:hi])
 	})
 }
 
 // StreamScale runs b = s*c.
 func StreamScale(b, c []float64, s float64) {
-	ParallelFor(len(b), func(lo, hi int) {
+	parallelFor(len(b), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			b[i] = s * c[i]
 		}
@@ -33,7 +33,7 @@ func StreamScale(b, c []float64, s float64) {
 
 // StreamAdd runs c = a + b.
 func StreamAdd(a, b, c []float64) {
-	ParallelFor(len(a), func(lo, hi int) {
+	parallelFor(len(a), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c[i] = a[i] + b[i]
 		}
@@ -41,10 +41,9 @@ func StreamAdd(a, b, c []float64) {
 }
 
 // StreamTriad runs a = b + s*c — the headline STREAM kernel. a may
-// alias c (the CG search-direction update p = r + beta*p): each element
-// is read before it is written.
+// alias c: each element is read before it is written.
 func StreamTriad(a, b, c []float64, s float64) {
-	ParallelFor(len(a), func(lo, hi int) {
+	parallelFor(len(a), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			a[i] = b[i] + s*c[i]
 		}

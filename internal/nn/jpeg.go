@@ -1,61 +1,9 @@
 package nn
 
-import "math"
-
 // The AI pipeline of Sec. IV-B decodes JPEG images on the CPU before the
 // GPU runs the network forward pass — the work that lets the TX1 cluster's
-// larger CPU-core pool beat the Xeon hosts (Fig. 10). This file provides a
-// real 8x8 block (I)DCT — the arithmetic core of JPEG decoding — and the
+// larger CPU-core pool beat the Xeon hosts (Fig. 10). This file holds the
 // cost model the workload charges per image.
-
-// DCT8x8 computes the forward 8x8 type-II DCT of block into out.
-func DCT8x8(block, out *[64]float64) {
-	for u := 0; u < 8; u++ {
-		for v := 0; v < 8; v++ {
-			sum := 0.0
-			for x := 0; x < 8; x++ {
-				for y := 0; y < 8; y++ {
-					sum += block[x*8+y] *
-						math.Cos((2*float64(x)+1)*float64(u)*math.Pi/16) *
-						math.Cos((2*float64(y)+1)*float64(v)*math.Pi/16)
-				}
-			}
-			cu, cv := 1.0, 1.0
-			if u == 0 {
-				cu = 1 / math.Sqrt2
-			}
-			if v == 0 {
-				cv = 1 / math.Sqrt2
-			}
-			out[u*8+v] = 0.25 * cu * cv * sum
-		}
-	}
-}
-
-// IDCT8x8 computes the inverse 8x8 DCT of coef into out; it must invert
-// DCT8x8 exactly (up to rounding).
-func IDCT8x8(coef, out *[64]float64) {
-	for x := 0; x < 8; x++ {
-		for y := 0; y < 8; y++ {
-			sum := 0.0
-			for u := 0; u < 8; u++ {
-				for v := 0; v < 8; v++ {
-					cu, cv := 1.0, 1.0
-					if u == 0 {
-						cu = 1 / math.Sqrt2
-					}
-					if v == 0 {
-						cv = 1 / math.Sqrt2
-					}
-					sum += cu * cv * coef[u*8+v] *
-						math.Cos((2*float64(x)+1)*float64(u)*math.Pi/16) *
-						math.Cos((2*float64(y)+1)*float64(v)*math.Pi/16)
-				}
-			}
-			out[x*8+y] = 0.25 * sum
-		}
-	}
-}
 
 // JPEGDecodeCost models the CPU cost of decoding one baseline JPEG of the
 // given pixel dimensions: entropy decode + dequantize + IDCT + color

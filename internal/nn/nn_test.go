@@ -1,38 +1,19 @@
 package nn
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
-func TestConvShapeAndDirectValue(t *testing.T) {
+func TestConvOutShape(t *testing.T) {
 	// 1-channel 4x4 input, 1 output channel, k=3 s=1 p=1 -> 4x4 out.
-	c := NewConv("c", 1, 3, 1, 1, 1, 5)
-	in := NewTensor(Shape{C: 1, H: 4, W: 4})
-	for i := range in.Data {
-		in.Data[i] = float64(i)
-	}
-	out := c.Forward(in)
-	if out.Shape != (Shape{C: 1, H: 4, W: 4}) {
-		t.Fatalf("shape %v", out.Shape)
-	}
-	// Check one interior value against a direct computation.
-	want := c.bias[0]
-	for kh := 0; kh < 3; kh++ {
-		for kw := 0; kw < 3; kw++ {
-			want += c.weights[kh*3+kw] * in.At(0, 1+kh-1, 1+kw-1)
-		}
-	}
-	if math.Abs(out.At(0, 1, 1)-want) > 1e-12 {
-		t.Fatalf("conv value %v, want %v", out.At(0, 1, 1), want)
+	c := NewConv("c", 1, 3, 1, 1, 1)
+	if got := c.OutShape(Shape{C: 1, H: 4, W: 4}); got != (Shape{C: 1, H: 4, W: 4}) {
+		t.Fatalf("shape %v", got)
 	}
 }
 
 func TestConvGroupsHalveMACs(t *testing.T) {
 	in := Shape{C: 64, H: 16, W: 16}
-	g1 := NewConv("g1", 128, 3, 1, 1, 1, 1)
-	g2 := NewConv("g2", 128, 3, 1, 1, 2, 1)
+	g1 := NewConv("g1", 128, 3, 1, 1, 1)
+	g2 := NewConv("g2", 128, 3, 1, 1, 2)
 	if g2.FLOPs(in) >= g1.FLOPs(in) {
 		t.Fatal("grouped conv should cost less")
 	}
@@ -42,100 +23,32 @@ func TestConvGroupsHalveMACs(t *testing.T) {
 	}
 }
 
-func TestReLU(t *testing.T) {
-	r := &ReLU{"r"}
-	in := NewTensor(Shape{C: 1, H: 1, W: 4})
-	copy(in.Data, []float64{-1, 0, 2, -3})
-	out := r.Forward(in)
-	want := []float64{0, 0, 2, 0}
-	for i := range want {
-		if out.Data[i] != want[i] {
-			t.Fatalf("relu %v", out.Data)
-		}
-	}
-}
-
 func TestMaxPool(t *testing.T) {
 	p := &Pool{Label: "p", K: 2, Stride: 2}
-	in := NewTensor(Shape{C: 1, H: 4, W: 4})
-	for i := range in.Data {
-		in.Data[i] = float64(i)
-	}
-	out := p.Forward(in)
-	if out.Shape.H != 2 || out.Shape.W != 2 {
-		t.Fatalf("pool shape %v", out.Shape)
-	}
-	if out.At(0, 0, 0) != 5 || out.At(0, 1, 1) != 15 {
-		t.Fatalf("pool values %v", out.Data)
+	if got := p.OutShape(Shape{C: 1, H: 4, W: 4}); got.H != 2 || got.W != 2 {
+		t.Fatalf("pool shape %v", got)
 	}
 }
 
 func TestGlobalAveragePool(t *testing.T) {
-	p := &Pool{Label: "g", Global: true, Average: true, K: 3}
-	in := NewTensor(Shape{C: 2, H: 3, W: 3})
-	for i := 0; i < 9; i++ {
-		in.Data[i] = 2            // channel 0
-		in.Data[9+i] = float64(i) // channel 1: mean 4
-	}
-	out := p.Forward(in)
-	if out.Shape != (Shape{C: 2, H: 1, W: 1}) {
-		t.Fatalf("shape %v", out.Shape)
-	}
-	if math.Abs(out.Data[0]-2) > 1e-12 || math.Abs(out.Data[1]-4) > 1e-12 {
-		t.Fatalf("global avg %v", out.Data)
+	p := &Pool{Label: "g", Global: true, K: 3}
+	if got := p.OutShape(Shape{C: 2, H: 3, W: 3}); got != (Shape{C: 2, H: 1, W: 1}) {
+		t.Fatalf("shape %v", got)
 	}
 }
 
-func TestSoftmaxProbabilities(t *testing.T) {
-	s := &Softmax{"s"}
-	f := func(raw [6]int8) bool {
-		in := NewTensor(Shape{C: 6, H: 1, W: 1})
-		for i, v := range raw {
-			in.Data[i] = float64(v) / 16
-		}
-		out := s.Forward(in)
-		sum := 0.0
-		for _, v := range out.Data {
-			if v < 0 || v > 1 {
-				return false
-			}
-			sum += v
-		}
-		return math.Abs(sum-1) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFCMatchesManual(t *testing.T) {
-	fc := NewFC("f", 3, 9)
-	in := NewTensor(Shape{C: 4, H: 1, W: 1})
-	copy(in.Data, []float64{1, 2, 3, 4})
-	out := fc.Forward(in)
-	for o := 0; o < 3; o++ {
-		want := fc.bias[o]
-		for i, v := range in.Data {
-			want += fc.weights[o*4+i] * v
-		}
-		if math.Abs(out.Data[o]-want) > 1e-12 {
-			t.Fatalf("fc output %d: %v want %v", o, out.Data[o], want)
-		}
-	}
-}
-
+// The AlexNet parameter count is the one published for Caffe's
+// bvlc_alexnet.
 func TestAlexNetArchitecture(t *testing.T) {
 	net := AlexNet()
 	if got := net.OutShape(); got != (Shape{C: 1000, H: 1, W: 1}) {
 		t.Fatalf("alexnet output %v", got)
 	}
-	params := net.TotalParams()
-	if params < 58e6 || params > 64e6 {
-		t.Fatalf("alexnet params = %d, want ~61M", params)
+	if params := net.TotalParams(); params != 60965224 {
+		t.Fatalf("alexnet params = %d, want 60965224", params)
 	}
-	fl := net.TotalFLOPs()
-	if fl < 1.2e9 || fl > 1.8e9 {
-		t.Fatalf("alexnet FLOPs = %g, want ~1.45G", fl)
+	if fl := net.TotalFLOPs(); fl != 1456484616 {
+		t.Fatalf("alexnet FLOPs = %.0f, want 1456484616", fl)
 	}
 }
 
@@ -145,12 +58,12 @@ func TestGoogleNetArchitecture(t *testing.T) {
 		t.Fatalf("googlenet output %v", got)
 	}
 	params := net.TotalParams()
-	if params < 5.5e6 || params > 8e6 {
-		t.Fatalf("googlenet params = %d, want ~7M", params)
+	if params != 6998552 {
+		t.Fatalf("googlenet params = %d, want 6998552", params)
 	}
 	fl := net.TotalFLOPs()
-	if fl < 2.5e9 || fl > 4e9 {
-		t.Fatalf("googlenet FLOPs = %g, want ~3.2G", fl)
+	if fl != 3193439464 {
+		t.Fatalf("googlenet FLOPs = %.0f, want 3193439464", fl)
 	}
 	// GoogleNet: more FLOPs than AlexNet but far fewer parameters — the
 	// property that shapes their different cluster behaviour.
@@ -163,65 +76,11 @@ func TestGoogleNetArchitecture(t *testing.T) {
 	}
 }
 
-func TestAlexNetForwardRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full forward pass is slow")
-	}
-	net := AlexNet()
-	in := NewTensor(net.Input)
-	g := lcg(99)
-	for i := range in.Data {
-		in.Data[i] = g.next()
-	}
-	out, err := net.Forward(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for _, v := range out.Data {
-		if v < 0 || math.IsNaN(v) {
-			t.Fatal("invalid probability")
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("probabilities sum to %v", sum)
-	}
-}
-
 func TestInceptionConcat(t *testing.T) {
-	m := inception("i", 4, 2, 6, 2, 3, 5, 1)
-	in := NewTensor(Shape{C: 8, H: 6, W: 6})
-	for i := range in.Data {
-		in.Data[i] = float64(i%13) / 13
-	}
-	out := m.Forward(in)
+	m := inception("i", 4, 2, 6, 2, 3, 5)
 	want := Shape{C: 4 + 6 + 3 + 5, H: 6, W: 6}
-	if out.Shape != want {
-		t.Fatalf("inception out %v, want %v", out.Shape, want)
-	}
-	if m.OutShape(in.Shape) != want {
-		t.Fatal("OutShape disagrees with Forward")
-	}
-}
-
-func TestDCTRoundTripProperty(t *testing.T) {
-	f := func(raw [64]int8) bool {
-		var block, coef, back [64]float64
-		for i, v := range raw {
-			block[i] = float64(v)
-		}
-		DCT8x8(&block, &coef)
-		IDCT8x8(&coef, &back)
-		for i := range block {
-			if math.Abs(block[i]-back[i]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
+	if got := m.OutShape(Shape{C: 8, H: 6, W: 6}); got != want {
+		t.Fatalf("inception out %v, want %v", got, want)
 	}
 }
 

@@ -99,8 +99,8 @@ func MeasureHostKernels(n, trials int) []HostKernel {
 		},
 		{
 			Name:    "jacobi",
-			Flops:   6 * fm,
-			Bytes:   3 * 8 * fm, // read src and f, write dst
+			Flops:   kernels.JacobiSweepFlops(n, n), // the jacobi model's count
+			Bytes:   kernels.JacobiSweepBytes(n, n),
 			Seconds: best(func() { _ = kernels.JacobiStep(grid, src, f, 1.0/fn) }),
 		},
 	}

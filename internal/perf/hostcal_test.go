@@ -1,11 +1,16 @@
 package perf
 
-import "testing"
+import (
+	"testing"
+
+	"clustersoc/internal/kernels"
+)
 
 // Host calibration returns one well-formed entry per kernel. No timing
 // assertions: wall times only need to be positive.
 func TestMeasureHostKernels(t *testing.T) {
-	ks := MeasureHostKernels(48, 1)
+	const n = 48
+	ks := MeasureHostKernels(n, 1)
 	if len(ks) != 4 {
 		t.Fatalf("got %d kernels", len(ks))
 	}
@@ -26,6 +31,16 @@ func TestMeasureHostKernels(t *testing.T) {
 		}
 		if k.OI() <= 0 {
 			t.Errorf("%s: non-positive OI", k.Name)
+		}
+		// The calibration credits its sweep with the count the jacobi
+		// workload model charges.
+		if k.Name == "jacobi" {
+			if want := kernels.JacobiSweepFlops(n, n); k.Flops != want {
+				t.Errorf("jacobi: %v FLOPs, want the sweep count %v", k.Flops, want)
+			}
+			if want := kernels.JacobiSweepBytes(n, n); k.Bytes != want {
+				t.Errorf("jacobi: %v bytes, want the sweep count %v", k.Bytes, want)
+			}
 		}
 	}
 }

@@ -1,21 +1,27 @@
 package workloads
 
-import (
-	"clustersoc/internal/cluster"
-	"clustersoc/internal/kernels"
-)
+import "clustersoc/internal/cluster"
 
 // CloverLeaf models the Table I "cloverleaf" benchmark: the compressible
 // Euler equations advanced explicitly on a 3840^2 staggered grid. Each
-// timestep runs the hydro kernels (the ~130 FLOP/cell cost measured on
-// kernels.EulerState.Step), exchanges halos for the conserved field
-// arrays, and computes the CFL timestep with an allreduce. Its moderate
-// network and DRAM traffic put it in the middle band of Fig. 3: no
-// appreciable speedup from 10 GbE.
+// timestep runs the hydro kernels (an estimated ~130 FLOP/cell, see
+// eulerStepFlopsPerCell), exchanges halos for the conserved field arrays,
+// and computes the CFL timestep with an allreduce. Its moderate network
+// and DRAM traffic put it in the middle band of Fig. 3: no appreciable
+// speedup from 10 GbE.
 type CloverLeaf struct {
 	N     int // cells per side
 	Steps int
 }
+
+// eulerStepFlopsPerCell estimates the FLOPs of one hydro step per cell:
+// four Rusanov fluxes of four components plus the update, about 130
+// FLOPs/cell, the order of cloverleaf's published per-cell cost.
+const eulerStepFlopsPerCell = 130
+
+// eulerFieldCount is the number of conserved field arrays exchanged at
+// halos each step.
+const eulerFieldCount = 4
 
 // NewCloverLeaf returns the paper-sized configuration.
 func NewCloverLeaf() *CloverLeaf { return &CloverLeaf{N: 3840, Steps: 500} }
@@ -30,7 +36,7 @@ func (c *CloverLeaf) Body(cfg Config) func(*cluster.Context) {
 	return func(ctx *cluster.Context) {
 		p, rank := ctx.Size(), ctx.Rank
 		cellsPerRank := float64(c.N) * float64(c.N) / float64(p)
-		flops := kernels.EulerStepFlopsPerCell * cellsPerRank
+		flops := eulerStepFlopsPerCell * cellsPerRank
 		// Several field arrays per cell stream each step: low OI.
 		k := gpuKernel("clover_hydro", flops, 0.18, 0.30, false)
 		imb := imbalance(rank, 0.08)
@@ -39,7 +45,7 @@ func (c *CloverLeaf) Body(cfg Config) func(*cluster.Context) {
 
 		// Halos carry the four conserved fields (and velocities on the
 		// staggered mesh, folded into the field count).
-		halo := kernels.EulerFieldCount * kernels.HaloBytes2D(c.N)
+		halo := eulerFieldCount * haloBytes2D(c.N)
 
 		for s := 0; s < steps; s++ {
 			ctx.Kernel(k)

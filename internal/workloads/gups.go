@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"clustersoc/internal/cluster"
-	"clustersoc/internal/kernels"
 	"clustersoc/internal/soc"
 )
 
@@ -17,6 +16,15 @@ type GUPS struct {
 	Updates       float64
 	Windows       int
 }
+
+// One update, as the CPU model sees it: an almost-certain cache miss (a
+// random 8-byte touch in a multi-megabyte table), a couple of ALU ops,
+// and one hard-to-predict branch in the HPCC generator.
+const (
+	gupsInstrPerUpdate    = 10.0
+	gupsMemAccPerUpdate   = 2.0
+	gupsBranchesPerUpdate = 1.0
+)
 
 // NewGUPS returns the standard configuration: a 2 GiB table and 2^31
 // updates in 16 exchange windows.
@@ -37,12 +45,12 @@ func (g *GUPS) Body(cfg Config) func(*cluster.Context) {
 		perRank := updatesPerWindow / float64(p)
 		tableShare := float64(int64(1)<<g.LogTableBytes) / float64(p)
 		w := soc.CPUWork{
-			Instr: perRank * kernels.GUPSInstrPerUpdate,
+			Instr: perRank * gupsInstrPerUpdate,
 			Flops: perRank, // one xor-update credited per update
 			// The generator's acceptance branch is data-random.
-			Branches:      perRank * kernels.GUPSBranchesPerUpdate,
+			Branches:      perRank * gupsBranchesPerUpdate,
 			BranchEntropy: 0.6,
-			MemAccesses:   perRank * kernels.GUPSMemAccPerUpdate,
+			MemAccesses:   perRank * gupsMemAccPerUpdate,
 			// Every table touch misses: no spatial locality at all.
 			L1MissRate: 0.5,
 			WorkingSet: tableShare,

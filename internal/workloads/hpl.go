@@ -4,18 +4,18 @@ import (
 	"math"
 
 	"clustersoc/internal/cluster"
-	"clustersoc/internal/kernels"
 	"clustersoc/internal/sim"
 	"clustersoc/internal/soc"
 )
 
 // HPL is the Table I "hpl" benchmark: High Performance Linpack solving
-// Ax=b by LU factorization with partial pivoting (the algorithm of
-// kernels.Factor) distributed block-cyclically. Each elimination step
-// factors a column panel on the owner's CPU, broadcasts it, exchanges
-// pivot/U rows, and runs the trailing DGEMM update on the GPU — the
-// structure that makes hpl both the highest-throughput and, on 1 GbE, the
-// most network-limited workload of Table II.
+// Ax=b by LU factorization with partial pivoting, distributed
+// block-cyclically; hplPanelBytes and hplTrailingFlops give its per-step
+// counts in closed form. Each elimination step factors a column panel on
+// the owner's CPU, broadcasts it, exchanges pivot/U rows, and runs the
+// trailing DGEMM update on the GPU — the structure that makes hpl both
+// the highest-throughput and, on 1 GbE, the most network-limited workload
+// of Table II.
 //
 // GPUWorkRatio < 1 reproduces the Fig. 7 experiment: that fraction of the
 // trailing update runs on the GPU and the remainder on one CPU core,
@@ -60,6 +60,27 @@ func panelWork(rows, nb int) soc.CPUWork {
 	}
 }
 
+// hplPanelBytes returns the bytes a panel broadcast moves at elimination
+// step k with block size nb in an n-order problem (the column panel below
+// the diagonal).
+func hplPanelBytes(n, k, nb int) float64 {
+	rows := n - k
+	if rows < 0 {
+		rows = 0
+	}
+	return float64(rows) * float64(nb) * 8
+}
+
+// hplTrailingFlops returns the FLOPs of the trailing DGEMM update at step
+// k with block size nb.
+func hplTrailingFlops(n, k, nb int) float64 {
+	rem := float64(n - k - nb)
+	if rem < 0 {
+		rem = 0
+	}
+	return 2 * rem * rem * float64(nb)
+}
+
 // dgemmCPUWork is the cost of a trailing-update chunk on CPU cores with
 // OpenBLAS-grade blocking (~1.5 GFLOPS per A57 core, as -O3 unturned HPL
 // achieves).
@@ -101,7 +122,7 @@ func (h *HPL) Body(cfg Config) func(*cluster.Context) {
 			step := k / h.NB
 			owner := step % p
 			rows := n - k
-			panelBytes := kernels.HPLPanelBytes(n, k, h.NB)
+			panelBytes := hplPanelBytes(n, k, h.NB)
 
 			if rank == owner {
 				ctx.ComputeParallel(panelWork(rows, h.NB), ctx.Node().CPU.Cores)
@@ -125,7 +146,7 @@ func (h *HPL) Body(cfg Config) func(*cluster.Context) {
 			if pending != nil {
 				ctx.WaitKernel(pending)
 			}
-			trailFlops := kernels.HPLTrailingFlops(n, k, h.NB) / float64(p)
+			trailFlops := hplTrailingFlops(n, k, h.NB) / float64(p)
 			gpuFlops := trailFlops * ratio
 			cpuFlops := trailFlops - gpuFlops
 			pending = ctx.KernelAsync(gpuKernel("hpl_dgemm", gpuFlops, 0.5, 0.55, false))
@@ -175,7 +196,7 @@ func (h *HPLCPU) Body(cfg Config) func(*cluster.Context) {
 			step := k / h.NB
 			owner := step % p
 			rows := n - k
-			panelBytes := kernels.HPLPanelBytes(n, k, h.NB)
+			panelBytes := hplPanelBytes(n, k, h.NB)
 			if rank == owner {
 				ctx.Compute(panelWork(rows, h.NB))
 			}
@@ -186,7 +207,7 @@ func (h *HPLCPU) Body(cfg Config) func(*cluster.Context) {
 				next, prev := (rank+1)%p, (rank-1+p)%p
 				ctx.Sendrecv(next, prev, 600+step, uBytes, uBytes)
 			}
-			trailFlops := kernels.HPLTrailingFlops(n, k, h.NB) / float64(p)
+			trailFlops := hplTrailingFlops(n, k, h.NB) / float64(p)
 			ctx.Compute(dgemmCPUWork(trailFlops))
 			ctx.Checkpoint(float64(n) * float64(n) * 8 / float64(p))
 			ctx.Phase()

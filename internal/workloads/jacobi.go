@@ -25,6 +25,11 @@ func (j *Jacobi) Name() string         { return "jacobi" }
 func (j *Jacobi) GPUAccelerated() bool { return true }
 func (j *Jacobi) RanksPerNode() int    { return 1 }
 
+// haloBytes2D returns the bytes one edge exchange moves for a strip
+// decomposition of an nx-wide subdomain (one row of 8-byte values). The
+// jacobi, tealeaf2d and cloverleaf models share it.
+func haloBytes2D(width int) float64 { return 8 * float64(width) }
+
 // hostDriverWork is the per-iteration CPU cost of driving the GPU and MPI:
 // kernel launches, device synchronizations that fetch reduction results,
 // pointer swaps, and halo pack/unpack. launches counts the kernel-launch +
@@ -50,10 +55,8 @@ func (j *Jacobi) Body(cfg Config) func(*cluster.Context) {
 	return func(ctx *cluster.Context) {
 		p, rank := ctx.Size(), ctx.Rank
 		rows := j.N / p
-		cells := float64(rows) * float64(j.N)
 		flops := kernels.JacobiSweepFlops(rows, j.N) // 6 per cell
-		halo := kernels.HaloBytes2D(j.N)
-		_ = cells
+		halo := haloBytes2D(j.N)
 
 		// Restorable state: this rank's strip of the grid (one copy —
 		// the checkpoint writes the converged-so-far field).

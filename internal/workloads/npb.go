@@ -17,9 +17,8 @@ import (
 // branch predictor and L2 (Sec. IV-A); cg/ft/is/lu are communication- and
 // imbalance-shaped and scale poorly on the cluster (Fig. 6).
 //
-// The kernels behind these models are implemented and verified in
-// internal/kernels: CG (cg), FFT (ft), bucket sort (is), multigrid (mg),
-// Marsaglia pairs (ep), and the stencil/solver building blocks (bt/sp/lu).
+// Each model's work volume is the benchmark's published class C total
+// (the flops field); no kernel is executed or counted.
 type npb struct {
 	name  string
 	flops float64 // total class C useful FLOPs (ops for is)
@@ -145,10 +144,10 @@ func npbMG() *npb {
 	return w
 }
 
-// npbEP: 2^32 Marsaglia pairs (kernels.EmbarrassinglyParallel), almost no
-// communication — the control case for the network experiments — but the
-// data-dependent rejection branch and the tally tables give it the
-// suite's highest L2 miss ratio on the ThunderX (Sec. IV-A).
+// npbEP: 2^32 Marsaglia pairs, almost no communication — the control
+// case for the network experiments — but the data-dependent rejection
+// branch and the tally tables give it the suite's highest L2 miss ratio
+// on the ThunderX (Sec. IV-A).
 func npbEP() *npb {
 	w := &npb{
 		name: "ep", flops: 1.3e11, iters: 16,
@@ -162,10 +161,10 @@ func npbEP() *npb {
 	return w
 }
 
-// npbCG: conjugate gradients on a 150000-row random sparse matrix
-// (kernels.RandomSPD): per inner iteration two latency-bound dot-product
-// allreduces plus large irregular vector exchanges — the network and
-// load-imbalance profile that makes cg favour the single-box Cavium.
+// npbCG: conjugate gradients on a 150000-row random sparse matrix: per
+// inner iteration two latency-bound dot-product allreduces plus large
+// irregular vector exchanges — the network and load-imbalance profile
+// that makes cg favour the single-box Cavium.
 func npbCG() *npb {
 	w := &npb{
 		name: "cg", flops: 1.6e11, iters: 75, // outer iterations
@@ -198,7 +197,7 @@ func npbCG() *npb {
 	return w
 }
 
-// npbFT: 512^3 spectral solver (kernels.FFT2D's transpose structure): one
+// npbFT: 512^3 spectral solver with a transpose-based 3D FFT: one
 // full-volume all-to-all per iteration — the most network-bound workload
 // of the suite, with the biggest 10 GbE gain in Fig. 1.
 func npbFT() *npb {
@@ -219,9 +218,8 @@ func npbFT() *npb {
 	return w
 }
 
-// npbIS: 2^27-key integer bucket sort (kernels.BucketSort): the key
-// scatter is an all-to-all of the entire dataset every iteration; very
-// little arithmetic.
+// npbIS: 2^27-key integer bucket sort: the key scatter is an all-to-all
+// of the entire dataset every iteration; very little arithmetic.
 func npbIS() *npb {
 	w := &npb{
 		name: "is", flops: 3.5e10, iters: 10, // "ops": integer work

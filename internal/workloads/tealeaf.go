@@ -1,15 +1,12 @@
 package workloads
 
-import (
-	"clustersoc/internal/cluster"
-	"clustersoc/internal/kernels"
-)
+import "clustersoc/internal/cluster"
 
 // TeaLeaf models the Table I tealeaf2d/tealeaf3d benchmarks: the linear
-// heat-conduction equation solved implicitly with the conjugate-gradient
-// solver of kernels.ConjugateGradient on a 5-point (2D) or 7-point (3D)
-// operator. Each CG iteration launches stencil/vector kernels, exchanges
-// halos, and runs two scalar allreduces (the dot products) — the
+// heat-conduction equation solved implicitly with conjugate gradients on
+// a 5-point (2D) or 7-point (3D) operator, with the per-cell counts
+// written out in Body. Each CG iteration launches stencil/vector kernels,
+// exchanges halos, and runs two scalar allreduces (the dot products) — the
 // allreduce-per-iteration pattern that makes tealeaf latency-sensitive,
 // and in 3D the large faces make it bandwidth-hungry too, which is why
 // tealeaf3d is network-limited on 1 GbE (Table II) and among the biggest
@@ -46,7 +43,7 @@ func (t *TeaLeaf) Body(cfg Config) func(*cluster.Context) {
 		// One CG iteration: operator apply (7 or 9 FLOPs/cell), two dots
 		// (4 FLOPs/cell), three axpys (6 FLOPs/cell).
 		opFlops := 9.0
-		haloBytes := kernels.HaloBytes2D(t.NX) // 2D: one row
+		haloBytes := haloBytes2D(t.NX) // 2D: one row
 		oi := 0.22
 		if t.NZ > 1 {
 			opFlops = 11

@@ -1,8 +1,10 @@
 // Package workloads models the paper's benchmarks (Table I and the NPB
 // suite) as per-rank programs against the cluster simulation API. Each
-// model's FLOP, byte, halo, and collective schedule follows the real
-// algorithm implemented and verified in internal/kernels and internal/nn;
-// microarchitectural characteristics (branch entropy, locality, working
+// model owns its counts: the NPB models charge the published class C
+// totals; hpl, gups and cloverleaf closed-form counts in their own files;
+// jacobi kernels.JacobiSweepFlops, the count the host calibration also
+// credits; and caffe the graph accounting of internal/nn.
+// Microarchitectural characteristics (branch entropy, locality, working
 // sets) are fixed per workload and documented inline.
 package workloads
 

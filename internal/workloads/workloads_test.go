@@ -105,6 +105,29 @@ func TestHPLScaledN(t *testing.T) {
 	}
 }
 
+func TestHPLFlopCounts(t *testing.T) {
+	// Known answers at n=512, k=0, nb=32: 2*480^2*32 FLOPs of trailing
+	// update and a 512x32 panel of 8-byte values.
+	if got := hplTrailingFlops(512, 0, 32); got != 14745600 {
+		t.Errorf("hplTrailingFlops(512, 0, 32) = %v, want 14745600", got)
+	}
+	if got := hplPanelBytes(512, 0, 32); got != 131072 {
+		t.Errorf("hplPanelBytes(512, 0, 32) = %v, want 131072", got)
+	}
+	// The trailing updates carry most, but not all, of the canonical hpl
+	// count 2/3 n^3 + 2 n^2.
+	n, nb := 512, 32
+	fn := float64(n)
+	canonical := 2.0/3.0*fn*fn*fn + 2*fn*fn
+	total := 0.0
+	for k := 0; k < n; k += nb {
+		total += hplTrailingFlops(n, k, nb)
+	}
+	if total > canonical || total < 0.5*canonical {
+		t.Errorf("trailing updates sum %v vs canonical %v", total, canonical)
+	}
+}
+
 func TestFig7RatioReducesThroughput(t *testing.T) {
 	w, _ := ByName("hpl")
 	cfg := cluster.TX1Cluster(2, network.TenGigE)
