@@ -50,6 +50,14 @@ func main() {
 		reqWarm   = flag.Bool("require-warm", false, "exit 1 if any response was freshly simulated")
 	)
 	flag.Parse()
+	switch {
+	case *clients < 1:
+		usageError("-clients must be at least 1, got %d", *clients)
+	case *batchSize < 1:
+		usageError("-batch must be at least 1, got %d", *batchSize)
+	case *duration <= 0:
+		usageError("-duration must be positive, got %s", *duration)
+	}
 
 	deck := buildDeck(*workloads, *sizes, *netName, *scale)
 	if len(deck) == 0 {
@@ -81,10 +89,21 @@ func main() {
 	if agg.errs > 0 {
 		os.Exit(1)
 	}
+	if len(agg.latencies) == 0 {
+		// A run that observed nothing proves nothing, warm path included.
+		fmt.Fprintln(os.Stderr, "simload: no response line arrived")
+		os.Exit(1)
+	}
 	if *reqWarm && agg.counts[runner.SourceSimulated] > 0 {
 		fmt.Fprintf(os.Stderr, "simload: -require-warm: %d responses were freshly simulated\n", agg.counts[runner.SourceSimulated])
 		os.Exit(1)
 	}
+}
+
+// usageError reports a bad flag value and exits 2, as flag.Parse does.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "simload: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // buildDeck expands the workload x size grid into the request cycle.

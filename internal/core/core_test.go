@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"clustersoc/internal/cluster"
+	"clustersoc/internal/network"
 	"clustersoc/internal/roofline"
+	"clustersoc/internal/workloads"
 )
 
 func TestRunByName(t *testing.T) {
@@ -25,6 +28,28 @@ func TestRunByName(t *testing.T) {
 	}
 	// NPB on the Cavium works.
 	if _, err := Run(Cavium(), "ep", 0.02); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The AI workloads fetch every image batch from the NFS file server, so
+// a cluster without one is refused up front with an error naming it,
+// instead of panicking inside the simulation.
+func TestNFSWorkloadsNeedFileServer(t *testing.T) {
+	bare := cluster.TX1Cluster(2, network.TenGigE)
+	for _, w := range []string{"alexnet", "googlenet"} {
+		if _, err := Run(bare, w, 0.01); err == nil || !strings.Contains(err.Error(), "file server") {
+			t.Errorf("Run(%s) without a file server: err = %v, want one naming the file server", w, err)
+		}
+		if _, err := NewScenario(bare, w, workloads.Config{Scale: 0.01}); err == nil {
+			t.Errorf("NewScenario(%s) accepted a cluster without a file server", w)
+		}
+		if _, err := Run(TX1(2, TenGigE), w, 0.01); err != nil {
+			t.Errorf("Run(%s) with the file server: %v", w, err)
+		}
+	}
+	// A GPU workload that reads nothing over NFS needs no file server.
+	if _, err := Run(bare, "jacobi", 0.01); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -37,7 +37,8 @@ func (s *Session) Stats() runner.Stats { return s.r.Stats() }
 
 // NewScenario validates and normalizes a run request into the canonical
 // runner.Scenario exactly the way Session.Run does: the workload must be
-// registered, GPU workloads require a GPU, RanksPerNode is derived from
+// registered, GPU workloads require a GPU, workloads that fetch their
+// input over NFS require the file server, RanksPerNode is derived from
 // the workload (clamped by the node's core count), and the result must
 // have at least one node and one rank per node. Front ends that
 // accept serialized requests (cmd/simd) resolve through this so their
@@ -54,6 +55,9 @@ func scenario(cfg cluster.Config, workload string, wcfg workloads.Config) (runne
 	}
 	if w.GPUAccelerated() && cfg.NodeType.GPU == nil {
 		return runner.Scenario{}, fmt.Errorf("core: workload %s needs a GPU; %s has none", workload, cfg.Name)
+	}
+	if workloads.FetchesInput(w) && !cfg.FileServer {
+		return runner.Scenario{}, fmt.Errorf("core: workload %s fetches its input from an NFS file server; %s has none (set FileServer)", workload, cfg.Name)
 	}
 	cfg.RanksPerNode = w.RanksPerNode()
 	if cfg.NodeType.CPU.Cores < cfg.RanksPerNode {

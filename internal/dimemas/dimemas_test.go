@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"clustersoc/internal/cluster"
 	"clustersoc/internal/mpi"
@@ -161,18 +162,99 @@ func TestDecompositionIdentity(t *testing.T) {
 	}
 }
 
-func TestPhaseChopping(t *testing.T) {
-	tr := traceRun(3, network.TenGigE, ringWorkload(0.01, 4, 1000, balanced))
-	phases := tr.Phases()
-	// 4 phase markers => 5 entries (last is the empty tail).
-	if len(phases) != 5 {
-		t.Fatalf("got %d phases, want 5", len(phases))
+// TestPhases pins the phase chopper the ideal-load-balance replay runs:
+// phase markers split each rank's compute into phases (3 marked phases
+// plus the empty tail here), and each rank's compute in a phase is
+// scaled to the phase mean.
+func TestPhases(t *testing.T) {
+	tr := trace.New([]int{0, 1})
+	for it := 0; it < 3; it++ {
+		tr.RecordCompute(0, 1, float64(it))
+		tr.RecordCompute(1, 2, float64(it))
+		tr.RecordPhase(0, float64(it)+1)
+		tr.RecordPhase(1, float64(it)+1)
 	}
-	for ph := 0; ph < 4; ph++ {
-		for r, v := range phases[ph] {
-			if math.Abs(v-0.01) > 1e-9 {
-				t.Fatalf("phase %d rank %d compute = %v, want 0.01", ph, r, v)
+	scale := computeScales(&tr.T, true)
+	if len(scale) != 2 || len(scale[0]) != 4 || len(scale[1]) != 4 {
+		t.Fatalf("scales %v: want 2 ranks x 4 phases", scale)
+	}
+	for ph := 0; ph < 3; ph++ {
+		if scale[0][ph] != 1.5 || scale[1][ph] != 0.75 {
+			t.Fatalf("phase %d scales %v, %v; want 1.5 and 0.75 (mean 1.5 s over 1 s and 2 s)",
+				ph, scale[0][ph], scale[1][ph])
+		}
+	}
+	if scale[0][3] != 1 || scale[1][3] != 1 {
+		t.Fatalf("empty tail scales %v, %v; want 1", scale[0][3], scale[1][3])
+	}
+	if computeScales(&tr.T, false) != nil {
+		t.Fatal("without ideal load balance every factor is 1, so no scales are due")
+	}
+}
+
+// Property: for any op sequence, phases hold compute only (copies are
+// not rescaled), every rank's scaled compute in a phase is the phase
+// mean, and so scaling conserves each phase's total compute.
+func TestPhaseConservationProperty(t *testing.T) {
+	f := func(durRaw []uint8) bool {
+		tr := trace.New([]int{0, 1})
+		comp := [][]float64{{0}, {0}} // per rank, per phase
+		for i, d := range durRaw {
+			durs := [2]float64{float64(d)/10 + 0.1, float64(255-d)/10 + 0.1}
+			for r, dur := range durs {
+				tr.RecordCompute(r, dur, 0)
+				tr.RecordCopy(r, float64(d)/20+0.1, 0)
+				comp[r][len(comp[r])-1] += dur
+				if i%3 == 2 {
+					tr.RecordPhase(r, 0)
+					comp[r] = append(comp[r], 0)
+				}
 			}
+		}
+		scale := computeScales(&tr.T, true)
+		if len(scale[0]) != len(comp[0]) || len(scale[1]) != len(comp[1]) {
+			return false
+		}
+		for ph := range comp[0] {
+			mean := (comp[0][ph] + comp[1][ph]) / 2
+			total := 0.0
+			for r := range comp {
+				scaled := scale[r][ph] * comp[r][ph]
+				if math.Abs(scaled-mean) > 1e-9*(1+mean) {
+					return false
+				}
+				total += scaled
+			}
+			if math.Abs(total-2*mean) > 1e-9*(1+mean) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPhaseChopping runs the chopper on a simulated trace: 4 phase
+// markers give 5 phases per rank (the last one the empty tail), and
+// each rank's skewed compute is scaled to the phase mean.
+func TestPhaseChopping(t *testing.T) {
+	skew := func(r int) float64 { return 1 + 0.5*float64(r) }
+	tr := traceRun(3, network.TenGigE, ringWorkload(0.01, 4, 1000, skew))
+	scale := computeScales(tr, true)
+	mean := (skew(0) + skew(1) + skew(2)) / 3
+	for r, s := range scale {
+		if len(s) != 5 {
+			t.Fatalf("rank %d has %d phases, want 5", r, len(s))
+		}
+		for ph := 0; ph < 4; ph++ {
+			if want := mean / skew(r); math.Abs(s[ph]-want) > 1e-9 {
+				t.Fatalf("phase %d rank %d scale = %v, want %v", ph, r, s[ph], want)
+			}
+		}
+		if s[4] != 1 {
+			t.Fatalf("rank %d empty tail scale = %v, want 1", r, s[4])
 		}
 	}
 }

@@ -15,7 +15,6 @@ package roofline
 
 import (
 	"math"
-	"sort"
 )
 
 // Limit identifies which roof binds a workload.
@@ -161,9 +160,4 @@ func (m Model) NetworkCeiling(ni float64) float64 {
 		return m.PeakFlops
 	}
 	return math.Min(m.PeakFlops, m.NetBandwidth*ni)
-}
-
-// SortAnalyses orders Table II rows by name for stable output.
-func SortAnalyses(rows []Analysis) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 }

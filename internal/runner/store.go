@@ -1,10 +1,11 @@
 // The persistent second cache tier: under the in-memory fingerprint map
 // sits an optional content-addressed on-disk store (internal/store).
 // Results are bit-deterministic, so a stored entry is valid forever — a
-// warm store turns full artifact regeneration into pure decode, and the
-// store's per-key lock files extend the run-plane's singleflight across
-// processes: N concurrent sweeps of one scenario grid simulate each
-// scenario once between them.
+// warm store turns full artifact regeneration into pure decode, and
+// store.Lock extends the run-plane's singleflight across processes: N
+// concurrent sweeps of one scenario grid simulate each scenario once
+// between them. The store owns the lock policy; a lock it does not
+// grant, for whatever reason, means simulating without one.
 package runner
 
 import (
@@ -12,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"clustersoc/internal/critpath"
 	"clustersoc/internal/obs"
@@ -158,62 +158,25 @@ func decodeRecord[T any](data []byte, fp string) (*T, error) {
 // served from the store only when the corresponding record is stored
 // too, and an execution forced by a missing record persists it.
 func (r *Runner) runTiered(s Scenario, fp string, st *store.Store, o Observers) (Result, string, error) {
-	var release func()
 	if st != nil {
 		if res, ok := r.tryLoad(st, fp, o, false); ok {
 			return res, SourceStore, nil
 		}
-		// Cross-process singleflight: take the key's lock, or wait for
-		// the holder and decode the entry it persisted (holders persist
-		// before releasing, so a clean release means the entry is there).
-		// Both the wait and the stale-steal inside TryLock are bounded —
-		// worst case we simulate without the lock, which is merely
-		// duplicated work installing identical bytes. Re-checks after
-		// waiting or winning the lock are quiet so one submission counts
-		// at most one store miss.
-		//
-		// The loop itself consults the deadline: TryLock can fail without
-		// leaving a lock file on disk (read-only or full store directory,
-		// a store in read-only mode), in which case WaitUnlocked returns
-		// true immediately and the load keeps missing — without the
-		// deadline check (and the no-holder fast path below) that spun
-		// forever.
-		deadline := time.Now().Add(st.LockWait())
-		for release == nil {
-			rel, ok := st.TryLock(fp)
-			if ok {
-				release = rel
-				// Another process may have persisted and released between
-				// our first load and the lock; serve that entry.
-				if res, ok := r.tryLoad(st, fp, o, true); ok {
-					release()
-					return res, SourceStore, nil
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				break // out of patience: simulate without the lock
-			}
-			if !st.WaitUnlocked(fp, deadline) {
-				break // stuck or stale holder: simulate without the lock
-			}
+		// Cross-process singleflight: Lock may return after another
+		// holder persisted the entry, so re-check quietly (one submission
+		// counts at most one store miss); otherwise simulate and persist
+		// before the deferred release. Without the lock (timed out or
+		// refused) simulate anyway: duplicated work, identical bytes.
+		if release, err := st.Lock(fp); err == nil {
+			defer release()
 			if res, ok := r.tryLoad(st, fp, o, true); ok {
 				return res, SourceStore, nil
-			}
-			if !st.Locked(fp) {
-				// TryLock failed, yet no lock file exists and there is no
-				// entry to serve: the filesystem is refusing locks, and
-				// there is no holder to wait for. Simulate without one.
-				break
 			}
 		}
 	}
 	res, err := r.executeCounted(s, o)
 	if err == nil && st != nil {
 		r.persist(st, fp, res)
-	}
-	if release != nil {
-		release()
 	}
 	return res, SourceSimulated, err
 }

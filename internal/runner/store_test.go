@@ -18,15 +18,13 @@ import (
 	"clustersoc/internal/workloads"
 )
 
-// openStore opens a fresh (or shared) store for tests, with polling fast
-// enough that singleflight waits resolve in milliseconds.
+// openStore opens a fresh (or shared) store for tests.
 func openStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
 	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetPollInterval(time.Millisecond)
 	return st
 }
 

@@ -17,24 +17,44 @@ import (
 	"clustersoc/internal/store"
 )
 
-// TestTieredRunFallsThroughOnUnwritableStore is the busy-spin
-// regression: when TryLock persistently fails with no lock file on disk
-// (a read-only or full store directory — modeled here by the store's
-// read-only mode, which declines lock creation exactly the way EROFS
-// does), WaitUnlocked returns true immediately and the load keeps
-// missing. Before the fix, the `for release == nil` loop retried that
-// cycle forever without consulting the deadline; now it detects that
-// there is no holder to wait for and falls through to simulation.
-func TestTieredRunFallsThroughOnUnwritableStore(t *testing.T) {
-	st := openStore(t, t.TempDir())
-	st.SetReadOnly(true)
-	// A generous lock wait: the fix must not even burn this much — the
-	// no-holder fast path breaks out on the first cycle.
-	st.SetLockWait(time.Minute)
+// blockShard puts a regular file where key's shard directory goes in
+// the store at dir, so every create under it (lock file, staged entry)
+// fails with ENOTDIR: the way a read-only or full store refuses writes,
+// and unlike file modes, binding a root test run too.
+func blockShard(t *testing.T, dir, key string) {
+	t.Helper()
+	if err := openStore(t, dir).Put(key, nil); err != nil {
+		t.Fatal(err)
+	}
+	var shard string
+	err := filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
+		if err == nil && strings.HasSuffix(p, ".entry") {
+			shard = filepath.Dir(p)
+		}
+		return err
+	})
+	if err == nil {
+		err = os.RemoveAll(shard)
+	}
+	if err == nil {
+		err = os.WriteFile(shard, nil, 0o644)
+	}
+	if err != nil || shard == "" {
+		t.Fatalf("setup: blocking the shard of %q: %v", key, err)
+	}
+}
 
+// TestTieredRunFallsThroughOnUnwritableStore is the busy-spin
+// regression: on a store that cannot create a lock file there is no
+// holder to wait for, so the run must simulate at once, neither spinning
+// nor waiting out the lock bound, and count the write it could not make.
+func TestTieredRunFallsThroughOnUnwritableStore(t *testing.T) {
+	dir := t.TempDir()
+	sc := tinyScenario("cg", 2, network.TenGigE)
+	blockShard(t, dir, sc.Fingerprint())
+	st := openStore(t, dir)
 	r := New(1)
 	r.SetStore(st)
-	sc := tinyScenario("cg", 2, network.TenGigE)
 
 	type outcome struct {
 		res Result
@@ -55,17 +75,14 @@ func TestTieredRunFallsThroughOnUnwritableStore(t *testing.T) {
 			t.Fatalf("source = %q, want %q", o.out.Source, SourceSimulated)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("Run spun on the unwritable store instead of falling through to simulation")
+		t.Fatal("Run waited on the unwritable store instead of falling through to simulation")
 	}
 	stats := r.Stats()
-	if stats.Simulated != 1 {
-		t.Fatalf("Simulated = %d, want 1", stats.Simulated)
-	}
-	if stats.StoreWrites != 0 {
-		t.Fatalf("StoreWrites = %d on a read-only store, want 0", stats.StoreWrites)
+	if stats.Simulated != 1 || stats.StorePutFailed != 1 || stats.StoreWrites != 0 {
+		t.Fatalf("stats %+v: want Simulated 1, StorePutFailed 1, StoreWrites 0", stats)
 	}
 	if got := st.Counters().Writes; got != 0 {
-		t.Fatalf("store recorded %d writes in read-only mode", got)
+		t.Fatalf("store recorded %d writes on an unwritable store", got)
 	}
 }
 
@@ -114,7 +131,7 @@ func TestFailedPersistIsCounted(t *testing.T) {
 		// writes is the StoreWrites count: 1 when only a record failed.
 		writes int
 	}{
-		{"read-only store", Observers{}, Execute, func(_ *testing.T, _ string, st *store.Store) { st.SetReadOnly(true) }, 0},
+		{"read-only store", Observers{}, Execute, func(t *testing.T, dir string, _ *store.Store) { blockShard(t, dir, sc.Fingerprint()) }, 0},
 		{"entry path taken by a directory", Observers{}, Execute, occupy(Observers{}, `"events"`), 0},
 		{"profile record path taken by a directory", Observers{Profile: true}, Execute, occupy(Observers{Profile: true}, `"record"`), 1},
 		{"result JSON cannot encode", Observers{}, func(Scenario, Observers) (Result, error) {

@@ -216,9 +216,6 @@ func (r *Resource) Release(e *Engine) {
 	r.inUse--
 }
 
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 // BusyTime returns accumulated unit-seconds of utilization up to t.
 func (r *Resource) BusyTime(e *Engine) float64 {
 	r.account(e)

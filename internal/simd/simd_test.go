@@ -417,8 +417,19 @@ var validationCases = []struct {
 	{"negative nodes", `{"requests":[{"workload":"cg","nodes":-1}]}`, http.StatusBadRequest},
 	{"zero-node cluster", `{"requests":[{"workload":"ep","cluster":{"Name":"x","Nodes":0}}]}`, http.StatusBadRequest},
 	{"zero-core cluster", `{"requests":[{"workload":"ep","cluster":{"Name":"x","Nodes":2,"NodeType":{"CPU":{"Cores":0}}}}]}`, http.StatusBadRequest},
+	{"nfs workload without a file server", `{"requests":[{"workload":"alexnet","scale":0.01,"cluster":` + bareTX1 + `}]}`, http.StatusBadRequest},
 	{"oversized batch", `{"requests":[{"workload":"cg"},{"workload":"mg"},{"workload":"ft"}]}`, http.StatusRequestEntityTooLarge},
 }
+
+// bareTX1 is cluster.TX1Cluster(2, network.TenGigE) as JSON: a GPU
+// cluster without the NFS file server the AI workloads fetch images from.
+var bareTX1 = func() string {
+	b, err := json.Marshal(cluster.TX1Cluster(2, network.TenGigE))
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
+}()
 
 // unclockedBody asks for a custom cluster whose CPUs have no clock rate:
 // it resolves and simulates, but to a +Inf runtime JSON cannot encode.
@@ -470,8 +481,9 @@ func TestUnencodableResultStreamsErrorLine(t *testing.T) {
 
 // FuzzResolve decodes arbitrary bodies the way POST /simulate does and
 // resolves every request: Resolve must never panic, an accepted scenario
-// must be buildable (at least one node and one rank per node), and
-// resolution must be deterministic.
+// must be buildable (at least one node and one rank per node, and the
+// file server when its workload fetches input over NFS), and resolution
+// must be deterministic.
 func FuzzResolve(f *testing.F) {
 	for _, tc := range validationCases {
 		f.Add([]byte(tc.body))
@@ -490,6 +502,11 @@ func FuzzResolve(f *testing.F) {
 			if sc.Cluster.Nodes < 1 || sc.Cluster.RanksPerNode < 1 {
 				t.Fatalf("request %d accepted with %d node(s) x %d rank(s) per node",
 					i, sc.Cluster.Nodes, sc.Cluster.RanksPerNode)
+			}
+			if w, err := workloads.ByName(sc.Workload); err != nil {
+				t.Fatalf("request %d accepted an unknown workload: %v", i, err)
+			} else if workloads.FetchesInput(w) && !sc.Cluster.FileServer {
+				t.Fatalf("request %d: %s accepted on a cluster without the file server", i, sc.Workload)
 			}
 			again, err := q.Resolve()
 			if err != nil {

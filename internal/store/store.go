@@ -20,14 +20,18 @@
 //     as a miss, re-simulate, and rewrite. A damaged store degrades to a
 //     cold one; it never serves wrong bytes.
 //
-//   - Cross-process singleflight. TryLock/WaitUnlocked implement a
-//     per-key lock-file protocol (O_CREATE|O_EXCL) so N processes
-//     sweeping the same scenario grid simulate each scenario once: the
-//     first locks and simulates, the rest wait and decode its entry. The
-//     lock is purely an optimization — a crashed holder's stale lock is
-//     stolen after StaleLockAfter, and a waiter that outlives LockWait
-//     simulates without the lock, which is always correct because writes
-//     are atomic and deterministic entries are interchangeable.
+//   - Cross-process singleflight. Lock takes a per-key lock file
+//     (O_CREATE|O_EXCL) so N processes sweeping the same scenario grid
+//     simulate each scenario once: the first locks, simulates and
+//     persists; the rest wait in Lock, then find its entry. The lock is
+//     purely an optimization, so every way of not getting it is bounded
+//     and leaves the caller free to simulate without it: a crashed
+//     holder's lock is stolen once it is older than the stale window, a
+//     wait on a live holder ends in ErrLockTimeout, and a store that
+//     cannot create the lock file (read-only, full) refuses at once,
+//     because there is nobody to wait for. Simulating without the lock is
+//     always correct: writes are atomic and every writer of a key
+//     installs the same bytes.
 //
 // The store's counters (hits, misses, writes, corrupt) are process-level
 // host-side accounting: non-deterministic by nature (they depend on what
@@ -62,9 +66,20 @@ var ErrMiss = errors.New("store: entry not present")
 // Callers treat it as a miss and rewrite it.
 var ErrCorrupt = errors.New("store: entry corrupt")
 
-// ErrReadOnly reports a mutation declined by a read-only store
-// (SetReadOnly): the entry was not written, the disk is untouched.
-var ErrReadOnly = errors.New("store: read-only")
+// ErrLockTimeout reports a Lock that waited out its bound on a live
+// holder. Callers proceed without the lock: duplicated work, same bytes.
+var ErrLockTimeout = errors.New("store: timed out waiting for a key lock")
+
+// The lock protocol's bounds: how long Lock waits on a live holder, how
+// often it retries, and the age past which a lock file is presumed
+// abandoned by a dead process and is stolen. lockWait is a variable only
+// so a test can wait it out.
+var lockWait = 60 * time.Second
+
+const (
+	pollInterval   = 10 * time.Millisecond
+	staleLockAfter = 10 * time.Minute
+)
 
 // Counters is a snapshot of the store's accounting.
 type Counters struct {
@@ -86,15 +101,6 @@ type Store struct {
 	dir    string
 	schema int
 
-	// The lock-protocol knobs are atomic durations (nanoseconds): the
-	// Set* methods may be called while other goroutines are inside
-	// TryLock/WaitUnlocked — a long-running server reconfiguring a Store
-	// shared across request goroutines — and plain fields would race.
-	lockWait   atomic.Int64
-	poll       atomic.Int64
-	staleAfter atomic.Int64
-	readOnly   atomic.Bool
-
 	hits    atomic.Uint64
 	misses  atomic.Uint64
 	writes  atomic.Uint64
@@ -113,11 +119,7 @@ func Open(dir string, schema int) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, schema: schema}
-	s.lockWait.Store(int64(60 * time.Second))
-	s.poll.Store(int64(10 * time.Millisecond))
-	s.staleAfter.Store(int64(10 * time.Minute))
-	return s, nil
+	return &Store{dir: dir, schema: schema}, nil
 }
 
 // Dir returns the store's root directory.
@@ -125,42 +127,6 @@ func (s *Store) Dir() string { return s.dir }
 
 // Schema returns the payload schema version the store addresses with.
 func (s *Store) Schema() int { return s.schema }
-
-// LockWait returns how long a caller should wait on another process's
-// per-key lock before giving up and simulating without it.
-func (s *Store) LockWait() time.Duration { return time.Duration(s.lockWait.Load()) }
-
-// SetLockWait bounds the singleflight wait on a foreign lock. Past the
-// bound callers proceed without the lock (correct, just duplicated work).
-// Safe to call while other goroutines use the store.
-func (s *Store) SetLockWait(d time.Duration) { s.lockWait.Store(int64(d)) }
-
-// PollInterval returns the lock-wait polling period.
-func (s *Store) PollInterval() time.Duration { return time.Duration(s.poll.Load()) }
-
-// SetPollInterval sets the lock-wait polling period. Safe to call while
-// other goroutines use the store.
-func (s *Store) SetPollInterval(d time.Duration) { s.poll.Store(int64(d)) }
-
-// StaleLockAfter returns the age past which a lock file is presumed
-// abandoned.
-func (s *Store) StaleLockAfter() time.Duration { return time.Duration(s.staleAfter.Load()) }
-
-// SetStaleLockAfter sets the age past which a lock file is presumed
-// abandoned by a dead process and is stolen. Safe to call while other
-// goroutines use the store.
-func (s *Store) SetStaleLockAfter(d time.Duration) { s.staleAfter.Store(int64(d)) }
-
-// SetReadOnly switches the store into (or out of) read-only mode: Get
-// and Peek serve entries as usual, while Put and Invalidate return
-// ErrReadOnly (or silently decline) and TryLock refuses to create lock
-// files. Replicas serving a shared warm store they must not scribble on
-// (a read-only mount, an operator-frozen cache) run in this mode; the
-// run-plane falls through to simulation for anything the store lacks.
-func (s *Store) SetReadOnly(on bool) { s.readOnly.Store(on) }
-
-// ReadOnly reports whether the store declines mutations.
-func (s *Store) ReadOnly() bool { return s.readOnly.Load() }
 
 // address returns the content address of key under the store's schema:
 // the hex SHA-256 of (container version, schema version, key), sharded
@@ -262,9 +228,6 @@ func (s *Store) Peek(key string) ([]byte, error) { return s.read(key) }
 // readers observe either the old entry, the new one, or none — never a
 // torn write. Re-putting a key replaces its entry.
 func (s *Store) Put(key string, payload []byte) error {
-	if s.ReadOnly() {
-		return ErrReadOnly
-	}
 	shard, _ := s.address(key)
 	if err := os.MkdirAll(shard, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -298,71 +261,50 @@ func (s *Store) Put(key string, payload []byte) error {
 // manually edited entry).
 func (s *Store) Invalidate(key string) {
 	s.corrupt.Add(1)
-	if s.ReadOnly() {
-		return
-	}
 	os.Remove(s.entryPath(key))
 }
 
-// TryLock attempts to take key's cross-process singleflight lock.
-// On success it returns a release function (remove the lock after
-// persisting the entry). A lock file older than StaleLockAfter is
-// presumed abandoned and stolen. The lock is advisory and exists only to
-// avoid duplicate work — losing a race on a stale steal at worst
-// simulates a scenario twice, and both writers install identical bytes.
-func (s *Store) TryLock(key string) (release func(), ok bool) {
-	if s.ReadOnly() {
-		return nil, false
-	}
+// Lock takes key's cross-process singleflight lock and returns its
+// release, to be called after the caller has persisted key's entry. It
+// polls while a live holder has the lock, steals a lock file older than
+// the stale window, and returns ErrLockTimeout after the wait bound.
+// When no lock file can be created (a read-only or full store, or a
+// non-directory where the key's shard goes) it returns the filesystem's
+// error at once: there is no holder to wait for. Two contenders that
+// steal one stale lock may both hold it; the lock only saves duplicate
+// work, and both install identical bytes.
+func (s *Store) Lock(key string) (release func(), err error) {
 	shard, _ := s.address(key)
 	if err := os.MkdirAll(shard, 0o755); err != nil {
-		return nil, false
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	path := s.lockPath(key)
-	for attempt := 0; attempt < 2; attempt++ {
+	deadline := time.Now().Add(lockWait)
+	for {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 		if err == nil {
 			fmt.Fprintf(f, "pid=%d\n", os.Getpid())
 			f.Close()
-			return func() { os.Remove(path) }, true
+			return func() { os.Remove(path) }, nil
 		}
 		if !errors.Is(err, os.ErrExist) {
-			return nil, false
+			return nil, fmt.Errorf("store: %w", err)
 		}
-		info, statErr := os.Stat(path)
-		if statErr != nil {
-			continue // holder released between open and stat: retry
+		info, err := os.Lstat(path)
+		switch {
+		case errors.Is(err, os.ErrNotExist):
+			// Released between the create and the stat: retry at once.
+		case err == nil && time.Since(info.ModTime()) >= staleLockAfter:
+			// Abandoned by a dead holder: steal it.
+			if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+				return nil, fmt.Errorf("store: %w", err)
+			}
+		case time.Now().After(deadline):
+			return nil, ErrLockTimeout
+		default:
+			time.Sleep(pollInterval)
 		}
-		if time.Since(info.ModTime()) < s.StaleLockAfter() {
-			return nil, false // live holder
-		}
-		os.Remove(path) // stale: steal and retry the exclusive create
 	}
-	return nil, false
-}
-
-// WaitUnlocked polls until key's lock file is gone (true) or the
-// deadline passes (false).
-func (s *Store) WaitUnlocked(key string, deadline time.Time) bool {
-	path := s.lockPath(key)
-	for {
-		if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(s.PollInterval())
-	}
-}
-
-// Locked reports whether key's lock file currently exists. A failed
-// TryLock with Locked false means no holder stands between the caller
-// and the lock — the filesystem itself is refusing (read-only, full, or
-// the store is in read-only mode) — so there is nobody to wait for.
-func (s *Store) Locked(key string) bool {
-	_, err := os.Stat(s.lockPath(key))
-	return err == nil
 }
 
 // Counters returns a snapshot of the store's accounting.

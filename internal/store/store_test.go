@@ -6,7 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -215,50 +216,99 @@ func TestPeekDoesNotCount(t *testing.T) {
 	}
 }
 
+// TestLockProtocol pins the singleflight wait: a second Lock on a held
+// key returns only after the holder releases it, while a lock on another
+// key is independent of it.
 func TestLockProtocol(t *testing.T) {
 	s := open(t, 1)
-	rel, ok := s.TryLock("k")
-	if !ok {
-		t.Fatal("first TryLock must succeed")
+	rel, err := s.Lock("k")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := s.TryLock("k"); ok {
-		t.Fatal("second TryLock must fail while held")
-	}
-	// A held lock on one key does not block another key.
-	rel2, ok := s.TryLock("other")
-	if !ok {
-		t.Fatal("lock on a different key must succeed")
+	rel2, err := s.Lock("other")
+	if err != nil {
+		t.Fatalf("lock on a different key: %v", err)
 	}
 	rel2()
 
-	s.SetPollInterval(time.Millisecond)
-	if s.WaitUnlocked("k", time.Now().Add(20*time.Millisecond)) {
-		t.Fatal("WaitUnlocked must time out while the lock is held")
-	}
+	var released atomic.Bool
+	got := make(chan error, 1)
+	go func() {
+		rel3, err := s.Lock("k")
+		if err == nil {
+			if !released.Load() {
+				err = errors.New("second Lock returned while the holder still held the key")
+			}
+			rel3()
+		}
+		got <- err
+	}()
+	time.Sleep(3 * pollInterval) // let the waiter find the lock held
+	released.Store(true)
 	rel()
-	if !s.WaitUnlocked("k", time.Now().Add(time.Second)) {
-		t.Fatal("WaitUnlocked must observe the release")
+	if err := <-got; err != nil {
+		t.Fatal(err)
 	}
-	if rel3, ok := s.TryLock("k"); !ok {
-		t.Fatal("TryLock must succeed after release")
-	} else {
-		rel3()
+	if _, err := os.Lstat(s.lockPath("k")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("lock file left after release: %v", err)
 	}
 }
 
+// TestStaleLockIsStolen: a lock file older than the stale window belongs
+// to a holder that died without releasing it, so the next Lock steals it
+// instead of waiting.
 func TestStaleLockIsStolen(t *testing.T) {
 	s := open(t, 1)
-	if _, ok := s.TryLock("k"); !ok {
-		t.Fatal("setup lock failed")
+	if _, err := s.Lock("k"); err != nil {
+		t.Fatal(err)
 	}
-	// The "holder" dies without releasing. With a zero stale age the
-	// next contender steals the lock instead of waiting forever.
-	s.SetStaleLockAfter(0)
-	rel, ok := s.TryLock("k")
-	if !ok {
-		t.Fatal("stale lock must be stolen")
+	old := time.Now().Add(-staleLockAfter - time.Minute)
+	if err := os.Chtimes(s.lockPath("k"), old, old); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := s.Lock("k")
+	if err != nil {
+		t.Fatalf("stale lock not stolen: %v", err)
 	}
 	rel()
+}
+
+// TestLockTimesOut: a live holder that outlasts the wait bound makes
+// Lock give up with ErrLockTimeout, leaving the holder's lock in place.
+func TestLockTimesOut(t *testing.T) {
+	defer func(d time.Duration) { lockWait = d }(lockWait)
+	lockWait = 5 * pollInterval
+	s := open(t, 1)
+	rel, err := s.Lock("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel()
+	if _, err := s.Lock("k"); !errors.Is(err, ErrLockTimeout) {
+		t.Fatalf("Lock on a held key = %v, want ErrLockTimeout", err)
+	}
+	if _, err := os.Lstat(s.lockPath("k")); err != nil {
+		t.Fatalf("the holder's lock file is gone: %v", err)
+	}
+}
+
+// TestLockRefusedWithoutWaiting: when no lock file can be created —
+// here a regular file sits where the key's shard directory goes, which
+// refuses every create the way a read-only or full store does, even
+// under root — Lock returns the filesystem's error at once instead of
+// waiting for a holder that does not exist. Put fails the same way.
+func TestLockRefusedWithoutWaiting(t *testing.T) {
+	s := open(t, 1)
+	shard, _ := s.address("k")
+	if err := os.WriteFile(shard, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Lock("k"); !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("Lock = %v, want the filesystem's ENOTDIR", err)
+	}
+	if err := s.Put("k", []byte("x")); !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("Put = %v, want the filesystem's ENOTDIR", err)
+	}
 }
 
 func TestSnapshotIsNonDeterministicStoreScope(t *testing.T) {
@@ -293,121 +343,5 @@ func TestSnapshotIsNonDeterministicStoreScope(t *testing.T) {
 func TestOpenRejectsEmptyDir(t *testing.T) {
 	if _, err := Open("", 1); err == nil {
 		t.Fatal("Open(\"\") must fail")
-	}
-}
-
-// TestConfigSettersSafeUnderConcurrentUse pins the "safe for concurrent
-// use" contract on the lock-protocol knobs: a long-running server
-// reconfigures the shared Store while request goroutines are inside
-// TryLock/WaitUnlocked. Before the knobs became atomic this was a data
-// race the -race CI job catches.
-func TestConfigSettersSafeUnderConcurrentUse(t *testing.T) {
-	s := open(t, 1)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; ; j++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				d := time.Duration(j%7+1) * time.Millisecond
-				s.SetLockWait(d)
-				s.SetPollInterval(d)
-				s.SetStaleLockAfter(d)
-			}
-		}(i)
-	}
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			key := "concurrent-key"
-			for j := 0; j < 200; j++ {
-				if rel, ok := s.TryLock(key); ok {
-					rel()
-				}
-				s.WaitUnlocked(key, time.Now().Add(-time.Second))
-				_ = s.LockWait()
-				_ = s.PollInterval()
-				_ = s.StaleLockAfter()
-			}
-		}(i)
-	}
-	// Let the TryLock/WaitUnlocked goroutines finish, then stop the
-	// reconfiguration loops.
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	go func() {
-		time.Sleep(200 * time.Millisecond)
-		close(stop)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("concurrent setter/lock exercise did not finish")
-	}
-	if s.LockWait() <= 0 || s.PollInterval() <= 0 || s.StaleLockAfter() <= 0 {
-		t.Fatal("configured durations lost")
-	}
-}
-
-// TestReadOnlyModeDeclinesMutations pins the read-only contract: reads
-// serve as usual, Put fails with ErrReadOnly, TryLock refuses (without
-// creating lock files), and Invalidate leaves the entry on disk.
-func TestReadOnlyModeDeclinesMutations(t *testing.T) {
-	s := open(t, 1)
-	payload := []byte(`{"k":1}`)
-	if err := s.Put("ro-key", payload); err != nil {
-		t.Fatal(err)
-	}
-	s.SetReadOnly(true)
-	if !s.ReadOnly() {
-		t.Fatal("ReadOnly not reported")
-	}
-	got, err := s.Get("ro-key")
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("read-only Get = %q, %v; want the stored payload", got, err)
-	}
-	if err := s.Put("ro-key2", payload); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("read-only Put error = %v, want ErrReadOnly", err)
-	}
-	if _, ok := s.TryLock("ro-key2"); ok {
-		t.Fatal("read-only TryLock must refuse")
-	}
-	if s.Locked("ro-key2") {
-		t.Fatal("read-only TryLock must not leave a lock file behind")
-	}
-	s.Invalidate("ro-key")
-	if _, err := s.Get("ro-key"); err != nil {
-		t.Fatalf("read-only Invalidate must leave the entry: %v", err)
-	}
-	s.SetReadOnly(false)
-	if err := s.Put("ro-key2", payload); err != nil {
-		t.Fatalf("writable again: %v", err)
-	}
-}
-
-// TestLockedReportsLockFilePresence pins the Locked probe the run-plane
-// uses to tell "live holder" from "filesystem refuses locks".
-func TestLockedReportsLockFilePresence(t *testing.T) {
-	s := open(t, 1)
-	if s.Locked("k") {
-		t.Fatal("no lock taken yet")
-	}
-	rel, ok := s.TryLock("k")
-	if !ok {
-		t.Fatal("TryLock failed on a fresh store")
-	}
-	if !s.Locked("k") {
-		t.Fatal("Locked must see the held lock")
-	}
-	rel()
-	if s.Locked("k") {
-		t.Fatal("Locked must see the release")
 	}
 }

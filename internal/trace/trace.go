@@ -145,40 +145,3 @@ func (t *Trace) MessageBytes() float64 {
 	}
 	return b
 }
-
-// Phases returns, for every rank, the per-phase compute+copy seconds.
-// Ranks must carry the same number of phase markers (they mark iteration
-// boundaries, which are collective by construction). The slice has one
-// entry per phase; each entry has one value per rank.
-func (t *Trace) Phases() [][]float64 {
-	nRanks := len(t.Ranks)
-	var phases [][]float64
-	cur := make([]float64, nRanks)
-	maxPhases := 0
-	perRank := make([][]float64, nRanks)
-	for i, r := range t.Ranks {
-		for _, op := range r.Ops {
-			switch op.Kind {
-			case OpCompute, OpCopy:
-				cur[i] += op.Dur
-			case OpPhase:
-				perRank[i] = append(perRank[i], cur[i])
-				cur[i] = 0
-			}
-		}
-		perRank[i] = append(perRank[i], cur[i]) // trailing partial phase
-		if len(perRank[i]) > maxPhases {
-			maxPhases = len(perRank[i])
-		}
-	}
-	for ph := 0; ph < maxPhases; ph++ {
-		row := make([]float64, nRanks)
-		for i := range row {
-			if ph < len(perRank[i]) {
-				row[i] = perRank[i][ph]
-			}
-		}
-		phases = append(phases, row)
-	}
-	return phases
-}

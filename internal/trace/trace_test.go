@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestRecordAndAggregate(t *testing.T) {
@@ -39,49 +38,6 @@ func TestZeroDurationOpsDropped(t *testing.T) {
 	tr.RecordCopy(0, -1, 1)
 	if len(tr.T.Ranks[0].Ops) != 0 {
 		t.Fatal("zero/negative durations should not be recorded")
-	}
-}
-
-func TestPhases(t *testing.T) {
-	tr := New([]int{0, 1})
-	for it := 0; it < 3; it++ {
-		tr.RecordCompute(0, 1, float64(it))
-		tr.RecordCompute(1, 2, float64(it))
-		tr.RecordPhase(0, float64(it)+1)
-		tr.RecordPhase(1, float64(it)+1)
-	}
-	ph := tr.T.Phases()
-	if len(ph) != 4 { // 3 marked phases + empty tail
-		t.Fatalf("phases = %d", len(ph))
-	}
-	for i := 0; i < 3; i++ {
-		if ph[i][0] != 1 || ph[i][1] != 2 {
-			t.Fatalf("phase %d = %v", i, ph[i])
-		}
-	}
-}
-
-// Property: total compute equals the sum over phases for any op sequence.
-func TestPhaseConservationProperty(t *testing.T) {
-	f := func(durRaw []uint8) bool {
-		tr := New([]int{0})
-		total := 0.0
-		for i, d := range durRaw {
-			dur := float64(d)/10 + 0.1
-			tr.RecordCompute(0, dur, 0)
-			total += dur
-			if i%3 == 2 {
-				tr.RecordPhase(0, 0)
-			}
-		}
-		sum := 0.0
-		for _, ph := range tr.T.Phases() {
-			sum += ph[0]
-		}
-		return math.Abs(sum-total) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

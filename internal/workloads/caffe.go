@@ -40,6 +40,15 @@ func (c *Caffe) Name() string         { return c.Net.Name }
 func (c *Caffe) GPUAccelerated() bool { return true }
 func (c *Caffe) RanksPerNode() int    { return 1 }
 
+// FetchesInput reports whether w's ranks fetch their input from the
+// cluster's NFS file server (Context.Fetch), so that it runs only on a
+// cluster with Config.FileServer set. The Caffe workloads are the ones
+// that do.
+func FetchesInput(w Workload) bool {
+	_, ok := w.(*Caffe)
+	return ok
+}
+
 // averageJPEGBytes is the typical size of an ImageNet validation JPEG.
 const averageJPEGBytes = 110e3
 
