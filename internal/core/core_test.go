@@ -141,6 +141,29 @@ func TestScalability(t *testing.T) {
 	}
 }
 
+// Scalability and ScalabilityPoint validate every point the way Run
+// does: an NFS workload on a cluster without a file server, or a point
+// with no nodes, is an error, not a panic on a runner worker.
+func TestScalabilityRejectsInvalidPoints(t *testing.T) {
+	bare := cluster.TX1Cluster(2, network.TenGigE)
+	cases := []struct {
+		workload string
+		sizes    []int
+		want     string
+	}{
+		{"alexnet", []int{1, 2}, "file server"},
+		{"cg", []int{0, 2}, "need at least one"},
+	}
+	for _, tc := range cases {
+		if _, err := Scalability(bare, tc.workload, tc.sizes, 0.01); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Scalability(%s, %v): err = %v, want one containing %q", tc.workload, tc.sizes, err, tc.want)
+		}
+		if _, err := NewSession(1).ScalabilityPoint(bare, tc.workload, tc.sizes[0], 0.01); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ScalabilityPoint(%s, %d): err = %v, want one containing %q", tc.workload, tc.sizes[0], err, tc.want)
+		}
+	}
+}
+
 func TestWorkloadsList(t *testing.T) {
 	names := Workloads()
 	if len(names) != 15 {

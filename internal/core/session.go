@@ -91,12 +91,16 @@ func (s *Session) RunWithConfig(cfg cluster.Config, workload string, wcfg worklo
 // scalabilityScenario builds the traced scenario Scalability simulates
 // at one cluster size, so callers wanting the raw run-plane Result (the
 // Trace for exporters, the CritPath report) hit the same cache entries.
-func scalabilityScenario(cfg cluster.Config, w workloads.Workload, nodes int, scale float64) runner.Scenario {
-	c := cfg
-	c.Nodes = nodes
-	c.RanksPerNode = w.RanksPerNode()
-	c.Traced = true
-	return runner.Scenario{Cluster: c, Workload: w.Name(), Config: workloads.Config{Scale: scale}}
+// It validates the point as Run does: a point no run could simulate is
+// an error here, not a panic on a runner worker.
+func scalabilityScenario(cfg cluster.Config, workload string, nodes int, scale float64) (runner.Scenario, error) {
+	cfg.Nodes = nodes
+	sc, err := scenario(cfg, workload, workloads.Config{Scale: scale})
+	if err != nil {
+		return runner.Scenario{}, err
+	}
+	sc.Cluster.Traced = true
+	return sc, nil
 }
 
 // ScalabilityPoint runs (or joins from the session cache) the traced
@@ -105,11 +109,11 @@ func scalabilityScenario(cfg cluster.Config, w workloads.Workload, nodes int, sc
 // report when recording is enabled. After a Scalability call covering
 // the same size it is a guaranteed cache hit.
 func (s *Session) ScalabilityPoint(cfg cluster.Config, workload string, nodes int, scale float64) (runner.Result, error) {
-	w, err := workloads.ByName(workload)
+	sc, err := scalabilityScenario(cfg, workload, nodes, scale)
 	if err != nil {
 		return runner.Result{}, err
 	}
-	return s.r.Run(scalabilityScenario(cfg, w, nodes, scale))
+	return s.r.Run(sc)
 }
 
 // Scalability traces a workload across cluster sizes on the system type
@@ -117,13 +121,13 @@ func (s *Session) ScalabilityPoint(cfg cluster.Config, workload string, nodes in
 // runs the replay decomposition. The per-size runs are independent, so
 // they execute concurrently under a parallel session.
 func (s *Session) Scalability(cfg cluster.Config, workload string, sizes []int, scale float64) (*ScalabilityResult, error) {
-	w, err := workloads.ByName(workload)
-	if err != nil {
-		return nil, err
-	}
 	var scenarios []runner.Scenario
 	for _, n := range sizes {
-		scenarios = append(scenarios, scalabilityScenario(cfg, w, n, scale))
+		sc, err := scalabilityScenario(cfg, workload, n, scale)
+		if err != nil {
+			return nil, err
+		}
+		scenarios = append(scenarios, sc)
 	}
 	results, err := s.r.RunAll(scenarios)
 	if err != nil {

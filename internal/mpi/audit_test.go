@@ -174,7 +174,7 @@ func TestSendrecvMismatchBothMatchOrders(t *testing.T) {
 				if !receiverFirst {
 					p.Sleep(1) // let the send land in the inbox first
 				}
-				c.recvExpect(p, 0, 1, 7, 500)
+				recvExpect(c, p, 0, 1, 7, 500)
 			} else {
 				if receiverFirst {
 					p.Sleep(1) // let the receive suspend first

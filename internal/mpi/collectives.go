@@ -6,6 +6,10 @@ import (
 	"clustersoc/internal/sim"
 )
 
+// Each collective appends the calling rank's sends and receives to one
+// call and runs it, so the rank's process is switched in once per
+// collective; the builders below only decide the schedule.
+
 // nextTag returns a fresh collective tag for this rank. All ranks invoke
 // collectives in the same program order, so per-rank counters stay in
 // lockstep and match across the communicator.
@@ -32,43 +36,49 @@ const BcastLargeThreshold = 256 * 1024
 // non-uniform payload makes ranks disagree on the size branch (the small
 // path simply leaves its second tag unused).
 func (c *Comm) Bcast(p *sim.Process, rank, root int, bytes float64) {
-	n := c.Size()
+	x := c.begin(rank)
+	x.bcast(root, bytes)
+	x.run(p)
+}
+
+func (x *call) bcast(root int, bytes float64) {
+	n := x.c.Size()
 	if n == 1 {
 		return
 	}
-	tag := c.nextTag(rank)
-	agTag := c.nextTag(rank)
+	tag := x.c.nextTag(x.rank)
+	agTag := x.c.nextTag(x.rank)
 	if bytes >= BcastLargeThreshold && n > 2 {
-		c.scatterFromRoot(p, rank, root, bytes, tag)
-		c.allgatherWith(p, rank, bytes/float64(n), agTag)
+		x.scatterFromRoot(root, bytes, tag)
+		x.allgatherWith(bytes/float64(n), agTag)
 		return
 	}
-	vrank := (rank - root + n) % n
+	vrank := (x.rank - root + n) % n
 	real := func(v int) int { return (v + root) % n }
 
 	mask := 1
 	if vrank != 0 {
 		hb := highestBit(vrank)
-		c.Recv(p, rank, real(vrank-hb), tag)
+		x.recv(real(vrank-hb), tag, -1)
 		mask = hb << 1
 	}
 	for ; vrank+mask < n; mask <<= 1 {
-		c.Send(p, rank, real(vrank+mask), tag, bytes)
+		x.send(real(vrank+mask), tag, bytes)
 	}
 }
 
 // scatterFromRoot distributes 1/n of bytes to each rank down a binomial
 // tree: each hop forwards the portion covering the receiver's subtree.
-func (c *Comm) scatterFromRoot(p *sim.Process, rank, root int, bytes float64, tag int) {
-	n := c.Size()
-	vrank := (rank - root + n) % n
+func (x *call) scatterFromRoot(root int, bytes float64, tag int) {
+	n := x.c.Size()
+	vrank := (x.rank - root + n) % n
 	real := func(v int) int { return (v + root) % n }
 	chunk := bytes / float64(n)
 
 	mask := 1
 	if vrank != 0 {
 		hb := highestBit(vrank)
-		c.Recv(p, rank, real(vrank-hb), tag)
+		x.recv(real(vrank-hb), tag, -1)
 		mask = hb << 1
 	}
 	for ; vrank+mask < n; mask <<= 1 {
@@ -77,35 +87,42 @@ func (c *Comm) scatterFromRoot(p *sim.Process, rank, root int, bytes float64, ta
 		if vrank+mask+sub > n {
 			sub = n - vrank - mask
 		}
-		c.Send(p, rank, real(vrank+mask), tag, chunk*float64(sub))
+		x.send(real(vrank+mask), tag, chunk*float64(sub))
 	}
 }
 
 // Reduce combines bytes from every rank onto root with a binomial tree
 // (the mirror image of Bcast).
 func (c *Comm) Reduce(p *sim.Process, rank, root int, bytes float64) {
-	n := c.Size()
+	x := c.begin(rank)
+	x.reduce(root, bytes)
+	x.run(p)
+}
+
+func (x *call) reduce(root int, bytes float64) {
+	n := x.c.Size()
 	if n == 1 {
 		return
 	}
-	tag := c.nextTag(rank)
-	vrank := (rank - root + n) % n
+	tag := x.c.nextTag(x.rank)
+	vrank := (x.rank - root + n) % n
 	real := func(v int) int { return (v + root) % n }
 
 	// Receive from children (largest subtree first, mirroring Bcast's send
 	// order reversed), then send to parent. In a binomial tree the children
-	// of vrank v are v+m for every power of two m > v with v+m < n.
-	var children []int
+	// of vrank v are v+m for every power of two m > v with v+m < n; top is
+	// the largest of them, or 0 for a leaf.
+	top := 0
 	for m := 1; vrank+m < n; m <<= 1 {
 		if m > vrank {
-			children = append(children, vrank+m)
+			top = m
 		}
 	}
-	for i := len(children) - 1; i >= 0; i-- {
-		c.Recv(p, rank, real(children[i]), tag)
+	for m := top; m > vrank; m >>= 1 {
+		x.recv(real(vrank+m), tag, -1)
 	}
 	if vrank != 0 {
-		c.Send(p, rank, real(vrank-highestBit(vrank)), tag, bytes)
+		x.send(real(vrank-highestBit(vrank)), tag, bytes)
 	}
 }
 
@@ -121,37 +138,44 @@ const AllreduceLargeThreshold = 512 * 1024
 // small vectors and Rabenseifner's algorithm for large ones; other sizes
 // fall back to Reduce + Bcast.
 func (c *Comm) Allreduce(p *sim.Process, rank int, bytes float64) {
-	n := c.Size()
+	x := c.begin(rank)
+	x.allreduce(bytes)
+	x.run(p)
+}
+
+func (x *call) allreduce(bytes float64) {
+	n := x.c.Size()
 	if n == 1 {
 		return
 	}
 	if n&(n-1) != 0 {
-		c.Reduce(p, rank, 0, bytes)
-		c.Bcast(p, rank, 0, bytes)
+		x.reduce(0, bytes)
+		x.bcast(0, bytes)
 		return
 	}
-	tag := c.nextTag(rank)
+	rank := x.rank
+	tag := x.c.nextTag(rank)
 	if bytes >= AllreduceLargeThreshold && n > 2 {
 		// Reduce-scatter by recursive halving: each round exchanges half
 		// of the remaining vector with the partner.
 		part := bytes / 2
 		for mask := 1; mask < n; mask <<= 1 {
 			partner := rank ^ mask
-			c.Sendrecv(p, rank, partner, partner, tag+mask, part, part)
+			x.sendrecv(partner, partner, tag+mask, part, part)
 			part /= 2
 		}
 		// Allgather by recursive doubling: the owned 1/n chunk grows back.
 		part = bytes / float64(n)
 		for mask := n >> 1; mask >= 1; mask >>= 1 {
 			partner := rank ^ mask
-			c.Sendrecv(p, rank, partner, partner, tag+8*n+mask, part, part)
+			x.sendrecv(partner, partner, tag+8*n+mask, part, part)
 			part *= 2
 		}
 		return
 	}
 	for mask := 1; mask < n; mask <<= 1 {
 		partner := rank ^ mask
-		c.Sendrecv(p, rank, partner, partner, tag+mask, bytes, bytes)
+		x.sendrecv(partner, partner, tag+mask, bytes, bytes)
 	}
 }
 
@@ -163,21 +187,21 @@ func (c *Comm) Barrier(p *sim.Process, rank int) {
 // Allgather distributes each rank's bytes-sized contribution to everyone
 // using a ring: P-1 rounds, each forwarding one chunk to the right.
 func (c *Comm) Allgather(p *sim.Process, rank int, bytes float64) {
-	n := c.Size()
-	if n == 1 {
-		return
+	x := c.begin(rank)
+	if c.Size() > 1 {
+		x.allgatherWith(bytes, c.nextTag(rank))
 	}
-	c.allgatherWith(p, rank, bytes, c.nextTag(rank))
+	x.run(p)
 }
 
 // allgatherWith is the ring allgather on a caller-supplied tag, shared by
 // Allgather and the large-message Bcast (whose tag budget is fixed).
-func (c *Comm) allgatherWith(p *sim.Process, rank int, bytes float64, tag int) {
-	n := c.Size()
-	right := (rank + 1) % n
-	left := (rank - 1 + n) % n
+func (x *call) allgatherWith(bytes float64, tag int) {
+	n := x.c.Size()
+	right := (x.rank + 1) % n
+	left := (x.rank - 1 + n) % n
 	for step := 0; step < n-1; step++ {
-		c.Sendrecv(p, rank, right, left, tag, bytes, bytes)
+		x.sendrecv(right, left, tag, bytes, bytes)
 	}
 }
 
@@ -185,40 +209,40 @@ func (c *Comm) allgatherWith(p *sim.Process, rank int, bytes float64, tag int) {
 // pairwise-exchange algorithm (P-1 balanced rounds), as large FT/IS
 // transposes do.
 func (c *Comm) Alltoall(p *sim.Process, rank int, bytesPerPair float64) {
-	n := c.Size()
-	if n == 1 {
-		return
-	}
-	tag := c.nextTag(rank)
-	pow2 := n&(n-1) == 0
-	for step := 1; step < n; step++ {
-		var sendTo, recvFrom int
-		if pow2 {
-			sendTo = rank ^ step
-			recvFrom = sendTo
-		} else {
-			sendTo = (rank + step) % n
-			recvFrom = (rank - step + n) % n
+	x := c.begin(rank)
+	if n := c.Size(); n > 1 {
+		tag := c.nextTag(rank)
+		pow2 := n&(n-1) == 0
+		for step := 1; step < n; step++ {
+			var sendTo, recvFrom int
+			if pow2 {
+				sendTo = rank ^ step
+				recvFrom = sendTo
+			} else {
+				sendTo = (rank + step) % n
+				recvFrom = (rank - step + n) % n
+			}
+			x.sendrecv(sendTo, recvFrom, tag+step, bytesPerPair, bytesPerPair)
 		}
-		c.Sendrecv(p, rank, sendTo, recvFrom, tag+step, bytesPerPair, bytesPerPair)
 	}
+	x.run(p)
 }
 
 // Gather collects bytes from every rank to root with direct sends (fan-in
 // serializes at root's NIC, which is physical).
 func (c *Comm) Gather(p *sim.Process, rank, root int, bytes float64) {
-	n := c.Size()
-	if n == 1 {
-		return
-	}
-	tag := c.nextTag(rank)
-	if rank == root {
-		for r := 0; r < n; r++ {
-			if r != root {
-				c.Recv(p, rank, r, tag)
+	x := c.begin(rank)
+	if n := c.Size(); n > 1 {
+		tag := c.nextTag(rank)
+		if rank == root {
+			for r := 0; r < n; r++ {
+				if r != root {
+					x.recv(r, tag, -1)
+				}
 			}
+		} else {
+			x.send(root, tag, bytes)
 		}
-		return
 	}
-	c.Send(p, rank, root, tag, bytes)
+	x.run(p)
 }

@@ -3,6 +3,12 @@
 // algorithms the paper's workloads exercise (binomial broadcast and reduce,
 // recursive-doubling allreduce, ring allgather, pairwise alltoall).
 //
+// Every call is a per-rank list of sends and receives: Send, Recv and
+// Sendrecv build one of one or two steps, and a collective builds the
+// calling rank's whole schedule. One executor runs the list as the rank
+// process's sim.Process.Await step, on the event loop, so a rank's
+// goroutine is switched in once per call, not once per message.
+//
 // Sends are eager: a sender blocks only until its NIC has drained the
 // message, never on the receiver posting — matching the rendezvous-free
 // behaviour of small-to-medium MPI messages and keeping workload models
@@ -86,7 +92,7 @@ type Comm struct {
 	// pendingPath carries the PathRecorder handle of a send that matched a
 	// blocked receiver, from the send to the receiver's resumption. One
 	// slot per rank suffices: ranks are blocking processes, so each has at
-	// most one receive in flight (guarded by a panic in Send).
+	// most one receive in flight (guarded by a panic in post).
 	pendingPath []int32
 
 	// boxes holds each rank's unclaimed messages in arrival order; a
@@ -96,9 +102,10 @@ type Comm struct {
 	boxes [][]inboxMsg
 	// waiters holds each rank's one blocked receive. One slot per rank
 	// suffices for the same reason as pendingPath; posting a second
-	// receive while one is blocked panics in recvExpect.
+	// receive while one is blocked panics in take.
 	waiters []recvWaiter
-	cseq    []int // per-rank collective sequence number
+	cseq    []int   // per-rank collective sequence number
+	idle    []*call // finished calls, reused by the next ones
 
 	sentBytes []float64 // per-rank bytes passed to Send (incl. intra-node)
 	sentMsgs  []uint64
@@ -204,7 +211,166 @@ func (c *Comm) SetChecking(on bool) { c.checking = on }
 func (c *Comm) Send(p *sim.Process, src, dst, tag int, bytes float64) {
 	c.check(src)
 	c.check(dst)
-	start := p.Now()
+	x := c.begin(src)
+	x.send(dst, tag, bytes)
+	x.run(p)
+}
+
+// Recv blocks p (the process running rank dst) until a message from src
+// with the tag has fully arrived.
+func (c *Comm) Recv(p *sim.Process, dst, src, tag int) {
+	c.check(src)
+	c.check(dst)
+	x := c.begin(dst)
+	x.recv(src, tag, -1)
+	x.run(p)
+}
+
+// Sendrecv sends to dst and receives from src (both with the same tag), as
+// one deadlock-free exchange. recvBytes declares the expected size of the
+// incoming message; under checking a mismatch with the peer's actual send
+// size is reported by Audit.
+func (c *Comm) Sendrecv(p *sim.Process, me, dst, src, tag int, sendBytes, recvBytes float64) {
+	c.check(me)
+	c.check(dst)
+	c.check(src)
+	x := c.begin(me)
+	x.send(dst, tag, sendBytes)
+	x.recv(src, tag, recvBytes)
+	x.run(p)
+}
+
+// op is one point-to-point step of a call's schedule: a send of bytes to
+// peer, or (send false) a receive from peer that declares bytes as the
+// expected size, or a negative bytes for no expectation (plain Recv
+// carries no size). Under checking a declared size is asserted against
+// the matched message, so an asymmetric-exchange miscount fails the audit
+// loudly instead of silently corrupting timings.
+type op struct {
+	send  bool
+	peer  int
+	tag   int
+	bytes float64
+}
+
+// The phases of the op a call is executing.
+const (
+	opStart   uint8 = iota // not yet begun
+	opWait                 // waiting for its NIC to drain it, or for its message to arrive
+	opMatched              // receive posted as the rank's waiter; waiting for a send
+)
+
+// call is one rank's MPI call in progress: the ordered sends and receives
+// a point-to-point call or a collective decomposes into, and the state of
+// the op being executed. It runs as the rank process's Await step, so a
+// collective switches the process in once, not once per message. Finished
+// calls return to the communicator's pool, so a steady state of calls
+// allocates nothing.
+type call struct {
+	c      *Comm
+	p      *sim.Process
+	rank   int
+	ops    []op
+	pc     int         // index of the op being executed
+	phase  uint8       // how far ops[pc] has got
+	start  float64     // when ops[pc] began
+	pathID int32       // PathRecorder handle of the message ops[pc] receives
+	step   func() bool // advance, bound once
+}
+
+// begin takes an idle call for rank from the pool.
+func (c *Comm) begin(rank int) *call {
+	var x *call
+	if n := len(c.idle); n > 0 {
+		x = c.idle[n-1]
+		c.idle = c.idle[:n-1]
+	} else {
+		x = &call{c: c}
+		x.step = x.advance
+	}
+	x.rank = rank
+	x.ops = x.ops[:0]
+	x.pc = 0
+	x.phase = opStart
+	return x
+}
+
+// send appends a send of bytes to dst.
+func (x *call) send(dst, tag int, bytes float64) {
+	x.ops = append(x.ops, op{send: true, peer: dst, tag: tag, bytes: bytes})
+}
+
+// recv appends a receive from src declaring expect bytes (negative: none).
+func (x *call) recv(src, tag int, expect float64) {
+	x.ops = append(x.ops, op{peer: src, tag: tag, bytes: expect})
+}
+
+// sendrecv appends a send to dst followed by a receive from src.
+func (x *call) sendrecv(dst, src, tag int, sendBytes, recvBytes float64) {
+	x.send(dst, tag, sendBytes)
+	x.recv(src, tag, recvBytes)
+}
+
+// run executes the schedule as p's Await step, blocking p until its last
+// op completes, and returns the call to the pool.
+func (x *call) run(p *sim.Process) {
+	x.p = p
+	p.Await(x.step)
+	x.p = nil
+	x.c.idle = append(x.c.idle, x)
+}
+
+// advance executes ops from pc on until one has to wait for a wake-up,
+// and reports whether the schedule is done. It pushes the same events and
+// makes the same recorder calls, in the same order, as a process blocking
+// through the ops one by one: a send waits for its NIC to drain, a
+// receive for its message's arrival, or, with no match in the inbox,
+// blocked until a send matches it.
+func (x *call) advance() bool {
+	c, now := x.c, x.p.Now()
+	for ; x.pc < len(x.ops); x.pc++ {
+		o := &x.ops[x.pc]
+		switch x.phase {
+		case opStart:
+			x.start = now
+			if o.send {
+				if free := c.post(x.rank, o.peer, o.tag, o.bytes, now); free > now {
+					c.eng.ResumeAt(free, x.p)
+					x.phase = opWait
+					return false
+				}
+			} else if !x.take(o, now) {
+				return false
+			}
+		case opMatched:
+			if c.pr != nil {
+				x.pathID = c.pendingPath[x.rank]
+				c.pendingPath[x.rank] = -1
+			}
+		}
+		x.phase = opStart
+		if o.send {
+			if c.rec != nil {
+				c.rec.RecordSend(x.rank, o.peer, o.tag, o.bytes, x.start, now)
+			}
+			continue
+		}
+		c.recvMsgs[x.rank]++
+		if c.pr != nil {
+			c.pr.PathRecv(x.rank, x.pathID, x.start, now)
+		}
+		if c.rec != nil {
+			c.rec.RecordRecv(x.rank, o.peer, o.tag, x.start, now)
+		}
+	}
+	return true
+}
+
+// post books a send of bytes from src to dst at now: the NIC booking (a
+// second one when the loss model drops the first copy), the traffic
+// counters, the path record, and delivery to dst's blocked receive or to
+// its inbox. It returns when the sender's NIC has drained the message.
+func (c *Comm) post(src, dst, tag int, bytes, now float64) (senderFree float64) {
 	srcNode, dstNode := c.rankNode[src], c.rankNode[dst]
 	senderFree, arrival := c.nw.Deliver(srcNode, dstNode, bytes)
 	c.sentBytes[src] += bytes
@@ -224,7 +390,7 @@ func (c *Comm) Send(p *sim.Process, src, dst, tag int, bytes float64) {
 	// resume and report its receive completion.
 	pathID := int32(-1)
 	if c.pr != nil {
-		pathID = c.pr.PathSend(src, dst, tag, bytes, start, senderFree, arrival, retrans)
+		pathID = c.pr.PathSend(src, dst, tag, bytes, now, senderFree, arrival, retrans)
 	}
 	if w := c.waiters[dst]; w.p != nil && w.src == src && w.tag == tag {
 		if c.pr != nil {
@@ -234,79 +400,57 @@ func (c *Comm) Send(p *sim.Process, src, dst, tag int, bytes float64) {
 			c.pendingPath[dst] = pathID
 		}
 		c.waiters[dst] = recvWaiter{} // don't pin the process
-		if c.checking && w.expect >= 0 && w.expect != bytes {
-			c.violations = append(c.violations, fmt.Sprintf(
-				"rank %d expected %g bytes from rank %d (tag %d) but the sender delivered %g",
-				dst, w.expect, src, tag, bytes))
-		}
+		c.mismatch(dst, src, tag, w.expect, bytes)
 		c.eng.ResumeAt(arrival, w.p)
 	} else {
 		c.boxes[dst] = append(c.boxes[dst], inboxMsg{src: src, tag: tag, arrival: arrival, bytes: bytes, pathID: pathID})
 	}
-	p.SleepUntil(senderFree)
-	if c.rec != nil {
-		c.rec.RecordSend(src, dst, tag, bytes, start, p.Now())
-	}
+	return senderFree
 }
 
-// Recv blocks p (the process running rank dst) until a message from src
-// with the tag has fully arrived.
-func (c *Comm) Recv(p *sim.Process, dst, src, tag int) {
-	c.recvExpect(p, dst, src, tag, -1)
-}
-
-// recvExpect is Recv with a declared payload size: expect >= 0 asserts
-// (under checking) that the matched message carries exactly that many
-// bytes, so an asymmetric-exchange miscount fails the audit loudly
-// instead of silently corrupting timings.
-func (c *Comm) recvExpect(p *sim.Process, dst, src, tag int, expect float64) {
-	c.check(src)
-	c.check(dst)
-	start := p.Now()
-	pathID := int32(-1)
+// take posts the receive o at now. It takes the first inbox message with
+// o's (peer, tag) and reports whether that message has already arrived;
+// otherwise it arranges the wake-up: the message's arrival, or, with no
+// match in the inbox, the rank's blocked-receive slot, which the
+// matching send resumes.
+func (x *call) take(o *op, now float64) bool {
+	c, dst := x.c, x.rank
+	x.pathID = -1
 	box := c.boxes[dst]
 	i := 0
-	for i < len(box) && (box[i].src != src || box[i].tag != tag) {
+	for i < len(box) && (box[i].src != o.peer || box[i].tag != o.tag) {
 		i++
 	}
 	if i < len(box) {
 		m := box[i]
 		c.boxes[dst] = append(box[:i], box[i+1:]...)
-		if c.checking && expect >= 0 && expect != m.bytes {
-			c.violations = append(c.violations, fmt.Sprintf(
-				"rank %d expected %g bytes from rank %d (tag %d) but the sender delivered %g",
-				dst, expect, src, tag, m.bytes))
+		c.mismatch(dst, o.peer, o.tag, o.bytes, m.bytes)
+		x.pathID = m.pathID
+		if m.arrival > now {
+			c.eng.ResumeAt(m.arrival, x.p)
+			x.phase = opWait
+			return false
 		}
-		pathID = m.pathID
-		p.SleepUntil(m.arrival)
-	} else {
-		if w := c.waiters[dst]; w.p != nil {
-			panic(fmt.Sprintf("mpi: rank %d posted a receive from rank %d tag %d while one from rank %d tag %d is blocked",
-				dst, src, tag, w.src, w.tag))
-		}
-		c.waiters[dst] = recvWaiter{p: p, src: src, tag: tag, expect: expect}
-		p.Suspend()
-		if c.pr != nil {
-			pathID = c.pendingPath[dst]
-			c.pendingPath[dst] = -1
-		}
+		return true
 	}
-	c.recvMsgs[dst]++
-	if c.pr != nil {
-		c.pr.PathRecv(dst, pathID, start, p.Now())
+	if w := c.waiters[dst]; w.p != nil {
+		panic(fmt.Sprintf("mpi: rank %d posted a receive from rank %d tag %d while one from rank %d tag %d is blocked",
+			dst, o.peer, o.tag, w.src, w.tag))
 	}
-	if c.rec != nil {
-		c.rec.RecordRecv(dst, src, tag, start, p.Now())
-	}
+	c.waiters[dst] = recvWaiter{p: x.p, src: o.peer, tag: o.tag, expect: o.bytes}
+	x.p.Block()
+	x.phase = opMatched
+	return false
 }
 
-// Sendrecv sends to dst and receives from src (both with the same tag), as
-// one deadlock-free exchange. recvBytes declares the expected size of the
-// incoming message; under checking a mismatch with the peer's actual send
-// size is reported by Audit.
-func (c *Comm) Sendrecv(p *sim.Process, me, dst, src, tag int, sendBytes, recvBytes float64) {
-	c.Send(p, me, dst, tag, sendBytes)
-	c.recvExpect(p, me, src, tag, recvBytes)
+// mismatch records, under checking, a receive that declared expect bytes
+// (expect >= 0) but matched a message of a different size.
+func (c *Comm) mismatch(dst, src, tag int, expect, bytes float64) {
+	if c.checking && expect >= 0 && expect != bytes {
+		c.violations = append(c.violations, fmt.Sprintf(
+			"rank %d expected %g bytes from rank %d (tag %d) but the sender delivered %g",
+			dst, expect, src, tag, bytes))
+	}
 }
 
 // Audit returns the communicator's invariant violations at the end of a

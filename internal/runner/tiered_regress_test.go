@@ -81,8 +81,13 @@ func TestTieredRunFallsThroughOnUnwritableStore(t *testing.T) {
 	if stats.Simulated != 1 || stats.StorePutFailed != 1 || stats.StoreWrites != 0 {
 		t.Fatalf("stats %+v: want Simulated 1, StorePutFailed 1, StoreWrites 0", stats)
 	}
-	if got := st.Counters().Writes; got != 0 {
-		t.Fatalf("store recorded %d writes on an unwritable store", got)
+	// No entry can exist under the blocked shard: the lookup is a miss,
+	// not corruption.
+	if stats.StoreMisses != 1 || stats.StoreCorrupt != 0 {
+		t.Fatalf("stats %+v: want StoreMisses 1, StoreCorrupt 0", stats)
+	}
+	if c := st.Counters(); c.Writes != 0 || c.Misses != 1 || c.Corrupt != 0 {
+		t.Fatalf("store counters %+v: want 0 writes, 1 miss, 0 corrupt on an unwritable store", c)
 	}
 }
 

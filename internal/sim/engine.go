@@ -128,6 +128,7 @@ type Engine struct {
 	maxQueue   int     // calendar depth high-water mark
 	blocked    float64 // total simulated seconds processes spent blocked
 	staleWakes uint64  // wake-ups popped after their process finished
+	switches   uint64  // times the loop passed control to a process body
 }
 
 // NewEngine returns an engine with the clock at zero and an empty calendar.
@@ -315,6 +316,19 @@ func (e *Engine) drive(self *Process) driveResult {
 			continue
 		}
 		e.events++
+		if p := ev.proc; p.step != nil {
+			// p is in Await: run its continuation right here, on the
+			// driving goroutine, and switch p in only once it is done.
+			if p.blocking {
+				p.blocking = false
+				p.addBlocked(e.now - p.blockedAt)
+			}
+			if !p.step() {
+				continue
+			}
+			p.step = nil
+		}
+		e.switches++
 		if ev.proc == self {
 			return driveSelf
 		}
@@ -335,6 +349,13 @@ func (e *Engine) ClampedDelays() (negative, nan uint64) { return e.clampedNeg, e
 // their process had already finished. These perform no work and are
 // excluded from Events().
 func (e *Engine) StaleWakes() uint64 { return e.staleWakes }
+
+// Switches returns the number of times the event loop passed control to
+// a process body: its first activation, and each return from a Sleep,
+// Suspend, Wait or Await, whether that resumed the parked goroutine or
+// was the driving process's own wake-up. A wake-up that runs an Await
+// continuation which is not yet done is an event but not a switch.
+func (e *Engine) Switches() uint64 { return e.switches }
 
 // QueueHighWater returns the deepest the event calendar has been.
 func (e *Engine) QueueHighWater() int { return e.maxQueue }

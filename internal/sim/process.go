@@ -7,13 +7,21 @@ package sim
 //
 // A process blocks by calling Sleep, Wait, Pipe.Transfer, or
 // Resource.Acquire; each of those schedules a resumption event and yields
-// control back to the engine.
+// control back to the engine. Await instead leaves a continuation that
+// the engine runs at each wake-up, so a multi-step operation switches the
+// process in once, not once per step.
 type Process struct {
 	eng     *Engine
 	name    string
 	resume  chan struct{}
 	done    bool
 	blocked float64 // simulated seconds spent blocked (no scheduled resumption)
+
+	// step is the continuation of the Await in progress, or nil.
+	step func() bool
+	// blocking marks a step parked by Block since blockedAt.
+	blocking  bool
+	blockedAt float64
 }
 
 // Spawn creates a process running body and schedules its first activation
@@ -66,9 +74,42 @@ func (p *Process) yield() {
 func (p *Process) block() {
 	t0 := p.eng.now
 	p.yield()
-	d := p.eng.now - t0
+	p.addBlocked(p.eng.now - t0)
+}
+
+// addBlocked attributes d simulated seconds of blocking to p and to the
+// engine total.
+func (p *Process) addBlocked(d float64) {
 	p.blocked += d
 	p.eng.blocked += d
+}
+
+// Await runs step until it reports done, then returns. step runs first
+// at once, on p's goroutine. Each time it returns false it must have
+// arranged p's next wake-up (an Engine.ResumeAt of p, or a registration
+// that another component answers with one), and that wake-up runs step
+// again on whichever goroutine is driving the event loop; p's goroutine
+// is switched in only when step returns true. A step that parks with no
+// scheduled resumption calls Block first, so the wait is accounted as
+// blocked time exactly as Suspend accounts it.
+//
+// While p is in Await it must be woken only by the wake-ups its step
+// arranges: any other wake-up of p would run step early. A panic in step
+// surfaces on the Run caller, as a panic in a process body does.
+func (p *Process) Await(step func() bool) {
+	if step() {
+		return
+	}
+	p.step = step
+	p.yield()
+}
+
+// Block marks the running Await step as parked with no scheduled
+// resumption: the simulated time until p's next wake-up is added to its
+// blocked time. It is only valid inside a step that then returns false.
+func (p *Process) Block() {
+	p.blocking = true
+	p.blockedAt = p.eng.now
 }
 
 // BlockedSeconds returns the simulated time this process has spent

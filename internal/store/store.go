@@ -48,6 +48,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"clustersoc/internal/obs"
@@ -191,7 +192,9 @@ func (s *Store) verify(data []byte) ([]byte, error) {
 // read loads and verifies an entry without touching the counters.
 func (s *Store) read(key string) ([]byte, error) {
 	data, err := os.ReadFile(s.entryPath(key))
-	if errors.Is(err, os.ErrNotExist) {
+	if errors.Is(err, os.ErrNotExist) || errors.Is(err, syscall.ENOTDIR) {
+		// ENOTDIR: a file sits where the key's shard directory goes, so
+		// no entry can exist under it.
 		return nil, ErrMiss
 	}
 	if err != nil {

@@ -303,6 +303,13 @@ func TestLockRefusedWithoutWaiting(t *testing.T) {
 	if err := os.WriteFile(shard, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// No entry can exist under a file: a lookup is a plain miss.
+	if _, err := s.Get("k"); !errors.Is(err, ErrMiss) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get = %v, want ErrMiss", err)
+	}
+	if c := s.Counters(); c.Misses != 1 || c.Corrupt != 0 {
+		t.Fatalf("counters after a lookup under a file: %+v, want 1 miss and 0 corrupt", c)
+	}
 	if _, err := s.Lock("k"); !errors.Is(err, syscall.ENOTDIR) {
 		t.Fatalf("Lock = %v, want the filesystem's ENOTDIR", err)
 	}
