@@ -36,7 +36,7 @@ func main() {
 		maxPending = flag.Int("max-pending", 256, "admission bound: max admitted-but-unfinished scenarios before batches get 429")
 		maxBatch   = flag.Int("max-batch", 0, "max scenarios per POST (0 = max-pending)")
 		rate       = flag.Float64("rate", 0, "per-client rate limit in scenario requests/s (0 = unlimited)")
-		burst      = flag.Int("burst", 0, "per-client burst size (0 = max(1, rate))")
+		burst      = flag.Int("burst", 0, "per-client burst size (0 = max(1, rate)); with -rate it also caps -max-batch")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight streams on shutdown")
 	)
 	flag.Parse()

@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -149,34 +150,39 @@ func TestStoreTierServesReplayWithoutTrace(t *testing.T) {
 	}
 }
 
-// mangleEntry rewrites the single *.entry file under dir with mut.
-func mangleEntry(t *testing.T, dir string, mut func([]byte) []byte) {
+// segments lists the segment files under the store directory dir.
+func segments(t *testing.T, dir string) []string {
 	t.Helper()
-	var path string
-	err := filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
-		if err == nil && strings.HasSuffix(p, ".entry") {
-			path = p
-		}
-		return err
-	})
-	if err != nil || path == "" {
-		t.Fatalf("no entry file under %s (err %v)", dir, err)
-	}
-	data, err := os.ReadFile(path)
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.pack"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, mut(data), 0o644); err != nil {
+	return segs
+}
+
+// mangleSegment rewrites the single segment file under dir with mut.
+func mangleSegment(t *testing.T, dir string, mut func([]byte) []byte) {
+	t.Helper()
+	segs := segments(t, dir)
+	if len(segs) != 1 {
+		t.Fatalf("segments under %s: %v, want exactly one", dir, segs)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segs[0], mut(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestStoreCorruptEntryFallsBackToSimulation is the corruption satellite
-// at the run-plane level: truncated entries, zero-byte entries, wrong
+// at the run-plane level: a segment cut mid-record or emptied, wrong
 // version tags, garbage payloads, damaged trace sections, and observer
 // records that fail to decode or belong to another scenario each read as
-// a miss, get counted corrupt, and are repaired by simulate-and-rewrite
-// — after which a fresh Runner with the same observers hits.
+// a miss, get counted corrupt unless the record is cut away entirely,
+// and are repaired by simulate-and-rewrite — after which a fresh Runner
+// with the same observers hits.
 func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 	plain := tinyScenario("hpl", 2, network.GigE)
 	traced := tinyScenario("cg", 2, network.GigE)
@@ -205,23 +211,26 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 		sc      Scenario
 		o       Observers
 		corrupt func(t *testing.T, dir string, st *store.Store, fp string)
+		// cut marks damage that leaves no record naming the key: a plain
+		// miss, not corruption.
+		cut bool
 	}{
 		{"truncated entry", plain, Observers{}, func(t *testing.T, dir string, _ *store.Store, _ string) {
-			mangleEntry(t, dir, func(d []byte) []byte { return d[:len(d)/2] })
-		}},
+			mangleSegment(t, dir, func(d []byte) []byte { return d[:len(d)/2] })
+		}, true},
 		{"zero-byte entry", plain, Observers{}, func(t *testing.T, dir string, _ *store.Store, _ string) {
-			mangleEntry(t, dir, func([]byte) []byte { return nil })
-		}},
+			mangleSegment(t, dir, func([]byte) []byte { return nil })
+		}, true},
 		{"wrong version tag", plain, Observers{}, func(t *testing.T, dir string, _ *store.Store, _ string) {
-			mangleEntry(t, dir, func(d []byte) []byte {
-				return []byte(strings.Replace(string(d), "clustersoc-store v1 ", "clustersoc-store v9 ", 1))
+			mangleSegment(t, dir, func(d []byte) []byte {
+				return []byte(strings.Replace(string(d), "clustersoc-store v2 ", "clustersoc-store v9 ", 1))
 			})
-		}},
+		}, false},
 		{"valid container, garbage JSON payload", plain, Observers{}, func(t *testing.T, _ string, st *store.Store, fp string) {
 			if err := st.Put(fp, []byte("{this is not json")); err != nil {
 				t.Fatal(err)
 			}
-		}},
+		}, false},
 		{"valid entry for the wrong fingerprint", plain, Observers{}, func(t *testing.T, _ string, st *store.Store, fp string) {
 			other := tinyScenario("cg", 2, network.GigE)
 			data, err := encodeStored(other.Fingerprint(), Result{})
@@ -231,16 +240,16 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 			if err := st.Put(fp, data); err != nil {
 				t.Fatal(err)
 			}
-		}},
+		}, false},
 		{"valid container and head, truncated trace section", traced, Observers{}, func(t *testing.T, _ string, st *store.Store, fp string) {
 			rewriteTrace(t, st, fp, func(tail []byte) []byte { return tail[:len(tail)-5] })
-		}},
+		}, false},
 		{"trace section with a foreign magic line", traced, Observers{}, func(t *testing.T, _ string, st *store.Store, fp string) {
 			rewriteTrace(t, st, fp, func(tail []byte) []byte {
 				_, body, _ := bytes.Cut(tail, []byte{'\n'})
 				return append([]byte("some-other-format v2\n"), body...)
 			})
-		}},
+		}, false},
 		{"replay head of the wrong type", replayed, Observers{}, func(t *testing.T, _ string, st *store.Store, fp string) {
 			data, err := st.Peek(fp)
 			if err != nil {
@@ -263,12 +272,12 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 			if err := st.Put(fp, data); err != nil {
 				t.Fatal(err)
 			}
-		}},
+		}, false},
 		{"profile record with a garbage payload", plain, profiled, func(t *testing.T, _ string, st *store.Store, fp string) {
 			if err := st.Put(profileKey+fp, []byte("{this is not json")); err != nil {
 				t.Fatal(err)
 			}
-		}},
+		}, false},
 		{"valid profile record for the wrong fingerprint", plain, profiled, func(t *testing.T, _ string, st *store.Store, fp string) {
 			other := tinyScenario("cg", 2, network.GigE).Fingerprint()
 			data, err := json.Marshal(storedRecord[obs.Profile]{Fingerprint: other, Record: &obs.Profile{Fingerprint: other}})
@@ -278,7 +287,7 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 			if err := st.Put(profileKey+fp, data); err != nil {
 				t.Fatal(err)
 			}
-		}},
+		}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -301,8 +310,12 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := r.Stats()
-			if st.StoreCorrupt != 1 {
-				t.Fatalf("StoreCorrupt = %d, want 1 (%+v)", st.StoreCorrupt, st)
+			corrupt := 1
+			if tc.cut {
+				corrupt = 0
+			}
+			if st.StoreCorrupt != corrupt {
+				t.Fatalf("StoreCorrupt = %d, want %d (%+v)", st.StoreCorrupt, corrupt, st)
 			}
 			if st.Simulated != 1 || st.StoreWrites != 1 || st.StoreHits != 0 {
 				t.Fatalf("corrupt entry must simulate-and-rewrite: %+v", st)
@@ -704,8 +717,8 @@ func TestStoreWarmSpeedGuard(t *testing.T) {
 }
 
 // BenchmarkStoreRoundTrip pins the store overhead added to the cold
-// path: encode + atomic write + read + verify + decode of one real
-// result per iteration.
+// path: encode + append + read + verify + decode of one real result per
+// iteration, each under its own key, as a cold regeneration writes.
 func BenchmarkStoreRoundTrip(b *testing.B) {
 	sc := tinyScenario("hpl", 2, network.TenGigE)
 	res, err := Execute(sc, Observers{})
@@ -723,10 +736,11 @@ func BenchmarkStoreRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := st.Put(fp, data); err != nil {
+		key := fmt.Sprint(fp, i)
+		if err := st.Put(key, data); err != nil {
 			b.Fatal(err)
 		}
-		back, err := st.Get(fp)
+		back, err := st.Get(key)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,11 +1,8 @@
 package runner
 
 import (
-	"bytes"
 	"math"
 	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,42 +14,29 @@ import (
 	"clustersoc/internal/store"
 )
 
-// blockShard puts a regular file where key's shard directory goes in
-// the store at dir, so every create under it (lock file, staged entry)
-// fails with ENOTDIR: the way a read-only or full store refuses writes,
-// and unlike file modes, binding a root test run too.
-func blockShard(t *testing.T, dir, key string) {
+// blockStore puts a regular file where the store directory dir was,
+// after a Store has opened it, so every create under it (segment, lock
+// link) fails with ENOTDIR: the way a read-only or full store refuses
+// writes, and unlike file modes, binding a root test run too.
+func blockStore(t *testing.T, dir string) {
 	t.Helper()
-	if err := openStore(t, dir).Put(key, nil); err != nil {
+	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	var shard string
-	err := filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
-		if err == nil && strings.HasSuffix(p, ".entry") {
-			shard = filepath.Dir(p)
-		}
-		return err
-	})
-	if err == nil {
-		err = os.RemoveAll(shard)
-	}
-	if err == nil {
-		err = os.WriteFile(shard, nil, 0o644)
-	}
-	if err != nil || shard == "" {
-		t.Fatalf("setup: blocking the shard of %q: %v", key, err)
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestTieredRunFallsThroughOnUnwritableStore is the busy-spin
-// regression: on a store that cannot create a lock file there is no
+// regression: on a store that cannot create its segment there is no
 // holder to wait for, so the run must simulate at once, neither spinning
 // nor waiting out the lock bound, and count the write it could not make.
 func TestTieredRunFallsThroughOnUnwritableStore(t *testing.T) {
 	dir := t.TempDir()
 	sc := tinyScenario("cg", 2, network.TenGigE)
-	blockShard(t, dir, sc.Fingerprint())
 	st := openStore(t, dir)
+	blockStore(t, dir)
 	r := New(1)
 	r.SetStore(st)
 
@@ -81,8 +65,8 @@ func TestTieredRunFallsThroughOnUnwritableStore(t *testing.T) {
 	if stats.Simulated != 1 || stats.StorePutFailed != 1 || stats.StoreWrites != 0 {
 		t.Fatalf("stats %+v: want Simulated 1, StorePutFailed 1, StoreWrites 0", stats)
 	}
-	// No entry can exist under the blocked shard: the lookup is a miss,
-	// not corruption.
+	// No entry can exist in a store that holds nothing: the lookup is a
+	// miss, not corruption.
 	if stats.StoreMisses != 1 || stats.StoreCorrupt != 0 {
 		t.Fatalf("stats %+v: want StoreMisses 1, StoreCorrupt 0", stats)
 	}
@@ -98,56 +82,36 @@ func TestTieredRunFallsThroughOnUnwritableStore(t *testing.T) {
 // do not bind a root test run.
 func TestFailedPersistIsCounted(t *testing.T) {
 	sc := tinyScenario("cg", 2, network.TenGigE)
-	// occupy seeds dir with sc's entries, then puts an empty directory
-	// where the one whose payload contains marker lives, so renaming a
-	// staged write onto it fails.
-	occupy := func(o Observers, marker string) func(*testing.T, string, *store.Store) {
-		return func(t *testing.T, dir string, _ *store.Store) {
-			seed := New(1)
-			seed.SetStore(openStore(t, dir))
-			seed.SetObservers(o)
-			if _, err := seed.Run(sc); err != nil {
-				t.Fatal(err)
-			}
-			found := 0
-			err := filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
-				if err != nil || !strings.HasSuffix(p, ".entry") {
-					return err
-				}
-				data, err := os.ReadFile(p)
-				if err == nil && bytes.Contains(data, []byte(marker)) {
-					found++
-					if err = os.Remove(p); err == nil {
-						err = os.Mkdir(p, 0o755)
-					}
-				}
-				return err
-			})
-			if err != nil || found != 1 {
-				t.Fatalf("setup: occupied %d entries holding %q (err %v), want 1", found, marker, err)
-			}
-		}
-	}
 	cases := []struct {
 		name  string
 		o     Observers
 		exec  func(Scenario, Observers) (Result, error)
-		setup func(*testing.T, string, *store.Store)
+		setup func(t *testing.T, dir string)
 		// writes is the StoreWrites count: 1 when only a record failed.
 		writes int
 	}{
-		{"read-only store", Observers{}, Execute, func(t *testing.T, dir string, _ *store.Store) { blockShard(t, dir, sc.Fingerprint()) }, 0},
-		{"entry path taken by a directory", Observers{}, Execute, occupy(Observers{}, `"events"`), 0},
-		{"profile record path taken by a directory", Observers{Profile: true}, Execute, occupy(Observers{Profile: true}, `"record"`), 1},
+		{"read-only store", Observers{}, Execute, blockStore, 0},
+		{"store directory removed", Observers{}, Execute, func(t *testing.T, dir string) {
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+		}, 0},
+		{"profile record cannot encode", Observers{Profile: true}, func(s Scenario, o Observers) (Result, error) {
+			res, err := Execute(s, o)
+			if err == nil {
+				res.Profile.Wall = &obs.WallStats{Note: obs.WallNote, Seconds: math.Inf(1)}
+			}
+			return res, err
+		}, func(*testing.T, string) {}, 1},
 		{"result JSON cannot encode", Observers{}, func(Scenario, Observers) (Result, error) {
 			return Result{Result: cluster.Result{Runtime: math.Inf(1)}}, nil
-		}, func(*testing.T, string, *store.Store) {}, 0},
+		}, func(*testing.T, string) {}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			st := openStore(t, dir)
-			tc.setup(t, dir, st)
+			tc.setup(t, dir)
 			r := New(1)
 			r.exec = tc.exec
 			r.SetStore(st)

@@ -39,7 +39,8 @@ func newLimiter(rate float64, burst int) *limiter {
 
 // take spends n tokens from client's bucket. When the bucket holds too
 // few, nothing is spent and the second return is how long until n are
-// available — the Retry-After hint. A nil limiter always admits.
+// available — the Retry-After hint. n never exceeds the burst: the
+// server caps its batch bound there. A nil limiter always admits.
 func (l *limiter) take(client string, n int, now time.Time) (ok bool, wait time.Duration) {
 	if l == nil {
 		return true, 0
@@ -55,14 +56,8 @@ func (l *limiter) take(client string, n int, now time.Time) (ok bool, wait time.
 		b.last = now
 	}
 	need := float64(n)
-	if need > l.burst {
-		// A batch larger than the bucket can never be admitted whole;
-		// report a wait sized to the shortfall so the client splits or
-		// backs off (the server separately caps batch size).
-		need = l.burst
-	}
-	if b.tokens >= float64(n) {
-		b.tokens -= float64(n)
+	if b.tokens >= need {
+		b.tokens -= need
 		return true, 0
 	}
 	return false, time.Duration((need - b.tokens) / l.rate * float64(time.Second))

@@ -26,13 +26,15 @@ type Config struct {
 	// clients; batches that would exceed it get 429 + Retry-After.
 	// Default 256.
 	MaxPending int
-	// MaxBatch bounds scenarios per POST (default MaxPending). Larger
-	// batches get 413: they could never be admitted whole.
+	// MaxBatch bounds scenarios per POST (default MaxPending; with a
+	// rate limit, at most the burst). Larger batches get 413: they could
+	// never be admitted whole.
 	MaxBatch int
 	// RatePerSec is the per-client token refill rate (tokens are
 	// scenario requests). 0 means unlimited.
 	RatePerSec float64
-	// Burst is the per-client bucket size (default max(1, RatePerSec)).
+	// Burst is the per-client bucket size (default max(1, RatePerSec)),
+	// and so also the largest batch a rate-limited client can send.
 	Burst int
 }
 
@@ -78,11 +80,16 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.MaxBatch <= 0 || cfg.MaxBatch > cfg.MaxPending {
 		cfg.MaxBatch = cfg.MaxPending
 	}
+	lim := newLimiter(cfg.RatePerSec, cfg.Burst)
+	if lim != nil && float64(cfg.MaxBatch) > lim.burst {
+		// A batch beyond a full bucket would be refused with 429 forever.
+		cfg.MaxBatch = int(lim.burst)
+	}
 	return &Server{
 		r:          cfg.Runner,
 		maxPending: int64(cfg.MaxPending),
 		maxBatch:   cfg.MaxBatch,
-		lim:        newLimiter(cfg.RatePerSec, cfg.Burst),
+		lim:        lim,
 		start:      time.Now(),
 	}, nil
 }

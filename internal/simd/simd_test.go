@@ -563,6 +563,27 @@ func TestResolvePresetParity(t *testing.T) {
 	}
 }
 
+// TestBatchOverBurstIsSplitNotRetried: under a rate limit a batch larger
+// than the burst can never be admitted whole, however long the client
+// waits, so it is refused with 413 ("split it") rather than with a 429
+// whose Retry-After promises admission, and a batch of the burst's size
+// is admitted.
+func TestBatchOverBurstIsSplitNotRetried(t *testing.T) {
+	s, ts := newTestServer(t, Config{RatePerSec: 1000, Burst: 2})
+	s.Runner().Run(mustResolve(t, tiny()))
+	resp := postBatch(t, ts.URL, "carol", tiny(), tiny(), tiny())
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a 3-request batch at burst 2: status = %d, want 413", resp.StatusCode)
+	}
+	if got := readLines(t, postBatch(t, ts.URL, "carol", tiny(), tiny())); len(got) != 2 {
+		t.Fatalf("a batch of the burst's size: %+v, want 2 lines", got)
+	}
+	if s.rejectedRate.Load() != 0 || s.rejectedBatch.Load() != 1 {
+		t.Fatalf("rejected_rate %d, rejected_batch %d: want 0 and 1", s.rejectedRate.Load(), s.rejectedBatch.Load())
+	}
+}
+
 // TestLimiterAccounting unit-tests the token bucket.
 func TestLimiterAccounting(t *testing.T) {
 	now := time.Unix(1000, 0)
@@ -579,11 +600,6 @@ func TestLimiterAccounting(t *testing.T) {
 	}
 	if ok, _ := l.take("c", 2, now.Add(time.Second)); !ok {
 		t.Fatal("refilled bucket refused")
-	}
-	// Oversized ask: wait is clamped to a full bucket, not infinity.
-	_, wait = l.take("c", 100, now.Add(time.Second))
-	if wait > 2*time.Second {
-		t.Fatalf("oversized ask wait = %v, want <= full-bucket refill", wait)
 	}
 	if l := newLimiter(0, 0); l != nil {
 		t.Fatal("rate 0 should mean unlimited (nil limiter)")
