@@ -109,7 +109,6 @@ type Node struct {
 	Index int
 	Type  soc.NodeConfig
 	DRAM  *sim.Pipe
-	Cores *sim.Resource
 	GPU   *cuda.Device // nil for CPU-only nodes
 	PMU   perf.PMU
 	Meter power.Meter
@@ -160,7 +159,6 @@ func New(cfg Config) *Cluster {
 			Index: i,
 			Type:  nt,
 			DRAM:  sim.NewPipe(e, fmt.Sprintf("dram%d", i), nt.DRAMBandwidth, 0),
-			Cores: sim.NewResource(nt.CPU.Cores),
 		}
 		node.Meter.Spec = nt.Power
 		node.Meter.Spec.NICWatts += cfg.Network.PowerWatts
@@ -321,15 +319,22 @@ func (cl *Cluster) spawnOn(comm *mpi.Comm, ranksPerNode int, body func(ctx *Cont
 		comm.SetPathRecorder(cl.cp.CommHooks(ents))
 	}
 	cl.jobs++
+	// One slab of ops and one of kinds hold every rank's queue.
+	c := queueCap
+	ops := make([]op, comm.Size()*c)
+	kinds := make([]opKind, comm.Size()*c)
 	for r := 0; r < comm.Size(); r++ {
 		r := r
-		ctx := &Context{cl: cl, Rank: r, node: cl.Nodes[r/ranksPerNode], comm: comm, job: job}
+		ctx := &Context{cl: cl, Rank: r, node: cl.Nodes[r/ranksPerNode], comm: comm, job: job,
+			q: ops[r*c : r*c : (r+1)*c], kinds: kinds[r*c : r*c : (r+1)*c]}
+		ctx.run = ctx.step
 		if ents != nil {
 			ctx.cpEnt = ents[r]
 		}
 		p := cl.Eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Process) {
-			ctx.P = p
+			ctx.p = p
 			body(ctx)
+			ctx.flush()
 			if p.Now() > job.Finish {
 				job.Finish = p.Now()
 			}

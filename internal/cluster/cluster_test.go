@@ -100,10 +100,10 @@ func TestGPUKernelSharesDRAMWithCPU(t *testing.T) {
 func TestEnergyScalesWithIdleTime(t *testing.T) {
 	cfg := TX1Cluster(2, network.GigE)
 	cfg.RanksPerNode = 1
-	short := New(cfg).Run(func(ctx *Context) { ctx.P.Sleep(1) })
+	short := New(cfg).Run(func(ctx *Context) { ctx.p.Sleep(1) })
 	cfg2 := TX1Cluster(2, network.GigE)
 	cfg2.RanksPerNode = 1
-	long := New(cfg2).Run(func(ctx *Context) { ctx.P.Sleep(10) })
+	long := New(cfg2).Run(func(ctx *Context) { ctx.p.Sleep(10) })
 	ratio := long.EnergyJoules / short.EnergyJoules
 	if math.Abs(ratio-10) > 0.01 {
 		t.Fatalf("idle energy ratio %v, want 10", ratio)
@@ -114,7 +114,7 @@ func TestNICPowerAdder(t *testing.T) {
 	run := func(prof network.Profile) Result {
 		cfg := TX1Cluster(4, prof)
 		cfg.RanksPerNode = 1
-		return New(cfg).Run(func(ctx *Context) { ctx.P.Sleep(1) })
+		return New(cfg).Run(func(ctx *Context) { ctx.p.Sleep(1) })
 	}
 	g1, g10 := run(network.GigE), run(network.TenGigE)
 	delta := g10.AvgPowerWatts - g1.AvgPowerWatts
@@ -170,7 +170,7 @@ func TestJobTracksOwnThroughput(t *testing.T) {
 		ctx.Compute(soc.CPUWork{Instr: 1e8, Flops: 1e8})
 	})
 	slow := cl.SpawnWith(1, func(ctx *Context) {
-		ctx.P.Sleep(2)
+		ctx.p.Sleep(2)
 		ctx.Compute(soc.CPUWork{Instr: 1e8, Flops: 1e8})
 	})
 	cl.Finish()
@@ -269,7 +269,7 @@ func TestContextSurface(t *testing.T) {
 		if ctx.NodeIndex() != ctx.Rank/2 {
 			t.Errorf("rank %d on node %d", ctx.Rank, ctx.NodeIndex())
 		}
-		if ctx.Node().GPU == nil || ctx.GPU() == nil {
+		if ctx.Node().GPU == nil || ctx.node.GPU == nil {
 			t.Error("missing GPU on a TX1 node")
 		}
 		ctx.ReadLocal(1e6)

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
+	"clustersoc/internal/critpath"
 	"clustersoc/internal/cuda"
 	"clustersoc/internal/faults"
 	"clustersoc/internal/mpi"
@@ -13,15 +15,162 @@ import (
 // Context is the per-rank programming interface the workload models use:
 // CPU compute, CUDA operations, and MPI communication, all instrumented
 // for power, counters, and tracing.
+//
+// Every operation is queued, not run: the call copies its arguments, and
+// the rank runs its queued operations on the event loop, as one
+// sim.Process.Await step, when the queue is full, when the body reads
+// Now, and when the body returns. The step starts each operation as soon
+// as the one before it completes, before any other event pops, which is
+// exactly where the body would have started it; a body touches no
+// simulation state between operations, so the run is the one a body
+// calling each operation in turn would make. The rank's goroutine is
+// switched in once per flush, not once per operation.
 type Context struct {
 	cl    *Cluster
 	Rank  int
-	P     *sim.Process
+	p     *sim.Process
 	node  *Node
 	comm  *mpi.Comm
 	job   *Job
 	fst   faults.RankState
 	cpEnt int32 // critpath timeline handle; meaningful only when cl.cp != nil
+
+	// The queue: this rank's windows of the job's op and kind slabs, and
+	// the gates, async kernels and core counts its operations name, in
+	// order.
+	q       []op
+	kinds   []opKind
+	refs    []any
+	next    int         // index of the operation running during a flush
+	nextRef int         // index in refs of the next one an operation takes
+	run     func() bool // step, bound once
+
+	// The running operation's progress.
+	phase   uint8
+	start   float64
+	cost    soc.CostResult // Compute: the phase's cost
+	dur     float64        // Compute: its wall time
+	gpu     cuda.Op        // Kernel, CopyIn, CopyOut
+	gate    *sim.Gate      // WaitKernel
+	call    *mpi.Call      // the MPI calls
+	fetchID int32          // Fetch: the critpath booking
+}
+
+// queueCap is how many operations a rank queues before it runs them, so
+// the rank's goroutine is switched in about once per queueCap operations.
+// It is a variable only so a test can set it to 1, which runs each
+// operation alone, as it is called.
+var queueCap = 32
+
+// opKind names a queued operation.
+type opKind uint8
+
+const (
+	opCompute   opKind = iota // on one core
+	opComputeOn               // on the core count it takes from refs
+	opKernel
+	opKernelAsync
+	opWaitKernel
+	opCopy
+	opReadLocal
+	opFetch
+	opCheckpoint
+	opPhase
+	opCreditFlops
+	opSend
+	opRecv
+	opSendrecv
+	opAllreduce
+	opBcast
+	opReduce
+	opAlltoall
+	opAllgather
+	opBarrier
+)
+
+// op holds one queued operation's arguments, copied when the body called,
+// as 64-bit words: a Compute's CPUWork fields (workArgs), or another
+// kind's floats (math.Float64bits) and integers. Its kind sits beside it
+// in kinds, and a gate, async kernel or core count it names in refs, so a
+// rank's 32-op queue costs 2 KB of ops and 32 bytes of kinds.
+type op [8]uint64
+
+func (o *op) float(i int) float64 { return math.Float64frombits(o[i]) }
+func (o *op) int(i int) int       { return int(int64(o[i])) }
+
+// bits and word store a float and an integer in an op.
+func bits(f float64) uint64 { return math.Float64bits(f) }
+func word(v int) uint64     { return uint64(int64(v)) }
+
+// enqueue queues an op of kind k and runs the queue once it is full. An
+// op that names a ref appends it to refs first.
+func (ctx *Context) enqueue(k opKind, o op) {
+	ctx.q = append(ctx.q, o)
+	ctx.kinds = append(ctx.kinds, k)
+	if len(ctx.q) == cap(ctx.q) {
+		ctx.flush()
+	}
+}
+
+// takeRef returns the next ref, for the operation starting to run.
+func (ctx *Context) takeRef() any {
+	r := ctx.refs[ctx.nextRef]
+	ctx.nextRef++
+	return r
+}
+
+// flush runs the queued operations to completion.
+func (ctx *Context) flush() {
+	if len(ctx.q) == 0 {
+		return
+	}
+	ctx.next, ctx.nextRef = 0, 0
+	ctx.p.Await(ctx.run)
+	ctx.q = ctx.q[:0]
+	ctx.kinds = ctx.kinds[:0]
+	clear(ctx.refs)
+	ctx.refs = ctx.refs[:0]
+}
+
+// step runs queued operations from next on, each starting as soon as the
+// one before completes, and reports whether the queue is done.
+func (ctx *Context) step() bool {
+	for ; ctx.next < len(ctx.q); ctx.next++ {
+		o, k := &ctx.q[ctx.next], ctx.kinds[ctx.next]
+		var done bool
+		switch k {
+		case opCompute, opComputeOn:
+			done = ctx.compute(o, k == opComputeOn)
+		case opKernel:
+			done = ctx.kernel(o)
+		case opKernelAsync:
+			ctx.kernelAsync(ctx.takeRef().(*asyncKernel))
+			done = true
+		case opWaitKernel:
+			done = ctx.waitKernel()
+		case opCopy:
+			done = ctx.copy(o.float(0))
+		case opReadLocal:
+			done = ctx.readLocal(o.float(0))
+		case opFetch:
+			done = ctx.fetch(o.float(0))
+		case opCheckpoint:
+			done = ctx.checkpoint(o.float(0))
+		case opPhase:
+			ctx.cl.Tracer.RecordPhase(ctx.Rank, ctx.p.Now())
+			done = true
+		case opCreditFlops:
+			ctx.creditFlops(o.float(0))
+			done = true
+		default:
+			done = ctx.mpiCall(k, o)
+		}
+		if !done {
+			return false
+		}
+		ctx.phase = 0
+	}
+	return true
 }
 
 // Size returns the number of ranks in the communicator.
@@ -36,8 +185,12 @@ func (ctx *Context) NodeIndex() int { return ctx.node.Index }
 // RanksPerNode returns the process density.
 func (ctx *Context) RanksPerNode() int { return ctx.cl.ranksPerNode }
 
-// Now returns the simulation time.
-func (ctx *Context) Now() float64 { return ctx.P.Now() }
+// Now returns the simulation time once every operation called so far has
+// completed.
+func (ctx *Context) Now() float64 {
+	ctx.flush()
+	return ctx.p.Now()
+}
 
 // Compute runs CPU work on one core of this rank's node: the time comes
 // from the microarchitecture model, the DRAM traffic is booked on the
@@ -57,47 +210,101 @@ func (ctx *Context) ComputeParallel(w soc.CPUWork, cores int) {
 	if cores > ctx.node.Type.CPU.Cores {
 		cores = ctx.node.Type.CPU.Cores
 	}
-	sharers := ctx.cl.ranksPerNode
-	if cores > sharers {
-		sharers = cores
+	if cores == 1 {
+		ctx.enqueue(opCompute, workArgs(w))
+		return
 	}
-	r := ctx.node.Type.CPU.Cost(w, sharers)
-	if f := ctx.cl.inj.ComputeFactor(ctx.node.Index); f != 1 {
-		// A straggler node's compute stretches uniformly: more wall time
-		// and more of it stalled, but the same instructions and traffic.
-		r.Seconds *= f
-		r.MemStallSeconds *= f
+	ctx.refs = append(ctx.refs, cores)
+	ctx.enqueue(opComputeOn, workArgs(w))
+}
+
+// workArgs packs a CPUWork into an op; work unpacks it.
+func workArgs(w soc.CPUWork) op {
+	return op{bits(w.Instr), bits(w.Flops), bits(w.Branches), bits(w.BranchEntropy),
+		bits(w.MemAccesses), bits(w.L1MissRate), bits(w.WorkingSet), bits(w.Bytes)}
+}
+
+func (o *op) work() soc.CPUWork {
+	return soc.CPUWork{Instr: o.float(0), Flops: o.float(1), Branches: o.float(2), BranchEntropy: o.float(3),
+		MemAccesses: o.float(4), L1MissRate: o.float(5), WorkingSet: o.float(6), Bytes: o.float(7)}
+}
+
+func (ctx *Context) compute(o *op, on bool) bool {
+	n := ctx.node
+	if ctx.phase == 0 {
+		cores := 1
+		if on {
+			cores = ctx.takeRef().(int)
+		}
+		sharers := ctx.cl.ranksPerNode
+		if cores > sharers {
+			sharers = cores
+		}
+		r := n.Type.CPU.Cost(o.work(), sharers)
+		if f := ctx.cl.inj.ComputeFactor(n.Index); f != 1 {
+			// A straggler node's compute stretches uniformly: more wall
+			// time and more of it stalled, but the same instructions and
+			// traffic.
+			r.Seconds *= f
+			r.MemStallSeconds *= f
+		}
+		ctx.start = ctx.p.Now()
+		if r.DRAMBytes > 0 {
+			// Book the traffic for contention accounting without
+			// serializing the computation behind it (the stall time is
+			// already inside r.Seconds).
+			n.DRAM.TransferEvent(r.DRAMBytes, n.Type.CPU.MemBandwidth, nil)
+		}
+		ctx.cost = r
+		ctx.dur = r.Seconds / float64(cores)
+		ctx.p.WakeAfter(ctx.dur)
+		ctx.phase = 1
+		return false
 	}
-	start := ctx.P.Now()
-	if r.DRAMBytes > 0 {
-		// Book the traffic for contention accounting without serializing
-		// the computation behind it (the stall time is already inside
-		// r.Seconds).
-		ctx.node.DRAM.TransferEvent(r.DRAMBytes, ctx.node.Type.CPU.MemBandwidth, nil)
-	}
-	dur := r.Seconds / float64(cores)
-	ctx.P.Sleep(dur)
-	ctx.node.PMU.Add(r.PMU)
-	ctx.node.cpuBusy += r.Seconds
-	ctx.node.cpuMemStall += r.MemStallSeconds
-	ctx.node.Meter.AddDRAM(r.DRAMBytes)
-	ctx.creditFlops(w.Flops)
+	r := &ctx.cost
+	n.PMU.Add(r.PMU)
+	n.cpuBusy += r.Seconds
+	n.cpuMemStall += r.MemStallSeconds
+	n.Meter.AddDRAM(r.DRAMBytes)
+	ctx.creditFlops(o.float(1))
 	if ctx.cl.cp != nil {
 		// The wall-clock stall share of the phase: MemStallSeconds is in
 		// busy core-seconds, the span in wall seconds.
 		stall := 0.0
 		if r.Seconds > 0 {
-			stall = dur * r.MemStallSeconds / r.Seconds
+			stall = ctx.dur * r.MemStallSeconds / r.Seconds
 		}
-		ctx.cl.cp.Compute(ctx.cpEnt, start, ctx.P.Now(), stall, ctx.cl.inj.ComputeFactor(ctx.node.Index))
+		ctx.cl.cp.Compute(ctx.cpEnt, ctx.start, ctx.p.Now(), stall, ctx.cl.inj.ComputeFactor(n.Index))
 	}
 	if ctx.cl.Tracer != nil {
-		ctx.cl.Tracer.RecordCompute(ctx.Rank, dur, start)
+		ctx.cl.Tracer.RecordCompute(ctx.Rank, ctx.dur, ctx.start)
 	}
+	return true
 }
 
-// GPU returns this rank's CUDA device (nil on CPU-only systems).
-func (ctx *Context) GPU() *cuda.Device { return ctx.node.GPU }
+// The precision bits of a Kernel op's word 3.
+const (
+	kernelSingle = 1 << iota
+	kernelHalf
+)
+
+// kernelArgs packs a kernel into an op; kernel unpacks it (without the
+// name, which a launch does not read).
+func kernelArgs(k cuda.Kernel) op {
+	o := op{bits(k.FLOPs), bits(k.Bytes), bits(k.L2HitRatio)}
+	if k.SinglePrecision {
+		o[3] |= kernelSingle
+	}
+	if k.HalfPrecision {
+		o[3] |= kernelHalf
+	}
+	return o
+}
+
+func (o *op) kernel() cuda.Kernel {
+	return cuda.Kernel{FLOPs: o.float(0), Bytes: o.float(1), L2HitRatio: o.float(2),
+		SinglePrecision: o[3]&kernelSingle != 0, HalfPrecision: o[3]&kernelHalf != 0}
+}
 
 // Kernel launches a GPU kernel and blocks until it completes. GPU time is
 // recorded as compute in the trace (it is local work for replay purposes).
@@ -106,79 +313,149 @@ func (ctx *Context) GPU() *cuda.Device { return ctx.node.GPU }
 // and power envelope); async launches (KernelAsync) are deliberately
 // unscaled, since their duration is buried in the device timeline.
 func (ctx *Context) Kernel(k cuda.Kernel) {
-	start := ctx.P.Now()
-	ctx.node.GPU.Launch(ctx.P, k)
+	ctx.enqueue(opKernel, kernelArgs(k))
+}
+
+func (ctx *Context) kernel(o *op) bool {
 	f := ctx.cl.inj.ComputeFactor(ctx.node.Index)
-	stall := ctx.node.GPU.LastLaunchStallSeconds()
-	if f != 1 {
-		ctx.P.Sleep((ctx.P.Now() - start) * (f - 1))
+	switch ctx.phase {
+	case 0:
+		ctx.start = ctx.p.Now()
+		ctx.gpu = ctx.node.GPU.KernelOp(ctx.p, o.kernel())
+		ctx.phase = 1
+		fallthrough
+	case 1:
+		if !ctx.gpu.Step() {
+			return false
+		}
+		if f != 1 {
+			ctx.p.WakeAfter((ctx.p.Now() - ctx.start) * (f - 1))
+			ctx.phase = 2
+			return false
+		}
 	}
-	ctx.creditFlops(k.FLOPs)
+	ctx.creditFlops(o.float(0))
 	if ctx.cl.cp != nil {
-		ctx.cl.cp.Kernel(ctx.cpEnt, start, ctx.P.Now(), stall, f)
+		ctx.cl.cp.Kernel(ctx.cpEnt, ctx.start, ctx.p.Now(), ctx.gpu.StallSeconds(), f)
 	}
 	if ctx.cl.Tracer != nil {
-		ctx.cl.Tracer.RecordCompute(ctx.Rank, ctx.P.Now()-start, start)
+		ctx.cl.Tracer.RecordCompute(ctx.Rank, ctx.p.Now()-ctx.start, ctx.start)
 	}
+	return true
+}
+
+// asyncKernel is a KernelAsync: the kernel and the gate its completion
+// opens, made when the body calls.
+type asyncKernel struct {
+	g sim.Gate
+	k cuda.Kernel
 }
 
 // KernelAsync starts a kernel and returns a gate that opens on completion
-// (hpl lookahead). The FLOPs are credited immediately; the trace records
-// the wait at WaitKernel. Under critpath recording the helper process is
-// spawned here — with the same name and engine order as the cuda path, so
-// event timing is untouched — and its kernel span lands on a dedicated
-// helper timeline bound to the returned gate.
+// (hpl lookahead). The FLOPs are credited when the launch starts; the
+// trace records the wait at WaitKernel. Under critpath recording the
+// helper process is spawned by the cluster — with the same name and
+// engine order as the cuda path, so event timing is untouched — and its
+// kernel span lands on a dedicated helper timeline bound to the gate.
+// Wait on the gate only through WaitKernel: the body runs ahead of the
+// simulation, so the gate's own state is not yet the body's.
 func (ctx *Context) KernelAsync(k cuda.Kernel) *sim.Gate {
-	ctx.creditFlops(k.FLOPs)
-	if cp := ctx.cl.cp; cp != nil {
-		d := ctx.node.GPU
-		aux := cp.SpawnAux(ctx.cpEnt, fmt.Sprintf("gpu%d:%s", ctx.node.Index, k.Name), ctx.node.Index)
-		g := &sim.Gate{}
-		cp.BindGate(g, aux)
-		ctx.cl.Eng.Spawn("cuda-async:"+k.Name, func(hp *sim.Process) {
-			s0 := hp.Now()
-			d.Launch(hp, k)
-			cp.Kernel(aux, s0, hp.Now(), d.LastLaunchStallSeconds(), 1)
-			g.Open(ctx.cl.Eng)
-		})
-		return g
+	a := &asyncKernel{k: k}
+	ctx.refs = append(ctx.refs, a)
+	ctx.enqueue(opKernelAsync, op{})
+	return &a.g
+}
+
+func (ctx *Context) kernelAsync(a *asyncKernel) {
+	ctx.creditFlops(a.k.FLOPs)
+	d := ctx.node.GPU
+	cp := ctx.cl.cp
+	if cp == nil {
+		d.LaunchAsync(a.k, &a.g)
+		return
 	}
-	return ctx.node.GPU.LaunchAsync(k)
+	h := &pathHelper{eng: ctx.cl.Eng, cp: cp, g: &a.g, s0: ctx.p.Now()}
+	h.aux = cp.SpawnAux(ctx.cpEnt, fmt.Sprintf("gpu%d:%s", ctx.node.Index, a.k.Name), ctx.node.Index)
+	cp.BindGate(&a.g, h.aux)
+	h.op = d.KernelOp(ctx.cl.Eng.SpawnStep("cuda-async:"+a.k.Name, h.step), a.k)
+}
+
+// pathHelper is an async kernel's helper process under critpath
+// recording: cuda's LaunchAsync helper plus the kernel span it records.
+type pathHelper struct {
+	op  cuda.Op
+	eng *sim.Engine
+	cp  *critpath.Recorder
+	g   *sim.Gate
+	aux int32
+	s0  float64 // the helper's activation: it is spawned to run at once
+}
+
+func (h *pathHelper) step() bool {
+	if !h.op.Step() {
+		return false
+	}
+	h.cp.Kernel(h.aux, h.s0, h.eng.Now(), h.op.StallSeconds(), 1)
+	h.g.Open(h.eng)
+	return true
 }
 
 // WaitKernel blocks on an async kernel's completion gate.
 func (ctx *Context) WaitKernel(g *sim.Gate) {
-	start := ctx.P.Now()
-	g.Wait(ctx.P)
+	ctx.refs = append(ctx.refs, g)
+	ctx.enqueue(opWaitKernel, op{})
+}
+
+func (ctx *Context) waitKernel() bool {
+	if ctx.phase == 0 {
+		ctx.gate = ctx.takeRef().(*sim.Gate)
+		ctx.start = ctx.p.Now()
+		if !ctx.gate.TryWait(ctx.p) {
+			ctx.p.Block()
+			ctx.phase = 1
+			return false
+		}
+	}
 	if ctx.cl.cp != nil {
-		ctx.cl.cp.GateWait(ctx.cpEnt, g, start, ctx.P.Now())
+		ctx.cl.cp.GateWait(ctx.cpEnt, ctx.gate, ctx.start, ctx.p.Now())
 	}
 	if ctx.cl.Tracer != nil {
-		ctx.cl.Tracer.RecordCompute(ctx.Rank, ctx.P.Now()-start, start)
+		ctx.cl.Tracer.RecordCompute(ctx.Rank, ctx.p.Now()-ctx.start, ctx.start)
 	}
+	return true
 }
 
 // CopyIn moves bytes host-to-device under the configured memory model.
 func (ctx *Context) CopyIn(bytes float64) {
-	start := ctx.P.Now()
-	ctx.node.GPU.CopyIn(ctx.P, bytes)
-	if ctx.cl.cp != nil {
-		ctx.cl.cp.Copy(ctx.cpEnt, start, ctx.P.Now())
-	}
-	if ctx.cl.Tracer != nil {
-		ctx.cl.Tracer.RecordCopy(ctx.Rank, ctx.P.Now()-start, start)
-	}
+	ctx.enqueue(opCopy, op{bits(bytes)})
 }
 
 // CopyOut moves bytes device-to-host.
 func (ctx *Context) CopyOut(bytes float64) {
-	start := ctx.P.Now()
-	ctx.node.GPU.CopyOut(ctx.P, bytes)
+	ctx.enqueue(opCopy, op{bits(bytes)})
+}
+
+func (ctx *Context) copy(bytes float64) bool {
+	if ctx.phase == 0 {
+		ctx.start = ctx.p.Now()
+		ctx.gpu = ctx.node.GPU.CopyOp(ctx.p, bytes)
+		ctx.phase = 1
+	}
+	if !ctx.gpu.Step() {
+		return false
+	}
+	ctx.recordCopy()
+	return true
+}
+
+// recordCopy records the running operation, a transfer since ctx.start,
+// as a copy span and a trace copy.
+func (ctx *Context) recordCopy() {
 	if ctx.cl.cp != nil {
-		ctx.cl.cp.Copy(ctx.cpEnt, start, ctx.P.Now())
+		ctx.cl.cp.Copy(ctx.cpEnt, ctx.start, ctx.p.Now())
 	}
 	if ctx.cl.Tracer != nil {
-		ctx.cl.Tracer.RecordCopy(ctx.Rank, ctx.P.Now()-start, start)
+		ctx.cl.Tracer.RecordCopy(ctx.Rank, ctx.p.Now()-ctx.start, ctx.start)
 	}
 }
 
@@ -208,70 +485,118 @@ func (ctx *Context) StageIn(bytes float64) {
 // takes a checkpoint when the plan's interval has elapsed; otherwise it
 // is free and changes nothing.
 func (ctx *Context) Checkpoint(stateBytes float64) {
-	start := ctx.P.Now()
-	ctx.cl.inj.Checkpoint(ctx.P, ctx.node.Index, &ctx.fst, stateBytes)
+	ctx.enqueue(opCheckpoint, op{bits(stateBytes)})
+}
+
+func (ctx *Context) checkpoint(stateBytes float64) bool {
+	if ctx.phase == 0 {
+		ctx.start = ctx.p.Now()
+		ctx.phase = 1
+	}
+	if !ctx.cl.inj.Checkpoint(ctx.p, ctx.node.Index, &ctx.fst, stateBytes) {
+		return false
+	}
 	if ctx.cl.cp != nil {
 		// Any time the hook consumed is fault-plane overhead: checkpoint
 		// writes, crash outage settlement, redone work.
-		ctx.cl.cp.Fault(ctx.cpEnt, start, ctx.P.Now())
+		ctx.cl.cp.Fault(ctx.cpEnt, ctx.start, ctx.p.Now())
 	}
+	return true
 }
 
 // Phase marks an iteration boundary for PARAVER-style trace chopping.
 func (ctx *Context) Phase() {
 	if ctx.cl.Tracer != nil {
-		ctx.cl.Tracer.RecordPhase(ctx.Rank, ctx.P.Now())
+		ctx.enqueue(opPhase, op{})
 	}
 }
 
 // Send transmits bytes to rank dst.
 func (ctx *Context) Send(dst, tag int, bytes float64) {
-	ctx.comm.Send(ctx.P, ctx.Rank, dst, tag, bytes)
+	ctx.enqueue(opSend, op{word(dst), word(tag), bits(bytes)})
 }
 
 // Recv blocks for a message from rank src.
 func (ctx *Context) Recv(src, tag int) {
-	ctx.comm.Recv(ctx.P, ctx.Rank, src, tag)
+	ctx.enqueue(opRecv, op{word(src), word(tag)})
 }
 
 // Sendrecv exchanges with two peers.
 func (ctx *Context) Sendrecv(dst, src, tag int, sendBytes, recvBytes float64) {
-	ctx.comm.Sendrecv(ctx.P, ctx.Rank, dst, src, tag, sendBytes, recvBytes)
+	ctx.enqueue(opSendrecv, op{word(dst), word(src), word(tag), bits(sendBytes), bits(recvBytes)})
 }
 
 // Allreduce combines bytes across all ranks.
 func (ctx *Context) Allreduce(bytes float64) {
-	ctx.comm.Allreduce(ctx.P, ctx.Rank, bytes)
+	ctx.enqueue(opAllreduce, op{bits(bytes)})
 }
 
 // Bcast broadcasts from root.
 func (ctx *Context) Bcast(root int, bytes float64) {
-	ctx.comm.Bcast(ctx.P, ctx.Rank, root, bytes)
+	ctx.enqueue(opBcast, op{word(root), bits(bytes)})
 }
 
 // Reduce combines onto root.
 func (ctx *Context) Reduce(root int, bytes float64) {
-	ctx.comm.Reduce(ctx.P, ctx.Rank, root, bytes)
+	ctx.enqueue(opReduce, op{word(root), bits(bytes)})
 }
 
 // Alltoall exchanges bytesPerPair with every other rank.
 func (ctx *Context) Alltoall(bytesPerPair float64) {
-	ctx.comm.Alltoall(ctx.P, ctx.Rank, bytesPerPair)
+	ctx.enqueue(opAlltoall, op{bits(bytesPerPair)})
 }
 
 // Allgather shares each rank's contribution with everyone.
 func (ctx *Context) Allgather(bytes float64) {
-	ctx.comm.Allgather(ctx.P, ctx.Rank, bytes)
+	ctx.enqueue(opAllgather, op{bits(bytes)})
 }
 
 // Barrier synchronizes all ranks.
 func (ctx *Context) Barrier() {
-	ctx.comm.Barrier(ctx.P, ctx.Rank)
+	ctx.enqueue(opBarrier, op{})
+}
+
+// mpiCall runs a queued MPI call. The call is built when it starts, not
+// when it is queued, so collective tags are taken in the rank's program
+// order and the communicator's call pool stays one call deep per rank.
+func (ctx *Context) mpiCall(k opKind, o *op) bool {
+	if ctx.phase == 0 {
+		x := ctx.comm.Start(ctx.p, ctx.Rank)
+		switch k {
+		case opSend:
+			x.Send(o.int(0), o.int(1), o.float(2))
+		case opRecv:
+			x.Recv(o.int(0), o.int(1))
+		case opSendrecv:
+			x.Sendrecv(o.int(0), o.int(1), o.int(2), o.float(3), o.float(4))
+		case opAllreduce:
+			x.Allreduce(o.float(0))
+		case opBcast:
+			x.Bcast(o.int(0), o.float(1))
+		case opReduce:
+			x.Reduce(o.int(0), o.float(1))
+		case opAlltoall:
+			x.Alltoall(o.float(0))
+		case opAllgather:
+			x.Allgather(o.float(0))
+		case opBarrier:
+			x.Barrier()
+		}
+		ctx.call = x
+		ctx.phase = 1
+	}
+	if !ctx.call.Step() {
+		return false
+	}
+	ctx.call = nil
+	return true
 }
 
 // CreditFlops adds useful FLOPs that were not run through Compute or
 // Kernel (used by analytic phases).
-func (ctx *Context) CreditFlops(f float64) { ctx.creditFlops(f) }
+func (ctx *Context) CreditFlops(f float64) {
+	ctx.enqueue(opCreditFlops, op{bits(f)})
+}
 
 func (ctx *Context) creditFlops(f float64) {
 	ctx.cl.flops += f
@@ -287,14 +612,18 @@ const LocalStorageBandwidth = 150e6
 
 // ReadLocal reads bytes from the node's local storage.
 func (ctx *Context) ReadLocal(bytes float64) {
-	start := ctx.P.Now()
-	ctx.P.Sleep(bytes / LocalStorageBandwidth)
-	if ctx.cl.cp != nil {
-		ctx.cl.cp.Copy(ctx.cpEnt, start, ctx.P.Now())
+	ctx.enqueue(opReadLocal, op{bits(bytes)})
+}
+
+func (ctx *Context) readLocal(bytes float64) bool {
+	if ctx.phase == 0 {
+		ctx.start = ctx.p.Now()
+		ctx.p.WakeAfter(bytes / LocalStorageBandwidth)
+		ctx.phase = 1
+		return false
 	}
-	if ctx.cl.Tracer != nil {
-		ctx.cl.Tracer.RecordCopy(ctx.Rank, ctx.P.Now()-start, start)
-	}
+	ctx.recordCopy()
+	return true
 }
 
 // Fetch pulls bytes from the cluster's file server over the network (NFS
@@ -304,20 +633,30 @@ func (ctx *Context) Fetch(bytes float64) {
 	if !ctx.cl.Cfg.FileServer {
 		panic("cluster: Fetch requires Config.FileServer")
 	}
-	server := ctx.cl.Cfg.Nodes // last switch port
-	_, arrival := ctx.cl.Net.Deliver(server, ctx.node.Index, bytes)
-	start := ctx.P.Now()
-	var fetchID int32
-	if ctx.cl.cp != nil {
-		// Claim the Deliver booking before sleeping: another rank's send
-		// would overwrite the pending slot while this process is parked.
-		fetchID = ctx.cl.cp.FetchStart(ctx.cpEnt)
+	ctx.enqueue(opFetch, op{bits(bytes)})
+}
+
+func (ctx *Context) fetch(bytes float64) bool {
+	if ctx.phase == 0 {
+		server := ctx.cl.Cfg.Nodes // last switch port
+		_, arrival := ctx.cl.Net.Deliver(server, ctx.node.Index, bytes)
+		ctx.start = ctx.p.Now()
+		if ctx.cl.cp != nil {
+			// Claim the Deliver booking before waiting: another rank's
+			// send would overwrite the pending slot while this one waits.
+			ctx.fetchID = ctx.cl.cp.FetchStart(ctx.cpEnt)
+		}
+		if arrival > ctx.start {
+			ctx.cl.Eng.ResumeAt(arrival, ctx.p)
+			ctx.phase = 1
+			return false
+		}
 	}
-	ctx.P.SleepUntil(arrival)
 	if ctx.cl.cp != nil {
-		ctx.cl.cp.FetchDone(ctx.cpEnt, fetchID, start, ctx.P.Now())
+		ctx.cl.cp.FetchDone(ctx.cpEnt, ctx.fetchID, ctx.start, ctx.p.Now())
 	}
 	if ctx.cl.Tracer != nil {
-		ctx.cl.Tracer.RecordCopy(ctx.Rank, ctx.P.Now()-start, start)
+		ctx.cl.Tracer.RecordCopy(ctx.Rank, ctx.p.Now()-ctx.start, ctx.start)
 	}
+	return true
 }

@@ -145,8 +145,9 @@ func TestKernelsSerializeOnStream(t *testing.T) {
 	e, d := tx1Device(HostDevice)
 	k := Kernel{Name: "k", FLOPs: units.GFLOP}
 	single := k.FLOPs / (d.Config.PeakFP64() * d.Config.Efficiency)
-	g1 := d.LaunchAsync(k)
-	g2 := d.LaunchAsync(k)
+	var g1, g2 sim.Gate
+	d.LaunchAsync(k, &g1)
+	d.LaunchAsync(k, &g2)
 	end := e.Run()
 	if !g1.IsOpen() || !g2.IsOpen() {
 		t.Fatal("async kernels did not complete")

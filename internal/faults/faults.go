@@ -151,7 +151,21 @@ type RankState struct {
 	lastSeen    float64 // time the previous hook returned
 	lastBlocked float64 // the rank's blocked-seconds at that hook
 	crashIdx    int
+
+	// The hook in progress: where it is, the time it was called (crashes
+	// up to then are settled), and what the wait it is in costs.
+	phase  uint8
+	hookAt float64
+	rework float64 // redone work of the crash being settled
+	cost   float64 // the checkpoint write's cost
 }
+
+// The phases of a Checkpoint hook.
+const (
+	hookIdle   uint8 = iota // not in a hook
+	hookSettle              // waiting out a crash's outage and rework
+	hookWrite               // waiting out the checkpoint write
+)
 
 // nodeCrash is one node's lazily materialized crash history: times is the
 // strictly increasing sequence of crash instants drawn so far, reported
@@ -286,23 +300,40 @@ func (in *Injector) Timeout() float64 { return in.plan.timeout() }
 // first rank to observe a crash takes the node's link down for the
 // restart window (cancelling a pending flap recovery: the NIC reset
 // supersedes it) — then takes a checkpoint if the plan's interval has
-// elapsed. Nil-safe: with no injector or no crash model it returns
-// immediately.
-func (in *Injector) Checkpoint(p *sim.Process, node int, st *RankState, stateBytes float64) {
+// elapsed.
+//
+// It is a step of p (sim.Process.Await): each settlement and the
+// checkpoint write wait by arranging p's wake-up and returning false, and
+// the caller calls it again at that wake-up until it returns true. The
+// hook's progress lives in st. Nil-safe: with no injector or no crash
+// model it returns true at once.
+func (in *Injector) Checkpoint(p *sim.Process, node int, st *RankState, stateBytes float64) bool {
 	if in == nil || in.crash == nil {
-		return
+		return true
 	}
 	nc := &in.crash[node]
-	now := p.Now()
-	// Productive work excludes time the rank spent blocked on peers: a
-	// neighbour's crash penalty stalls this rank's receives, and counting
-	// that stall as work to be redone would let penalties compound across
-	// ranks through the communication graph.
-	if w := (now - st.lastSeen) - (p.BlockedSeconds() - st.lastBlocked); w > 0 {
-		st.work += w
+	switch st.phase {
+	case hookIdle:
+		now := p.Now()
+		// Productive work excludes time the rank spent blocked on peers: a
+		// neighbour's crash penalty stalls this rank's receives, and
+		// counting that stall as work to be redone would let penalties
+		// compound across ranks through the communication graph.
+		if w := (now - st.lastSeen) - (p.BlockedSeconds() - st.lastBlocked); w > 0 {
+			st.work += w
+		}
+		nc.ensureUntil(now, in.plan.CrashMTBF, in.plan.RestartSeconds)
+		st.hookAt = now
+	case hookSettle:
+		in.stats.CrashOutageSeconds += in.plan.RestartSeconds
+		in.stats.ReworkSeconds += st.rework
+	case hookWrite:
+		st.work = 0
+		in.stats.Checkpoints++
+		in.stats.CheckpointOverheadSeconds += st.cost
+		return in.hookDone(p, st)
 	}
-	nc.ensureUntil(now, in.plan.CrashMTBF, in.plan.RestartSeconds)
-	for st.crashIdx < len(nc.times) && nc.times[st.crashIdx] <= now {
+	if st.crashIdx < len(nc.times) && nc.times[st.crashIdx] <= st.hookAt {
 		c := nc.times[st.crashIdx]
 		st.crashIdx++
 		if st.crashIdx > nc.reported {
@@ -313,27 +344,33 @@ func (in *Injector) Checkpoint(p *sim.Process, node int, st *RankState, stateByt
 		// The crash destroys the rank's uncheckpointed productive work;
 		// the settlement redoes it and re-establishes state at the hook,
 		// so successive settlements telescope instead of compounding.
-		rework := st.work
+		st.rework = st.work
 		st.work = 0
-		p.Sleep(in.plan.RestartSeconds + rework)
-		in.stats.CrashOutageSeconds += in.plan.RestartSeconds
-		in.stats.ReworkSeconds += rework
+		p.WakeAfter(in.plan.RestartSeconds + st.rework)
+		st.phase = hookSettle
+		return false
 	}
 	// Checkpoint once the plan's interval of productive work has
 	// accumulated — "every N seconds of compute", the way applications
 	// time their checkpoints.
 	if iv := in.plan.CheckpointInterval; iv > 0 && st.work >= iv {
-		cost := in.plan.CheckpointSeconds
+		st.cost = in.plan.CheckpointSeconds
 		if bw := in.plan.CheckpointBandwidth; bw > 0 {
-			cost += stateBytes / bw
+			st.cost += stateBytes / bw
 		}
-		p.Sleep(cost)
-		st.work = 0
-		in.stats.Checkpoints++
-		in.stats.CheckpointOverheadSeconds += cost
+		p.WakeAfter(st.cost)
+		st.phase = hookWrite
+		return false
 	}
+	return in.hookDone(p, st)
+}
+
+// hookDone ends a Checkpoint hook at the current time.
+func (in *Injector) hookDone(p *sim.Process, st *RankState) bool {
 	st.lastSeen = p.Now()
 	st.lastBlocked = p.BlockedSeconds()
+	st.phase = hookIdle
+	return true
 }
 
 // Stats returns the injector's own accounting. The cluster completes it

@@ -64,7 +64,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 	e := sim.NewEngine()
 	e.Spawn("rank", func(p *sim.Process) {
 		var st RankState
-		in.Checkpoint(p, 0, &st, 1e6)
+		checkpoint(in, p, 0, &st, 1e6)
 		if p.Now() != 0 {
 			t.Error("nil injector Checkpoint advanced time")
 		}
@@ -150,11 +150,11 @@ func TestCrashSettlementTelescopes(t *testing.T) {
 	e.Spawn("rank", func(p *sim.Process) {
 		var st RankState
 		p.Sleep(c0 + 0.5) // work past the crash
-		in.Checkpoint(p, 0, &st, 0)
+		checkpoint(in, p, 0, &st, 0)
 		afterFirst = p.Now()
 		// The settlement slept restart + (c0 + 0.5) of rework; none of that
 		// penalty counts as work, so an immediate second hook pays nothing.
-		in.Checkpoint(p, 0, &st, 0)
+		checkpoint(in, p, 0, &st, 0)
 		afterSecond = p.Now()
 	})
 	e.Run()
@@ -198,12 +198,12 @@ func TestCheckpointLimitsRework(t *testing.T) {
 	e.Spawn("rank", func(p *sim.Process) {
 		var st RankState
 		p.Sleep(1.0)
-		in.Checkpoint(p, 0, &st, 5e5) // 1s of work < interval: no checkpoint
+		checkpoint(in, p, 0, &st, 5e5) // 1s of work < interval: no checkpoint
 		if got := in.Stats().Checkpoints; got != 0 {
 			t.Errorf("checkpointed after 1s of work with a 2s interval (%d)", got)
 		}
 		p.Sleep(1.5)
-		in.Checkpoint(p, 0, &st, 5e5) // 2.5s accumulated: checkpoint
+		checkpoint(in, p, 0, &st, 5e5) // 2.5s accumulated: checkpoint
 	})
 	e.Run()
 	st := in.Stats()
@@ -244,4 +244,10 @@ func TestFlapSourceOrdered(t *testing.T) {
 		}
 		prevEnd = en
 	}
+}
+
+// checkpoint runs the Checkpoint hook to completion as p's Await step, the
+// way cluster.Context runs it.
+func checkpoint(in *Injector, p *sim.Process, node int, st *RankState, stateBytes float64) {
+	p.Await(func() bool { return in.Checkpoint(p, node, st, stateBytes) })
 }

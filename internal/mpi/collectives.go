@@ -8,7 +8,9 @@ import (
 
 // Each collective appends the calling rank's sends and receives to one
 // call and runs it, so the rank's process is switched in once per
-// collective; the builders below only decide the schedule.
+// collective. The Call methods below are the builders: they only decide
+// the schedule, and the blocking Comm methods and a caller stepping its
+// own call (Comm.Start) share them.
 
 // nextTag returns a fresh collective tag for this rank. All ranks invoke
 // collectives in the same program order, so per-rank counters stay in
@@ -36,12 +38,13 @@ const BcastLargeThreshold = 256 * 1024
 // non-uniform payload makes ranks disagree on the size branch (the small
 // path simply leaves its second tag unused).
 func (c *Comm) Bcast(p *sim.Process, rank, root int, bytes float64) {
-	x := c.begin(rank)
-	x.bcast(root, bytes)
-	x.run(p)
+	x := c.Start(p, rank)
+	x.Bcast(root, bytes)
+	x.run()
 }
 
-func (x *call) bcast(root int, bytes float64) {
+// Bcast schedules the call's share of Comm.Bcast.
+func (x *Call) Bcast(root int, bytes float64) {
 	n := x.c.Size()
 	if n == 1 {
 		return
@@ -69,7 +72,7 @@ func (x *call) bcast(root int, bytes float64) {
 
 // scatterFromRoot distributes 1/n of bytes to each rank down a binomial
 // tree: each hop forwards the portion covering the receiver's subtree.
-func (x *call) scatterFromRoot(root int, bytes float64, tag int) {
+func (x *Call) scatterFromRoot(root int, bytes float64, tag int) {
 	n := x.c.Size()
 	vrank := (x.rank - root + n) % n
 	real := func(v int) int { return (v + root) % n }
@@ -94,12 +97,13 @@ func (x *call) scatterFromRoot(root int, bytes float64, tag int) {
 // Reduce combines bytes from every rank onto root with a binomial tree
 // (the mirror image of Bcast).
 func (c *Comm) Reduce(p *sim.Process, rank, root int, bytes float64) {
-	x := c.begin(rank)
-	x.reduce(root, bytes)
-	x.run(p)
+	x := c.Start(p, rank)
+	x.Reduce(root, bytes)
+	x.run()
 }
 
-func (x *call) reduce(root int, bytes float64) {
+// Reduce schedules the call's share of Comm.Reduce.
+func (x *Call) Reduce(root int, bytes float64) {
 	n := x.c.Size()
 	if n == 1 {
 		return
@@ -138,19 +142,20 @@ const AllreduceLargeThreshold = 512 * 1024
 // small vectors and Rabenseifner's algorithm for large ones; other sizes
 // fall back to Reduce + Bcast.
 func (c *Comm) Allreduce(p *sim.Process, rank int, bytes float64) {
-	x := c.begin(rank)
-	x.allreduce(bytes)
-	x.run(p)
+	x := c.Start(p, rank)
+	x.Allreduce(bytes)
+	x.run()
 }
 
-func (x *call) allreduce(bytes float64) {
+// Allreduce schedules the call's share of Comm.Allreduce.
+func (x *Call) Allreduce(bytes float64) {
 	n := x.c.Size()
 	if n == 1 {
 		return
 	}
 	if n&(n-1) != 0 {
-		x.reduce(0, bytes)
-		x.bcast(0, bytes)
+		x.Reduce(0, bytes)
+		x.Bcast(0, bytes)
 		return
 	}
 	rank := x.rank
@@ -181,22 +186,32 @@ func (x *call) allreduce(bytes float64) {
 
 // Barrier synchronizes all ranks (an 8-byte allreduce).
 func (c *Comm) Barrier(p *sim.Process, rank int) {
-	c.Allreduce(p, rank, 8)
+	x := c.Start(p, rank)
+	x.Barrier()
+	x.run()
 }
+
+// Barrier schedules the call's share of Comm.Barrier.
+func (x *Call) Barrier() { x.Allreduce(8) }
 
 // Allgather distributes each rank's bytes-sized contribution to everyone
 // using a ring: P-1 rounds, each forwarding one chunk to the right.
 func (c *Comm) Allgather(p *sim.Process, rank int, bytes float64) {
-	x := c.begin(rank)
-	if c.Size() > 1 {
-		x.allgatherWith(bytes, c.nextTag(rank))
+	x := c.Start(p, rank)
+	x.Allgather(bytes)
+	x.run()
+}
+
+// Allgather schedules the call's share of Comm.Allgather.
+func (x *Call) Allgather(bytes float64) {
+	if x.c.Size() > 1 {
+		x.allgatherWith(bytes, x.c.nextTag(x.rank))
 	}
-	x.run(p)
 }
 
 // allgatherWith is the ring allgather on a caller-supplied tag, shared by
 // Allgather and the large-message Bcast (whose tag budget is fixed).
-func (x *call) allgatherWith(bytes float64, tag int) {
+func (x *Call) allgatherWith(bytes float64, tag int) {
 	n := x.c.Size()
 	right := (x.rank + 1) % n
 	left := (x.rank - 1 + n) % n
@@ -209,9 +224,16 @@ func (x *call) allgatherWith(bytes float64, tag int) {
 // pairwise-exchange algorithm (P-1 balanced rounds), as large FT/IS
 // transposes do.
 func (c *Comm) Alltoall(p *sim.Process, rank int, bytesPerPair float64) {
-	x := c.begin(rank)
-	if n := c.Size(); n > 1 {
-		tag := c.nextTag(rank)
+	x := c.Start(p, rank)
+	x.Alltoall(bytesPerPair)
+	x.run()
+}
+
+// Alltoall schedules the call's share of Comm.Alltoall.
+func (x *Call) Alltoall(bytesPerPair float64) {
+	if n := x.c.Size(); n > 1 {
+		rank := x.rank
+		tag := x.c.nextTag(rank)
 		pow2 := n&(n-1) == 0
 		for step := 1; step < n; step++ {
 			var sendTo, recvFrom int
@@ -225,15 +247,21 @@ func (c *Comm) Alltoall(p *sim.Process, rank int, bytesPerPair float64) {
 			x.sendrecv(sendTo, recvFrom, tag+step, bytesPerPair, bytesPerPair)
 		}
 	}
-	x.run(p)
 }
 
 // Gather collects bytes from every rank to root with direct sends (fan-in
 // serializes at root's NIC, which is physical).
 func (c *Comm) Gather(p *sim.Process, rank, root int, bytes float64) {
-	x := c.begin(rank)
-	if n := c.Size(); n > 1 {
-		tag := c.nextTag(rank)
+	x := c.Start(p, rank)
+	x.Gather(root, bytes)
+	x.run()
+}
+
+// Gather schedules the call's share of Comm.Gather.
+func (x *Call) Gather(root int, bytes float64) {
+	if n := x.c.Size(); n > 1 {
+		rank := x.rank
+		tag := x.c.nextTag(rank)
 		if rank == root {
 			for r := 0; r < n; r++ {
 				if r != root {
@@ -244,5 +272,4 @@ func (c *Comm) Gather(p *sim.Process, rank, root int, bytes float64) {
 			x.send(root, tag, bytes)
 		}
 	}
-	x.run(p)
 }

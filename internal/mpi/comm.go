@@ -5,9 +5,12 @@
 //
 // Every call is a per-rank list of sends and receives: Send, Recv and
 // Sendrecv build one of one or two steps, and a collective builds the
-// calling rank's whole schedule. One executor runs the list as the rank
-// process's sim.Process.Await step, on the event loop, so a rank's
-// goroutine is switched in once per call, not once per message.
+// calling rank's whole schedule. One executor (Call.Step) runs the list
+// on the event loop, so a rank's goroutine is switched in once per call,
+// not once per message. The blocking methods run it as the rank
+// process's sim.Process.Await step; a caller with its own step
+// (cluster.Context) builds the call through the same builders with Start
+// and steps it inside its own.
 //
 // Sends are eager: a sender blocks only until its NIC has drained the
 // message, never on the receiver posting — matching the rendezvous-free
@@ -105,7 +108,7 @@ type Comm struct {
 	// receive while one is blocked panics in take.
 	waiters []recvWaiter
 	cseq    []int   // per-rank collective sequence number
-	idle    []*call // finished calls, reused by the next ones
+	idle    []*Call // finished calls, reused by the next ones
 
 	sentBytes []float64 // per-rank bytes passed to Send (incl. intra-node)
 	sentMsgs  []uint64
@@ -209,21 +212,17 @@ func (c *Comm) SetChecking(on bool) { c.checking = on }
 // Send transmits bytes from src to dst with a tag, blocking p (the process
 // running rank src) until the local NIC has drained the message.
 func (c *Comm) Send(p *sim.Process, src, dst, tag int, bytes float64) {
-	c.check(src)
-	c.check(dst)
-	x := c.begin(src)
-	x.send(dst, tag, bytes)
-	x.run(p)
+	x := c.Start(p, src)
+	x.Send(dst, tag, bytes)
+	x.run()
 }
 
 // Recv blocks p (the process running rank dst) until a message from src
 // with the tag has fully arrived.
 func (c *Comm) Recv(p *sim.Process, dst, src, tag int) {
-	c.check(src)
-	c.check(dst)
-	x := c.begin(dst)
-	x.recv(src, tag, -1)
-	x.run(p)
+	x := c.Start(p, dst)
+	x.Recv(src, tag)
+	x.run()
 }
 
 // Sendrecv sends to dst and receives from src (both with the same tag), as
@@ -231,13 +230,29 @@ func (c *Comm) Recv(p *sim.Process, dst, src, tag int) {
 // incoming message; under checking a mismatch with the peer's actual send
 // size is reported by Audit.
 func (c *Comm) Sendrecv(p *sim.Process, me, dst, src, tag int, sendBytes, recvBytes float64) {
-	c.check(me)
-	c.check(dst)
-	c.check(src)
-	x := c.begin(me)
-	x.send(dst, tag, sendBytes)
-	x.recv(src, tag, recvBytes)
-	x.run(p)
+	x := c.Start(p, me)
+	x.Sendrecv(dst, src, tag, sendBytes, recvBytes)
+	x.run()
+}
+
+// Send schedules the call's send of bytes to dst: Comm.Send as a builder.
+func (x *Call) Send(dst, tag int, bytes float64) {
+	x.c.check(dst)
+	x.send(dst, tag, bytes)
+}
+
+// Recv schedules the call's receive from src: Comm.Recv as a builder.
+func (x *Call) Recv(src, tag int) {
+	x.c.check(src)
+	x.recv(src, tag, -1)
+}
+
+// Sendrecv schedules the call's send to dst and then its receive from
+// src: Comm.Sendrecv as a builder.
+func (x *Call) Sendrecv(dst, src, tag int, sendBytes, recvBytes float64) {
+	x.c.check(dst)
+	x.c.check(src)
+	x.sendrecv(dst, src, tag, sendBytes, recvBytes)
 }
 
 // op is one point-to-point step of a call's schedule: a send of bytes to
@@ -260,13 +275,14 @@ const (
 	opMatched              // receive posted as the rank's waiter; waiting for a send
 )
 
-// call is one rank's MPI call in progress: the ordered sends and receives
+// Call is one rank's MPI call in progress: the ordered sends and receives
 // a point-to-point call or a collective decomposes into, and the state of
-// the op being executed. It runs as the rank process's Await step, so a
-// collective switches the process in once, not once per message. Finished
-// calls return to the communicator's pool, so a steady state of calls
-// allocates nothing.
-type call struct {
+// the op being executed. Start takes one from the communicator's pool,
+// exactly one builder method (Send, Recv, Sendrecv or a collective) fills
+// in its schedule, and Step runs it on the event loop, so a collective
+// switches the rank's process in once, not once per message. Finished
+// calls return to the pool, so a steady state of calls allocates nothing.
+type Call struct {
 	c      *Comm
 	p      *sim.Process
 	rank   int
@@ -275,19 +291,23 @@ type call struct {
 	phase  uint8       // how far ops[pc] has got
 	start  float64     // when ops[pc] began
 	pathID int32       // PathRecorder handle of the message ops[pc] receives
-	step   func() bool // advance, bound once
+	step   func() bool // Step, bound once
 }
 
-// begin takes an idle call for rank from the pool.
-func (c *Comm) begin(rank int) *call {
-	var x *call
+// Start takes an idle call for rank, run by process p, from the pool.
+// Build it before the rank's next call starts: a collective's builder
+// takes the rank's next collective tags.
+func (c *Comm) Start(p *sim.Process, rank int) *Call {
+	c.check(rank)
+	var x *Call
 	if n := len(c.idle); n > 0 {
 		x = c.idle[n-1]
 		c.idle = c.idle[:n-1]
 	} else {
-		x = &call{c: c}
-		x.step = x.advance
+		x = &Call{c: c}
+		x.step = x.Step
 	}
+	x.p = p
 	x.rank = rank
 	x.ops = x.ops[:0]
 	x.pc = 0
@@ -296,29 +316,36 @@ func (c *Comm) begin(rank int) *call {
 }
 
 // send appends a send of bytes to dst.
-func (x *call) send(dst, tag int, bytes float64) {
+func (x *Call) send(dst, tag int, bytes float64) {
 	x.ops = append(x.ops, op{send: true, peer: dst, tag: tag, bytes: bytes})
 }
 
 // recv appends a receive from src declaring expect bytes (negative: none).
-func (x *call) recv(src, tag int, expect float64) {
+func (x *Call) recv(src, tag int, expect float64) {
 	x.ops = append(x.ops, op{peer: src, tag: tag, bytes: expect})
 }
 
 // sendrecv appends a send to dst followed by a receive from src.
-func (x *call) sendrecv(dst, src, tag int, sendBytes, recvBytes float64) {
+func (x *Call) sendrecv(dst, src, tag int, sendBytes, recvBytes float64) {
 	x.send(dst, tag, sendBytes)
 	x.recv(src, tag, recvBytes)
 }
 
-// run executes the schedule as p's Await step, blocking p until its last
-// op completes, and returns the call to the pool.
-func (x *call) run(p *sim.Process) {
-	x.p = p
-	p.Await(x.step)
+// Step advances the call and reports whether its last op has completed.
+// Call it at once and again at each wake-up it arranges for its process,
+// as that process's Await step or inside a larger one. A done call has
+// gone back to the pool and must not be used again.
+func (x *Call) Step() bool {
+	if !x.advance() {
+		return false
+	}
 	x.p = nil
 	x.c.idle = append(x.c.idle, x)
+	return true
 }
+
+// run blocks the call's process until the call is done.
+func (x *Call) run() { x.p.Await(x.step) }
 
 // advance executes ops from pc on until one has to wait for a wake-up,
 // and reports whether the schedule is done. It pushes the same events and
@@ -326,7 +353,7 @@ func (x *call) run(p *sim.Process) {
 // through the ops one by one: a send waits for its NIC to drain, a
 // receive for its message's arrival, or, with no match in the inbox,
 // blocked until a send matches it.
-func (x *call) advance() bool {
+func (x *Call) advance() bool {
 	c, now := x.c, x.p.Now()
 	for ; x.pc < len(x.ops); x.pc++ {
 		o := &x.ops[x.pc]
@@ -413,7 +440,7 @@ func (c *Comm) post(src, dst, tag int, bytes, now float64) (senderFree float64) 
 // otherwise it arranges the wake-up: the message's arrival, or, with no
 // match in the inbox, the rank's blocked-receive slot, which the
 // matching send resumes.
-func (x *call) take(o *op, now float64) bool {
+func (x *Call) take(o *op, now float64) bool {
 	c, dst := x.c, x.rank
 	x.pathID = -1
 	box := c.boxes[dst]

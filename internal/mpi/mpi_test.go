@@ -24,9 +24,9 @@ func build(n int, prof network.Profile) (*sim.Engine, *Comm) {
 // recvExpect is Recv declaring the expected size: under checking, Audit
 // reports a matched message of any other size.
 func recvExpect(c *Comm, p *sim.Process, dst, src, tag int, expect float64) {
-	x := c.begin(dst)
+	x := c.Start(p, dst)
 	x.recv(src, tag, expect)
-	x.run(p)
+	x.run()
 }
 
 // runRanks spawns body for every rank and runs to completion.

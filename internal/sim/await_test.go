@@ -163,3 +163,82 @@ func TestAwaitNeverDoneDeadlocks(t *testing.T) {
 	}()
 	e.Run()
 }
+
+// A SpawnStep process lives as one step on the event loop: it is
+// activated like a spawned body, its wake-ups are events, it is never
+// switched in, and it is done when the step reports true.
+func TestSpawnStepRunsOnTheLoop(t *testing.T) {
+	e := NewEngine()
+	var at []float64
+	var p *Process
+	p = e.SpawnStep("helper", func() bool {
+		at = append(at, p.Now())
+		if len(at) == 3 {
+			return true
+		}
+		p.WakeAfter(0.5)
+		return false
+	})
+	e.Spawn("body", func(q *Process) { q.Sleep(2) })
+	e.Run()
+	if fmt.Sprint(at) != "[0 0.5 1]" || !p.Done() {
+		t.Fatalf("step ran at %v (done %v), want [0 0.5 1] and done", at, p.Done())
+	}
+	// Events: two activations, the helper's two wake-ups, one Sleep.
+	// Switches: the body's activation and its Sleep return only.
+	if e.Events() != 5 || e.Switches() != 2 {
+		t.Fatalf("events %d, switches %d; want 5 and 2", e.Events(), e.Switches())
+	}
+}
+
+// TryAcquire and TryWait take or register; a step that Blocks on them is
+// woken by Release and Open, and its wait is accounted as Acquire's and
+// Wait's are.
+func TestTryAcquireAndTryWaitBlockLikeTheirBlockingForms(t *testing.T) {
+	run := func(step bool) (float64, float64) {
+		e := NewEngine()
+		r := NewResource(1)
+		var g Gate
+		e.Spawn("holder", func(p *Process) {
+			r.Acquire(p)
+			p.Sleep(1)
+			r.Release(e)
+			p.Sleep(1)
+			g.Open(e)
+		})
+		var w *Process
+		if step {
+			phase := 0
+			w = e.SpawnStep("waiter", func() bool {
+				switch phase {
+				case 0:
+					phase = 1
+					if !r.TryAcquire(w) {
+						w.Block()
+						return false
+					}
+					fallthrough
+				case 1:
+					phase = 2
+					if !g.TryWait(w) {
+						w.Block()
+						return false
+					}
+				}
+				return true
+			})
+		} else {
+			w = e.Spawn("waiter", func(p *Process) {
+				r.Acquire(p)
+				g.Wait(p)
+			})
+		}
+		e.Run()
+		return w.BlockedSeconds(), r.BusyTime(e)
+	}
+	bb, busyB := run(false)
+	bs, busyS := run(true)
+	if bb != 2 || bs != bb || busyS != busyB {
+		t.Fatalf("blocked %v (step) vs %v (blocking), busy %v vs %v; want 2 blocked each", bs, bb, busyS, busyB)
+	}
+}

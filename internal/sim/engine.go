@@ -327,6 +327,12 @@ func (e *Engine) drive(self *Process) driveResult {
 				continue
 			}
 			p.step = nil
+			if p.resume == nil {
+				// A SpawnStep process: its step was its whole life.
+				p.done = true
+				e.procs--
+				continue
+			}
 		}
 		e.switches++
 		if ev.proc == self {
@@ -354,7 +360,8 @@ func (e *Engine) StaleWakes() uint64 { return e.staleWakes }
 // a process body: its first activation, and each return from a Sleep,
 // Suspend, Wait or Await, whether that resumed the parked goroutine or
 // was the driving process's own wake-up. A wake-up that runs an Await
-// continuation which is not yet done is an event but not a switch.
+// continuation which is not yet done is an event but not a switch, and a
+// SpawnStep process is never switched in.
 func (e *Engine) Switches() uint64 { return e.switches }
 
 // QueueHighWater returns the deepest the event calendar has been.

@@ -9,7 +9,8 @@ package sim
 // Resource.Acquire; each of those schedules a resumption event and yields
 // control back to the engine. Await instead leaves a continuation that
 // the engine runs at each wake-up, so a multi-step operation switches the
-// process in once, not once per step.
+// process in once, not once per step. A SpawnStep process has no
+// goroutine at all: it is one such continuation from spawn to done.
 type Process struct {
 	eng     *Engine
 	name    string
@@ -22,6 +23,20 @@ type Process struct {
 	// blocking marks a step parked by Block since blockedAt.
 	blocking  bool
 	blockedAt float64
+}
+
+// SpawnStep creates a process with no goroutine: step is its whole life.
+// It is activated at the current simulation time, as Spawn's body would
+// be, and step runs at that activation and at every wake-up it arranges,
+// on whichever goroutine drives the event loop; the process is done when
+// step reports true. step follows Await's contract (a step that parks
+// with no scheduled resumption calls Block first), and its process is
+// never switched in, so it counts no Switches.
+func (e *Engine) SpawnStep(name string, step func() bool) *Process {
+	p := &Process{eng: e, name: name, step: step}
+	e.procs++
+	e.wake(0, p)
+	return p
 }
 
 // Spawn creates a process running body and schedules its first activation
@@ -131,9 +146,15 @@ func (p *Process) Done() bool { return p.done }
 // Sleep suspends the process for d seconds of simulated time. It rides
 // the engine's typed wake-up path: no closure is allocated per call.
 func (p *Process) Sleep(d float64) {
-	p.eng.wake(d, p)
+	p.WakeAfter(d)
 	p.yield()
 }
+
+// WakeAfter schedules p's next wake-up d seconds from now without
+// yielding: it is how an Await or SpawnStep step sleeps. It is Sleep's
+// own wake-up (a negative or NaN d is clamped and counted the same way),
+// so a step lands exactly where a sleeping body would.
+func (p *Process) WakeAfter(d float64) { p.eng.wake(d, p) }
 
 // SleepUntil suspends the process until absolute time t (no-op if t has
 // passed).
@@ -202,10 +223,20 @@ func (g *Gate) Open(e *Engine) {
 
 // Wait blocks p until the gate is open.
 func (g *Gate) Wait(p *Process) {
-	if g.open {
-		return
+	if !g.TryWait(p) {
+		p.block()
 	}
-	g.sig.Wait(p)
+}
+
+// TryWait reports whether the gate is open; if it is not, it registers p
+// to be woken when it opens, and the calling step must Block and return
+// false.
+func (g *Gate) TryWait(p *Process) bool {
+	if g.open {
+		return true
+	}
+	g.sig.waiters = append(g.sig.waiters, p)
+	return false
 }
 
 // IsOpen reports whether Open has been called.
@@ -233,15 +264,23 @@ func (r *Resource) account(e *Engine) {
 
 // Acquire blocks p until a unit is available and then takes it.
 func (r *Resource) Acquire(p *Process) {
-	e := p.eng
+	if !r.TryAcquire(p) {
+		p.block()
+	}
+}
+
+// TryAcquire takes a unit and reports true if one is free; otherwise it
+// queues p, and the calling step must Block and return false. The
+// wake-up that Release sends p hands it the unit: the releaser accounts
+// and keeps the unit in use on p's behalf.
+func (r *Resource) TryAcquire(p *Process) bool {
 	if r.inUse < r.Capacity && len(r.queue) == 0 {
-		r.account(e)
+		r.account(p.eng)
 		r.inUse++
-		return
+		return true
 	}
 	r.queue = append(r.queue, p)
-	p.block()
-	// The releaser accounted and incremented on our behalf.
+	return false
 }
 
 // Release returns one unit, waking the longest waiter if any.

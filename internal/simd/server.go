@@ -237,7 +237,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, req *http.Request) {
 	lines := make(chan []byte, n)
 	for i := range scenarios {
 		go func(i int) {
-			defer s.pending.Add(-1)
 			res, out, err := s.r.RunTracked(scenarios[i])
 			line := Response{
 				ID:          batch.Requests[i].ID,
@@ -249,7 +248,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, req *http.Request) {
 			if err == nil {
 				line.Result = &res
 			}
-			lines <- s.encodeLine(line, err)
+			b := s.encodeLine(line, err)
+			// Free the slot before the line can reach the client, so a
+			// client that has read it never sees it pending.
+			s.pending.Add(-1)
+			lines <- b
 		}(i)
 	}
 	for i := 0; i < n; i++ {

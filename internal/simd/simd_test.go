@@ -647,3 +647,28 @@ func TestStoreTierVisibleInResponses(t *testing.T) {
 		t.Fatalf("repeat source = %q coalesced=%v, want memory/coalesced", again[0].Source, again[0].Coalesced)
 	}
 }
+
+// A delivered line means its scenario's pending slot is free: a client
+// that has read a batch's last line sees pending 0 on /statusz at once.
+func TestDeliveredLinesReleaseTheirSlots(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for b := 0; b < 50; b++ {
+		lines := readLines(t, postBatch(t, ts.URL, "", tiny(), Request{Workload: "cg", Nodes: 4, Scale: 0.01}))
+		if len(lines) != 2 {
+			t.Fatalf("batch %d: %d lines, want 2", b, len(lines))
+		}
+		resp, err := http.Get(ts.URL + "/statusz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st Status
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Pending != 0 {
+			t.Fatalf("batch %d: pending = %d after its last line, want 0", b, st.Pending)
+		}
+	}
+}
