@@ -19,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -40,6 +41,18 @@ func main() {
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight streams on shutdown")
 	)
 	flag.Parse()
+	switch {
+	case *maxPending < 1:
+		usage("-max-pending must be at least 1, got %d", *maxPending)
+	case *maxBatch < 0:
+		usage("-max-batch must be at least 0, got %d", *maxBatch)
+	case !(*rate >= 0) || math.IsInf(*rate, 1):
+		usage("-rate must be finite and at least 0, got %g", *rate)
+	case *burst < 0:
+		usage("-burst must be at least 0, got %d", *burst)
+	case *drainWait < 0:
+		usage("-drain-timeout must not be negative, got %s", *drainWait)
+	}
 
 	r, err := rf.Runner()
 	if err != nil {
@@ -92,4 +105,10 @@ func main() {
 	}
 
 	runflags.Report(os.Stderr, r)
+}
+
+// usage reports a bad flag value and exits 2, before anything listens.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "simd: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -23,6 +23,10 @@ func main() {
 		slack = flag.Int("slack", 0, "also print the top-N tightest per-link slack rows of every report (0 = off)")
 	)
 	flag.Parse()
+	if *slack < 0 {
+		fmt.Fprintf(os.Stderr, "whatif: -slack must be at least 0 (0 = off), got %d\n", *slack)
+		os.Exit(2)
+	}
 
 	if *diff {
 		if flag.NArg() != 2 {

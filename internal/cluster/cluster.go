@@ -158,7 +158,7 @@ func New(cfg Config) *Cluster {
 		node := &Node{
 			Index: i,
 			Type:  nt,
-			DRAM:  sim.NewPipe(e, fmt.Sprintf("dram%d", i), nt.DRAMBandwidth, 0),
+			DRAM:  sim.NewPipe(e, nt.DRAMBandwidth, 0),
 		}
 		node.Meter.Spec = nt.Power
 		node.Meter.Spec.NICWatts += cfg.Network.PowerWatts
@@ -170,8 +170,8 @@ func New(cfg Config) *Cluster {
 			}
 			var mem, pcie *sim.Pipe
 			if nt.GPU.DedicatedMemory {
-				mem = sim.NewPipe(e, fmt.Sprintf("gddr%d", i), nt.GPU.MemBandwidth, 0)
-				pcie = sim.NewPipe(e, fmt.Sprintf("pcie%d", i), nt.GPU.PCIeBandwidth, 5e-6)
+				mem = sim.NewPipe(e, nt.GPU.MemBandwidth, 0)
+				pcie = sim.NewPipe(e, nt.GPU.PCIeBandwidth, 5e-6)
 			} else {
 				mem = node.DRAM // the TX1 property: CPU and GPU share DRAM
 			}

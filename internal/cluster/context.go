@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"clustersoc/internal/critpath"
 	"clustersoc/internal/cuda"
 	"clustersoc/internal/faults"
 	"clustersoc/internal/mpi"
@@ -76,15 +75,12 @@ const (
 	opFetch
 	opCheckpoint
 	opPhase
-	opCreditFlops
 	opSend
 	opRecv
 	opSendrecv
 	opAllreduce
 	opBcast
-	opReduce
 	opAlltoall
-	opAllgather
 	opBarrier
 )
 
@@ -159,9 +155,6 @@ func (ctx *Context) step() bool {
 		case opPhase:
 			ctx.cl.Tracer.RecordPhase(ctx.Rank, ctx.p.Now())
 			done = true
-		case opCreditFlops:
-			ctx.creditFlops(o.float(0))
-			done = true
 		default:
 			done = ctx.mpiCall(k, o)
 		}
@@ -178,12 +171,6 @@ func (ctx *Context) Size() int { return ctx.comm.Size() }
 
 // Node returns this rank's node configuration.
 func (ctx *Context) Node() soc.NodeConfig { return ctx.node.Type }
-
-// NodeIndex returns the hosting node's index.
-func (ctx *Context) NodeIndex() int { return ctx.node.Index }
-
-// RanksPerNode returns the process density.
-func (ctx *Context) RanksPerNode() int { return ctx.cl.ranksPerNode }
 
 // Now returns the simulation time once every operation called so far has
 // completed.
@@ -253,7 +240,7 @@ func (ctx *Context) compute(o *op, on bool) bool {
 			// Book the traffic for contention accounting without
 			// serializing the computation behind it (the stall time is
 			// already inside r.Seconds).
-			n.DRAM.TransferEvent(r.DRAMBytes, n.Type.CPU.MemBandwidth, nil)
+			n.DRAM.TransferEvent(r.DRAMBytes, n.Type.CPU.MemBandwidth)
 		}
 		ctx.cost = r
 		ctx.dur = r.Seconds / float64(cores)
@@ -345,20 +332,25 @@ func (ctx *Context) kernel(o *op) bool {
 }
 
 // asyncKernel is a KernelAsync: the kernel and the gate its completion
-// opens, made when the body calls.
+// opens, made when the body calls, and the helper process that runs the
+// launch, once it starts.
 type asyncKernel struct {
-	g sim.Gate
-	k cuda.Kernel
+	g   sim.Gate
+	k   cuda.Kernel
+	op  cuda.Op
+	cl  *Cluster
+	aux int32   // the helper's critpath timeline, when recording
+	s0  float64 // the helper's activation: it is spawned to run at once
 }
 
 // KernelAsync starts a kernel and returns a gate that opens on completion
-// (hpl lookahead). The FLOPs are credited when the launch starts; the
-// trace records the wait at WaitKernel. Under critpath recording the
-// helper process is spawned by the cluster — with the same name and
-// engine order as the cuda path, so event timing is untouched — and its
-// kernel span lands on a dedicated helper timeline bound to the gate.
-// Wait on the gate only through WaitKernel: the body runs ahead of the
-// simulation, so the gate's own state is not yet the body's.
+// (hpl lookahead). The launch runs on a helper process with no goroutine
+// (sim.Engine.SpawnStep), so it overlaps the rank's later operations. The
+// FLOPs are credited when the launch starts; the trace records the wait
+// at WaitKernel. Under critpath recording the helper's kernel span lands
+// on a dedicated helper timeline bound to the gate; recording changes
+// no event. Wait on the gate only through WaitKernel: the body runs
+// ahead of the simulation, so the gate's own state is not yet the body's.
 func (ctx *Context) KernelAsync(k cuda.Kernel) *sim.Gate {
 	a := &asyncKernel{k: k}
 	ctx.refs = append(ctx.refs, a)
@@ -368,35 +360,24 @@ func (ctx *Context) KernelAsync(k cuda.Kernel) *sim.Gate {
 
 func (ctx *Context) kernelAsync(a *asyncKernel) {
 	ctx.creditFlops(a.k.FLOPs)
-	d := ctx.node.GPU
-	cp := ctx.cl.cp
-	if cp == nil {
-		d.LaunchAsync(a.k, &a.g)
-		return
+	a.cl, a.s0 = ctx.cl, ctx.p.Now()
+	if cp := ctx.cl.cp; cp != nil {
+		a.aux = cp.SpawnAux(ctx.cpEnt, fmt.Sprintf("gpu%d:%s", ctx.node.Index, a.k.Name), ctx.node.Index)
+		cp.BindGate(&a.g, a.aux)
 	}
-	h := &pathHelper{eng: ctx.cl.Eng, cp: cp, g: &a.g, s0: ctx.p.Now()}
-	h.aux = cp.SpawnAux(ctx.cpEnt, fmt.Sprintf("gpu%d:%s", ctx.node.Index, a.k.Name), ctx.node.Index)
-	cp.BindGate(&a.g, h.aux)
-	h.op = d.KernelOp(ctx.cl.Eng.SpawnStep("cuda-async:"+a.k.Name, h.step), a.k)
+	a.op = ctx.node.GPU.KernelOp(ctx.cl.Eng.SpawnStep("cuda-async:"+a.k.Name, a.step), a.k)
 }
 
-// pathHelper is an async kernel's helper process under critpath
-// recording: cuda's LaunchAsync helper plus the kernel span it records.
-type pathHelper struct {
-	op  cuda.Op
-	eng *sim.Engine
-	cp  *critpath.Recorder
-	g   *sim.Gate
-	aux int32
-	s0  float64 // the helper's activation: it is spawned to run at once
-}
-
-func (h *pathHelper) step() bool {
-	if !h.op.Step() {
+// step is the helper's whole life: the launch, its critpath span, and
+// the gate's opening.
+func (a *asyncKernel) step() bool {
+	if !a.op.Step() {
 		return false
 	}
-	h.cp.Kernel(h.aux, h.s0, h.eng.Now(), h.op.StallSeconds(), 1)
-	h.g.Open(h.eng)
+	if cp := a.cl.cp; cp != nil {
+		cp.Kernel(a.aux, a.s0, a.cl.Eng.Now(), a.op.StallSeconds(), 1)
+	}
+	a.g.Open(a.cl.Eng)
 	return true
 }
 
@@ -536,19 +517,9 @@ func (ctx *Context) Bcast(root int, bytes float64) {
 	ctx.enqueue(opBcast, op{word(root), bits(bytes)})
 }
 
-// Reduce combines onto root.
-func (ctx *Context) Reduce(root int, bytes float64) {
-	ctx.enqueue(opReduce, op{word(root), bits(bytes)})
-}
-
 // Alltoall exchanges bytesPerPair with every other rank.
 func (ctx *Context) Alltoall(bytesPerPair float64) {
 	ctx.enqueue(opAlltoall, op{bits(bytesPerPair)})
-}
-
-// Allgather shares each rank's contribution with everyone.
-func (ctx *Context) Allgather(bytes float64) {
-	ctx.enqueue(opAllgather, op{bits(bytes)})
 }
 
 // Barrier synchronizes all ranks.
@@ -573,12 +544,8 @@ func (ctx *Context) mpiCall(k opKind, o *op) bool {
 			x.Allreduce(o.float(0))
 		case opBcast:
 			x.Bcast(o.int(0), o.float(1))
-		case opReduce:
-			x.Reduce(o.int(0), o.float(1))
 		case opAlltoall:
 			x.Alltoall(o.float(0))
-		case opAllgather:
-			x.Allgather(o.float(0))
 		case opBarrier:
 			x.Barrier()
 		}
@@ -592,12 +559,7 @@ func (ctx *Context) mpiCall(k opKind, o *op) bool {
 	return true
 }
 
-// CreditFlops adds useful FLOPs that were not run through Compute or
-// Kernel (used by analytic phases).
-func (ctx *Context) CreditFlops(f float64) {
-	ctx.enqueue(opCreditFlops, op{bits(f)})
-}
-
+// creditFlops adds useful FLOPs to the cluster's and the job's counts.
 func (ctx *Context) creditFlops(f float64) {
 	ctx.cl.flops += f
 	if ctx.job != nil {

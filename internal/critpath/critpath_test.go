@@ -132,29 +132,33 @@ func TestIdealNetworkMatchesDimemas(t *testing.T) {
 }
 
 // TestRecordingLeavesResultIdentical locks in the opt-in guarantee at
-// the Result level: a recorded run's JSON-visible fields are byte-equal
-// to an unrecorded run's (CritPath is json:"-" exactly so sidecars, not
-// result artifacts, carry the analysis).
+// the Result level: a recorded run's JSON-visible fields and its event
+// count are byte-equal to an unrecorded run's (CritPath is json:"-"
+// exactly so sidecars, not result artifacts, carry the analysis). hpl
+// launches async kernels, so it holds the async-kernel helper's recorded
+// branch to its unrecorded one.
 func TestRecordingLeavesResultIdentical(t *testing.T) {
-	s := scenario(t, "cg", 4, core.TenGigE, 0.04, true)
-	off, err := runner.Execute(s, runner.Observers{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := runner.Execute(s, runner.Observers{CritPath: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	offJSON, err := json.Marshal(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onJSON, err := json.Marshal(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(offJSON, onJSON) {
-		t.Fatalf("recording changed the result artifact:\noff: %s\non:  %s", offJSON, onJSON)
+	for _, workload := range []string{"cg", "hpl"} {
+		t.Run(workload, func(t *testing.T) {
+			s := scenario(t, workload, 4, core.TenGigE, 0.04, true)
+			var out [2][]byte
+			for i, o := range []runner.Observers{{}, {CritPath: true}} {
+				res, err := runner.Execute(s, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[i], err = json.Marshal(struct {
+					Events uint64
+					Result runner.Result
+				}{res.Events, res})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(out[0], out[1]) {
+				t.Fatalf("recording changed the result artifact:\noff: %s\non:  %s", out[0], out[1])
+			}
+		})
 	}
 }
 

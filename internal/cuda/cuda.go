@@ -112,10 +112,10 @@ func (d *Device) effectiveRate(k Kernel) float64 {
 
 // Op is a kernel launch or a host-device copy in progress on a Device,
 // run as a step of the process that issued it: call Step at once, and
-// again at each wake-up it arranges, until it reports true. It pushes the
-// same events, in the same order, as a process that blocked through the
-// operation, so a caller may run it inside a larger step
-// (sim.Process.Await) or as a helper's whole life (sim.Engine.SpawnStep).
+// again at each wake-up it arranges, until it reports true. It is the
+// only form of a GPU operation: a caller runs it inside a larger step
+// (sim.Process.Await), or as a helper's whole life
+// (sim.Engine.SpawnStep) to overlap a kernel with the caller's own work.
 // Build one with KernelOp or CopyOp.
 type Op struct {
 	d     *Device
@@ -200,9 +200,9 @@ func (o *Op) Step() bool {
 		if o.dram > 0 {
 			var done float64
 			if d.Model == ZeroCopy && d.pcie != nil {
-				done = d.pcie.TransferEvent(o.dram, 0, nil)
+				done = d.pcie.TransferEvent(o.dram, 0)
 			} else {
-				done = d.mem.TransferEvent(o.dram, bw, nil)
+				done = d.mem.TransferEvent(o.dram, bw)
 			}
 			d.eng.ResumeAt(done, p)
 			o.phase = opMemory
@@ -252,12 +252,12 @@ func (o *Op) stepCopy() bool {
 		var done float64
 		if d.pcie != nil {
 			// Discrete: host DRAM -> PCIe -> GDDR5; PCIe is the bottleneck.
-			done = d.pcie.TransferEvent(o.bytes, 0, nil)
+			done = d.pcie.TransferEvent(o.bytes, 0)
 		} else {
 			// Integrated: a memcpy within the shared DRAM reads and writes
 			// the data, so it costs 2x bytes of DRAM traffic at the CPU
 			// port rate.
-			done = d.mem.TransferEvent(2*o.bytes, d.Config.MemBandwidth, nil)
+			done = d.mem.TransferEvent(2*o.bytes, d.Config.MemBandwidth)
 		}
 		d.eng.ResumeAt(done, p)
 		o.phase = opMemory
@@ -265,47 +265,5 @@ func (o *Op) stepCopy() bool {
 	}
 	d.Metrics.CopyBytes += o.bytes
 	d.Metrics.CopySeconds += p.Now() - o.start
-	return true
-}
-
-// CopyIn moves bytes from host to device ahead of a kernel, according to
-// the memory-management model. Blocks p until the data is in place.
-func (d *Device) CopyIn(p *sim.Process, bytes float64) {
-	o := d.CopyOp(p, bytes)
-	p.Await(o.Step)
-}
-
-// CopyOut moves results back to the host.
-func (d *Device) CopyOut(p *sim.Process, bytes float64) {
-	o := d.CopyOp(p, bytes)
-	p.Await(o.Step)
-}
-
-// Launch runs the kernel, blocking p until completion.
-func (d *Device) Launch(p *sim.Process, k Kernel) {
-	o := d.KernelOp(p, k)
-	p.Await(o.Step)
-}
-
-// LaunchAsync starts the kernel on a helper process and opens g when it
-// completes — the mechanism hpl's lookahead uses to overlap the trailing
-// update with the next panel broadcast. The helper has no goroutine
-// (sim.Engine.SpawnStep): its launch runs on the event loop.
-func (d *Device) LaunchAsync(k Kernel, g *sim.Gate) {
-	a := &asyncLaunch{g: g}
-	a.op = d.KernelOp(d.eng.SpawnStep("cuda-async:"+k.Name, a.step), k)
-}
-
-// asyncLaunch is a LaunchAsync helper's state.
-type asyncLaunch struct {
-	op Op
-	g  *sim.Gate
-}
-
-func (a *asyncLaunch) step() bool {
-	if !a.op.Step() {
-		return false
-	}
-	a.g.Open(a.op.d.eng)
 	return true
 }

@@ -12,7 +12,7 @@ import (
 func tx1Device(model MemModel) (*sim.Engine, *Device) {
 	e := sim.NewEngine()
 	cfg := soc.JetsonTX1()
-	dram := sim.NewPipe(e, "dram", cfg.DRAMBandwidth, 0)
+	dram := sim.NewPipe(e, cfg.DRAMBandwidth, 0)
 	d := New(e, *cfg.GPU, dram, nil)
 	d.Model = model
 	return e, d
@@ -21,8 +21,8 @@ func tx1Device(model MemModel) (*sim.Engine, *Device) {
 func gtxDevice(model MemModel) (*sim.Engine, *Device) {
 	e := sim.NewEngine()
 	cfg := soc.XeonGTX980()
-	gddr := sim.NewPipe(e, "gddr5", cfg.GPU.MemBandwidth, 0)
-	pcie := sim.NewPipe(e, "pcie", cfg.GPU.PCIeBandwidth, 5*units.Microsecond)
+	gddr := sim.NewPipe(e, cfg.GPU.MemBandwidth, 0)
+	pcie := sim.NewPipe(e, cfg.GPU.PCIeBandwidth, 5*units.Microsecond)
 	d := New(e, *cfg.GPU, gddr, pcie)
 	d.Model = model
 	return e, d
@@ -33,10 +33,22 @@ func run(e *sim.Engine, body func(p *sim.Process)) float64 {
 	return e.Run()
 }
 
+// launch runs k on d, and copyOp a copy of bytes, as p's Await step: the
+// way cluster.Context runs its GPU operations.
+func launch(p *sim.Process, d *Device, k Kernel) {
+	o := d.KernelOp(p, k)
+	p.Await(o.Step)
+}
+
+func copyOp(p *sim.Process, d *Device, bytes float64) {
+	o := d.CopyOp(p, bytes)
+	p.Await(o.Step)
+}
+
 func TestComputeBoundKernel(t *testing.T) {
 	e, d := tx1Device(HostDevice)
 	k := Kernel{Name: "dgemm", FLOPs: 1 * units.GFLOP, Bytes: 1 * units.MB, L2HitRatio: 0.5}
-	dur := run(e, func(p *sim.Process) { d.Launch(p, k) })
+	dur := run(e, func(p *sim.Process) { launch(p, d, k) })
 	want := k.FLOPs / (d.Config.PeakFP64() * d.Config.Efficiency)
 	if math.Abs(dur-want)/want > 0.05 {
 		t.Fatalf("compute-bound kernel took %v, want ~%v", dur, want)
@@ -49,7 +61,7 @@ func TestComputeBoundKernel(t *testing.T) {
 func TestMemoryBoundKernel(t *testing.T) {
 	e, d := tx1Device(HostDevice)
 	k := Kernel{Name: "stream", FLOPs: 1 * units.MFLOP, Bytes: 2 * units.GB, L2HitRatio: 0}
-	dur := run(e, func(p *sim.Process) { d.Launch(p, k) })
+	dur := run(e, func(p *sim.Process) { launch(p, d, k) })
 	want := k.Bytes / d.Config.MemBandwidth
 	if math.Abs(dur-want)/want > 0.05 {
 		t.Fatalf("memory-bound kernel took %v, want ~%v", dur, want)
@@ -66,10 +78,10 @@ func TestSinglePrecisionFaster(t *testing.T) {
 	var t64, t32 float64
 	run(e, func(p *sim.Process) {
 		s := p.Now()
-		d.Launch(p, kd)
+		launch(p, d, kd)
 		t64 = p.Now() - s
 		s = p.Now()
-		d.Launch(p, ks)
+		launch(p, d, ks)
 		t32 = p.Now() - s
 	})
 	ratio := t64 / t32
@@ -87,9 +99,9 @@ func TestZeroCopyBypassesCache(t *testing.T) {
 		e, d := tx1Device(m)
 		var dur float64
 		run(e, func(p *sim.Process) {
-			d.CopyIn(p, 100*units.MB)
+			copyOp(p, d, 100*units.MB)
 			s := p.Now()
-			d.Launch(p, k)
+			launch(p, d, k)
 			dur = p.Now() - s
 		})
 		return dur, d
@@ -117,9 +129,9 @@ func TestUnifiedMatchesHostDevice(t *testing.T) {
 	total := func(m MemModel) float64 {
 		e, d := tx1Device(m)
 		return run(e, func(p *sim.Process) {
-			d.CopyIn(p, 100*units.MB)
-			d.Launch(p, k)
-			d.CopyOut(p, 100*units.MB)
+			copyOp(p, d, 100*units.MB)
+			launch(p, d, k)
+			copyOp(p, d, 100*units.MB)
 		})
 	}
 	hd, um := total(HostDevice), total(Unified)
@@ -134,7 +146,7 @@ func TestUnifiedMatchesHostDevice(t *testing.T) {
 func TestDiscreteCopyUsesPCIe(t *testing.T) {
 	e, d := gtxDevice(HostDevice)
 	bytes := 1 * units.GB
-	dur := run(e, func(p *sim.Process) { d.CopyIn(p, bytes) })
+	dur := run(e, func(p *sim.Process) { copyOp(p, d, bytes) })
 	want := bytes / d.Config.PCIeBandwidth
 	if math.Abs(dur-want)/want > 0.05 {
 		t.Fatalf("PCIe copy took %v, want ~%v", dur, want)
@@ -145,15 +157,25 @@ func TestKernelsSerializeOnStream(t *testing.T) {
 	e, d := tx1Device(HostDevice)
 	k := Kernel{Name: "k", FLOPs: units.GFLOP}
 	single := k.FLOPs / (d.Config.PeakFP64() * d.Config.Efficiency)
-	var g1, g2 sim.Gate
-	d.LaunchAsync(k, &g1)
-	d.LaunchAsync(k, &g2)
-	end := e.Run()
-	if !g1.IsOpen() || !g2.IsOpen() {
+	// Two helpers launch at once, as an async kernel's helper does.
+	var done []float64
+	for i := 0; i < 2; i++ {
+		var o Op
+		h := e.SpawnStep("async", func() bool {
+			if !o.Step() {
+				return false
+			}
+			done = append(done, e.Now())
+			return true
+		})
+		o = d.KernelOp(h, k)
+	}
+	e.Run()
+	if len(done) != 2 {
 		t.Fatal("async kernels did not complete")
 	}
-	if end < 2*single*0.95 {
-		t.Fatalf("two kernels finished in %v; they must serialize (~%v)", end, 2*single)
+	if done[1] < 2*single*0.95 || done[1]-done[0] < single*0.95 {
+		t.Fatalf("two kernels finished at %v; they must serialize (~%v apart)", done, single)
 	}
 }
 
@@ -161,15 +183,14 @@ func TestKernelsSerializeOnStream(t *testing.T) {
 func TestIntegratedCopySharesDRAM(t *testing.T) {
 	e := sim.NewEngine()
 	cfg := soc.JetsonTX1()
-	dram := sim.NewPipe(e, "dram", cfg.DRAMBandwidth, 0)
+	dram := sim.NewPipe(e, cfg.DRAMBandwidth, 0)
 	d := New(e, *cfg.GPU, dram, nil)
-	// A CPU streaming phase hogs the DRAM first.
-	e.Spawn("cpu", func(p *sim.Process) {
-		dram.TransferRated(p, 2*units.GB, cfg.CPU.MemBandwidth)
-	})
+	// A CPU streaming phase hogs the DRAM first: its traffic is booked
+	// the way cluster.Context books a compute phase's.
+	dram.TransferEvent(2*units.GB, cfg.CPU.MemBandwidth)
 	var copyDone float64
 	e.Spawn("gpu", func(p *sim.Process) {
-		d.CopyIn(p, 100*units.MB)
+		copyOp(p, d, 100*units.MB)
 		copyDone = p.Now()
 	})
 	e.Run()
@@ -192,7 +213,7 @@ func TestHalfPrecisionAsymmetry(t *testing.T) {
 		var dur float64
 		run(e, func(p *sim.Process) {
 			s := p.Now()
-			d.Launch(p, k)
+			launch(p, d, k)
 			dur = p.Now() - s
 		})
 		return dur
@@ -213,7 +234,7 @@ func TestHalfPrecisionAsymmetry(t *testing.T) {
 func TestHalfPrecisionHalvesTraffic(t *testing.T) {
 	e, d := tx1Device(HostDevice)
 	k := Kernel{Name: "stream16", FLOPs: 1, Bytes: 2 * units.GB, HalfPrecision: true}
-	run(e, func(p *sim.Process) { d.Launch(p, k) })
+	run(e, func(p *sim.Process) { launch(p, d, k) })
 	if math.Abs(d.Metrics.DRAMBytes-units.GB) > 1 {
 		t.Fatalf("FP16 DRAM traffic %v, want half of 2GB", d.Metrics.DRAMBytes)
 	}

@@ -1,6 +1,8 @@
 // Package power models the energy instrumentation of the paper: each
 // system's power is sensed at the wall (a 10 Hz AC current probe) and two
 // efficiency metrics are reported — total energy, and FLOPS per watt.
+// The model integrates energy analytically from component busy times;
+// it samples nothing.
 //
 // The node model is the usual idle + activity decomposition: a constant
 // idle draw plus dynamic power proportional to the busy time of each CPU
@@ -39,14 +41,6 @@ func (s Spec) psu() float64 {
 	return s.PSUEfficiency
 }
 
-// MaxWatts returns the AC power at full load with all cores and SMs busy
-// and dramGBps of memory traffic.
-func (s Spec) MaxWatts(cores, sms int, dramGBps float64) float64 {
-	dc := s.IdleWatts + float64(cores)*s.CPUCoreWatts + float64(sms)*s.GPUSMWatts +
-		dramGBps*s.DRAMWattsPerGBps
-	return dc/s.psu() + s.NICWatts
-}
-
 // Meter integrates one node's energy over a run from component busy times.
 type Meter struct {
 	Spec Spec
@@ -73,43 +67,6 @@ func (m *Meter) Energy(duration float64) float64 {
 		m.Spec.GPUSMWatts*m.smBusy +
 		m.Spec.DRAMWattsPerGBps*m.dramGB
 	return dc/m.Spec.psu() + m.Spec.NICWatts*duration
-}
-
-// AveragePower returns mean AC watts over the run.
-func (m *Meter) AveragePower(duration float64) float64 {
-	if duration <= 0 {
-		return 0
-	}
-	return m.Energy(duration) / duration
-}
-
-// Sensor mimics the paper's 10 Hz wall-power probe: it samples a power
-// trace at fixed intervals and integrates, demonstrating that sampled and
-// analytic energy agree for well-behaved traces.
-type Sensor struct {
-	Hz      float64
-	samples []float64
-}
-
-// NewSensor returns a sensor sampling at hz.
-func NewSensor(hz float64) *Sensor { return &Sensor{Hz: hz} }
-
-// Sample records an instantaneous watts reading.
-func (s *Sensor) Sample(watts float64) { s.samples = append(s.samples, watts) }
-
-// Samples returns the number of samples recorded.
-func (s *Sensor) Samples() int { return len(s.samples) }
-
-// Energy integrates the sampled trace (rectangle rule).
-func (s *Sensor) Energy() float64 {
-	if s.Hz <= 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, w := range s.samples {
-		sum += w
-	}
-	return sum / s.Hz
 }
 
 // MFLOPSPerWatt converts a throughput (FLOP/s) and average power (W) into

@@ -192,53 +192,51 @@ func TestSpawnStepRunsOnTheLoop(t *testing.T) {
 }
 
 // TryAcquire and TryWait take or register; a step that Blocks on them is
-// woken by Release and Open, and its wait is accounted as Acquire's and
-// Wait's are.
+// woken by Release and Open, and its wait is accounted as blocked time,
+// as a process blocking on the resource and then the gate would be: the
+// waiter is granted the unit at 1 s, passes the gate at 2 s, and has
+// spent both seconds blocked.
 func TestTryAcquireAndTryWaitBlockLikeTheirBlockingForms(t *testing.T) {
-	run := func(step bool) (float64, float64) {
-		e := NewEngine()
-		r := NewResource(1)
-		var g Gate
-		e.Spawn("holder", func(p *Process) {
-			r.Acquire(p)
-			p.Sleep(1)
-			r.Release(e)
-			p.Sleep(1)
-			g.Open(e)
-		})
-		var w *Process
-		if step {
-			phase := 0
-			w = e.SpawnStep("waiter", func() bool {
-				switch phase {
-				case 0:
-					phase = 1
-					if !r.TryAcquire(w) {
-						w.Block()
-						return false
-					}
-					fallthrough
-				case 1:
-					phase = 2
-					if !g.TryWait(w) {
-						w.Block()
-						return false
-					}
-				}
-				return true
-			})
-		} else {
-			w = e.Spawn("waiter", func(p *Process) {
-				r.Acquire(p)
-				g.Wait(p)
-			})
+	e := NewEngine()
+	r := NewResource(1)
+	var g Gate
+	e.Spawn("holder", func(p *Process) {
+		if !r.TryAcquire(p) {
+			t.Error("a free unit was not granted at once")
 		}
-		e.Run()
-		return w.BlockedSeconds(), r.BusyTime(e)
+		p.Sleep(1)
+		r.Release(e)
+		p.Sleep(1)
+		g.Open(e)
+	})
+	var w *Process
+	var at []float64
+	phase := 0
+	w = e.SpawnStep("waiter", func() bool {
+		switch phase {
+		case 0:
+			phase = 1
+			if !r.TryAcquire(w) {
+				w.Block()
+				return false
+			}
+			fallthrough
+		case 1:
+			at = append(at, w.Now())
+			phase = 2
+			if !g.TryWait(w) {
+				w.Block()
+				return false
+			}
+		}
+		at = append(at, w.Now())
+		return true
+	})
+	e.Run()
+	if fmt.Sprint(at) != "[1 2]" {
+		t.Fatalf("granted and passed at %v, want [1 2]", at)
 	}
-	bb, busyB := run(false)
-	bs, busyS := run(true)
-	if bb != 2 || bs != bb || busyS != busyB {
-		t.Fatalf("blocked %v (step) vs %v (blocking), busy %v vs %v; want 2 blocked each", bs, bb, busyS, busyB)
+	if w.BlockedSeconds() != 2 || e.BlockedSeconds() != 2 {
+		t.Fatalf("blocked %v (engine %v), want 2", w.BlockedSeconds(), e.BlockedSeconds())
 	}
 }

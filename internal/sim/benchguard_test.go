@@ -192,7 +192,7 @@ func TestTypedWakeupSpeedGuard(t *testing.T) {
 }
 
 // TestTypedWakeupAllocFree asserts the typed wake-up path allocates
-// nothing in steady state: Sleep and Resume push value events into the
+// nothing in steady state: Sleep and ResumeAt push value events into the
 // calendar's existing backing array, with no closure and no boxed node.
 // Deterministic (allocation counting, not timing), so it always runs; it
 // is also part of the BENCH_GUARD CI step.
@@ -205,8 +205,8 @@ func TestTypedWakeupAllocFree(t *testing.T) {
 	})
 	e.Spawn("driver", func(p *Process) {
 		for {
-			p.Sleep(1)                               // typed relative wake
-			p.Engine().ResumeAt(p.Now()+0.5, waiter) // typed absolute wake
+			p.Sleep(1)                      // typed relative wake
+			e.ResumeAt(p.Now()+0.5, waiter) // typed absolute wake
 		}
 	})
 	limit := 100.0

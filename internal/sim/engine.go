@@ -20,9 +20,9 @@ import (
 )
 
 // eventKind discriminates the calendar's two event flavours. The split
-// exists so the hot wake-up path (process activations: Sleep, Resume,
-// pipe completions, resource grants) carries a *Process directly instead
-// of a freshly allocated closure.
+// exists so the hot wake-up path (process activations: Sleep, ResumeAt,
+// resource grants, gate openings) carries a *Process directly instead of
+// a freshly allocated closure.
 type eventKind uint8
 
 const (
@@ -210,7 +210,7 @@ func (e *Engine) ScheduleAt(t float64, fn func()) {
 }
 
 // wake enqueues p's activation after delay seconds — the typed fast path
-// behind Sleep, Resume, pipe completions, and resource grants. It is
+// behind Sleep, WakeAfter, resource grants and gate openings. It is
 // Schedule with the closure replaced by the process pointer itself, so a
 // steady-state wake-up allocates nothing.
 func (e *Engine) wake(delay float64, p *Process) {
@@ -343,9 +343,6 @@ func (e *Engine) drive(self *Process) driveResult {
 	}
 }
 
-// Idle reports whether no events are pending.
-func (e *Engine) Idle() bool { return len(e.queue) == 0 }
-
 // ClampedDelays returns the number of Schedule calls whose delay was
 // clamped to zero, split into negative and NaN inputs. Non-zero counts
 // indicate a model bug upstream.
@@ -358,8 +355,8 @@ func (e *Engine) StaleWakes() uint64 { return e.staleWakes }
 
 // Switches returns the number of times the event loop passed control to
 // a process body: its first activation, and each return from a Sleep,
-// Suspend, Wait or Await, whether that resumed the parked goroutine or
-// was the driving process's own wake-up. A wake-up that runs an Await
+// SleepUntil, Suspend or Await, whether that resumed the parked goroutine
+// or was the driving process's own wake-up. A wake-up that runs an Await
 // continuation which is not yet done is an event but not a switch, and a
 // SpawnStep process is never switched in.
 func (e *Engine) Switches() uint64 { return e.switches }
@@ -369,7 +366,7 @@ func (e *Engine) QueueHighWater() int { return e.maxQueue }
 
 // BlockedSeconds returns the total simulated time processes have spent
 // blocked (suspended with no scheduled resumption: message waits,
-// resource queues, gate/signal waits), summed across processes.
+// resource queues, gate waits), summed across processes.
 func (e *Engine) BlockedSeconds() float64 { return e.blocked }
 
 // PublishMetrics exports the engine's diagnostic accounting into an

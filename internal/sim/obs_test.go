@@ -80,17 +80,17 @@ func TestQueueHighWater(t *testing.T) {
 
 func TestBlockedSecondsAccounting(t *testing.T) {
 	e := NewEngine()
-	var sig Signal
-	waiter := e.Spawn("waiter", func(p *Process) { sig.Wait(p) })
-	e.Spawn("firer", func(p *Process) {
+	var g Gate
+	waiter := e.Spawn("waiter", func(p *Process) { wait(p, &g) })
+	e.Spawn("opener", func(p *Process) {
 		p.Sleep(5)
-		sig.Fire(e)
+		g.Open(e)
 	})
 	e.Run()
 	if got := waiter.BlockedSeconds(); got != 5 {
 		t.Fatalf("waiter BlockedSeconds = %g, want 5", got)
 	}
-	// The firer slept voluntarily; Sleep is not blocked time.
+	// The opener slept voluntarily; Sleep is not blocked time.
 	if got := e.BlockedSeconds(); got != 5 {
 		t.Fatalf("engine BlockedSeconds = %g, want 5", got)
 	}

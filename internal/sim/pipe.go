@@ -9,27 +9,27 @@ import "math"
 // per transfer, pipelined (it delays completion but does not occupy the
 // server), which matches how wire latency behaves on real links.
 type Pipe struct {
-	Name      string
 	Bandwidth float64 // bytes per second
 	Latency   float64 // seconds per transfer
 
 	eng    *Engine
 	free   float64 // time the server becomes free
 	bytes  float64 // total bytes carried
-	busy   float64 // total seconds of server occupancy
 	waited float64 // total seconds transfers queued behind earlier ones
-	count  uint64  // number of transfers
 }
 
 // NewPipe returns a pipe on engine e with the given service bandwidth
 // (bytes/second) and per-transfer latency (seconds).
-func NewPipe(e *Engine, name string, bandwidth, latency float64) *Pipe {
-	return &Pipe{Name: name, Bandwidth: bandwidth, Latency: latency, eng: e}
+func NewPipe(e *Engine, bandwidth, latency float64) *Pipe {
+	return &Pipe{Bandwidth: bandwidth, Latency: latency, eng: e}
 }
 
-// schedule books bytes onto the server with an additional per-requester
-// rate cap and returns the completion time.
-func (pp *Pipe) schedule(bytes, rateCap float64) float64 {
+// TransferEvent books bytes onto the server, behind every transfer booked
+// before it, and returns the completion time; it blocks nobody. rateCap
+// is an additional per-requester bandwidth cap (e.g. the CPU port of a
+// shared DRAM achieves less than the DRAM itself); 0 means none. A step
+// waits for the transfer by resuming itself at the returned time.
+func (pp *Pipe) TransferEvent(bytes, rateCap float64) float64 {
 	e := pp.eng
 	rate := pp.Bandwidth
 	if rateCap > 0 && rateCap < rate {
@@ -45,62 +45,13 @@ func (pp *Pipe) schedule(bytes, rateCap float64) float64 {
 	}
 	pp.free = start + dur
 	pp.bytes += bytes
-	pp.busy += dur
-	pp.count++
 	return pp.free + pp.Latency
-}
-
-// Transfer moves bytes through the pipe, blocking p until completion.
-func (pp *Pipe) Transfer(p *Process, bytes float64) {
-	pp.TransferRated(p, bytes, 0)
-}
-
-// TransferRated is Transfer with an additional per-requester bandwidth cap
-// (e.g. the CPU port of a shared DRAM achieves less than the DRAM itself).
-// A cap of 0 means "no extra cap".
-func (pp *Pipe) TransferRated(p *Process, bytes, rateCap float64) {
-	done := pp.schedule(bytes, rateCap)
-	p.eng.wakeAt(done, p)
-	p.yield()
-}
-
-// TransferEvent books the transfer and invokes fn at completion without
-// blocking the caller. It returns the completion time.
-func (pp *Pipe) TransferEvent(bytes, rateCap float64, fn func()) float64 {
-	done := pp.schedule(bytes, rateCap)
-	if fn != nil {
-		pp.eng.ScheduleAt(done, fn)
-	}
-	return done
-}
-
-// EstimateOnly returns the duration bytes would need at the pipe's nominal
-// rate, ignoring queueing — useful for analytic cross-checks in tests.
-func (pp *Pipe) EstimateOnly(bytes float64) float64 {
-	if bytes <= 0 {
-		return pp.Latency
-	}
-	return bytes/pp.Bandwidth + pp.Latency
 }
 
 // Bytes returns the total bytes carried so far.
 func (pp *Pipe) Bytes() float64 { return pp.bytes }
 
-// BusyTime returns the total seconds the server has been occupied.
-func (pp *Pipe) BusyTime() float64 { return pp.busy }
-
 // QueueWait returns the total seconds transfers have spent queued behind
 // earlier transfers before starting service — the arbitration stall a
 // shared DRAM port inflicts on its contenders.
 func (pp *Pipe) QueueWait() float64 { return pp.waited }
-
-// Transfers returns the number of transfers carried.
-func (pp *Pipe) Transfers() uint64 { return pp.count }
-
-// Utilization returns busy time divided by elapsed simulation time.
-func (pp *Pipe) Utilization() float64 {
-	if pp.eng.now == 0 {
-		return 0
-	}
-	return pp.busy / pp.eng.now
-}

@@ -5,12 +5,14 @@ package sim
 // ensemble behaves like a set of coroutines: there is no true concurrency
 // and no need for locks anywhere in the simulation.
 //
-// A process blocks by calling Sleep, Wait, Pipe.Transfer, or
-// Resource.Acquire; each of those schedules a resumption event and yields
-// control back to the engine. Await instead leaves a continuation that
-// the engine runs at each wake-up, so a multi-step operation switches the
-// process in once, not once per step. A SpawnStep process has no
-// goroutine at all: it is one such continuation from spawn to done.
+// A process waits in one of four ways: Sleep and SleepUntil schedule its
+// own wake-up, Suspend parks it until another component resumes it, and
+// Await leaves a continuation (a step) that the engine runs at each
+// wake-up, so a multi-step operation switches the process in once, not
+// once per step. Pipe, Resource and Gate have only step forms
+// (TransferEvent, TryAcquire, TryWait), which a step uses to wait. A
+// SpawnStep process has no goroutine at all: it is one such continuation
+// from spawn to done.
 type Process struct {
 	eng     *Engine
 	name    string
@@ -81,17 +83,6 @@ func (p *Process) yield() {
 	<-p.resume
 }
 
-// block is yield with blocked-time accounting: it is the path taken when
-// the process parks with no scheduled resumption (message wait, resource
-// queue, gate/signal wait) and some other component wakes it later. The
-// elapsed simulated time is attributed to the process and to the engine
-// total, which the observability layer exports.
-func (p *Process) block() {
-	t0 := p.eng.now
-	p.yield()
-	p.addBlocked(p.eng.now - t0)
-}
-
 // addBlocked attributes d simulated seconds of blocking to p and to the
 // engine total.
 func (p *Process) addBlocked(d float64) {
@@ -134,9 +125,6 @@ func (p *Process) BlockedSeconds() float64 { return p.blocked }
 // Name returns the process name given at Spawn.
 func (p *Process) Name() string { return p.name }
 
-// Engine returns the engine that owns this process.
-func (p *Process) Engine() *Engine { return p.eng }
-
 // Now returns the current simulation time.
 func (p *Process) Now() float64 { return p.eng.now }
 
@@ -167,65 +155,37 @@ func (p *Process) SleepUntil(t float64) {
 }
 
 // Suspend parks the process with no scheduled resumption; some other
-// component must later call Engine.Resume / Engine.ResumeAt, or the engine
-// will report a deadlock.
-func (p *Process) Suspend() { p.block() }
-
-// Resume schedules p to continue at the current time. Only valid for a
-// process parked with Suspend (or registered in a Signal the caller
-// manages itself).
-func (e *Engine) Resume(p *Process) { e.wake(0, p) }
+// component must later call Engine.ResumeAt, or the engine will report a
+// deadlock. The simulated time until then is blocked time, attributed to
+// the process and to the engine total, which the observability layer
+// exports.
+func (p *Process) Suspend() {
+	t0 := p.eng.now
+	p.yield()
+	p.addBlocked(p.eng.now - t0)
+}
 
 // ResumeAt schedules p to continue at absolute time t.
 func (e *Engine) ResumeAt(t float64, p *Process) { e.wakeAt(t, p) }
 
-// Signal is a broadcast condition: processes Wait on it and a later Fire
-// resumes all current waiters (in Wait order). Fire-then-Wait does not
-// wake; use Gate for level-triggered behaviour.
-type Signal struct {
+// Gate is a level-triggered latch: once Open has been called, TryWait
+// reports true, regardless of ordering.
+type Gate struct {
+	open    bool
 	waiters []*Process
 }
 
-// Wait suspends p until the next Fire.
-func (s *Signal) Wait(p *Process) {
-	s.waiters = append(s.waiters, p)
-	p.block()
-}
-
-// Fire resumes every currently waiting process at the present time, in the
-// order they called Wait.
-func (s *Signal) Fire(e *Engine) {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		e.wake(0, w)
-	}
-}
-
-// Pending returns the number of processes currently waiting.
-func (s *Signal) Pending() int { return len(s.waiters) }
-
-// Gate is a level-triggered latch: Wait returns immediately once Open has
-// been called, regardless of ordering.
-type Gate struct {
-	open bool
-	sig  Signal
-}
-
-// Open releases the gate, waking current and future waiters.
+// Open releases the gate, waking every process registered by TryWait at
+// the present time, in the order they registered.
 func (g *Gate) Open(e *Engine) {
 	if g.open {
 		return
 	}
 	g.open = true
-	g.sig.Fire(e)
-}
-
-// Wait blocks p until the gate is open.
-func (g *Gate) Wait(p *Process) {
-	if !g.TryWait(p) {
-		p.block()
+	for _, w := range g.waiters {
+		e.wake(0, w)
 	}
+	g.waiters = nil
 }
 
 // TryWait reports whether the gate is open; if it is not, it registers p
@@ -235,21 +195,16 @@ func (g *Gate) TryWait(p *Process) bool {
 	if g.open {
 		return true
 	}
-	g.sig.waiters = append(g.sig.waiters, p)
+	g.waiters = append(g.waiters, p)
 	return false
 }
 
-// IsOpen reports whether Open has been called.
-func (g *Gate) IsOpen() bool { return g.open }
-
-// Resource is a FIFO counting semaphore (e.g. CPU cores on a node, kernel
-// engines on a GPU).
+// Resource is a FIFO counting semaphore (e.g. the kernel engine of a GPU
+// stream).
 type Resource struct {
 	Capacity int
 	inUse    int
 	queue    []*Process
-	busy     float64 // accumulated unit-seconds of use
-	lastT    float64
 }
 
 // NewResource returns a resource with the given capacity.
@@ -257,25 +212,12 @@ func NewResource(capacity int) *Resource {
 	return &Resource{Capacity: capacity}
 }
 
-func (r *Resource) account(e *Engine) {
-	r.busy += float64(r.inUse) * (e.now - r.lastT)
-	r.lastT = e.now
-}
-
-// Acquire blocks p until a unit is available and then takes it.
-func (r *Resource) Acquire(p *Process) {
-	if !r.TryAcquire(p) {
-		p.block()
-	}
-}
-
 // TryAcquire takes a unit and reports true if one is free; otherwise it
 // queues p, and the calling step must Block and return false. The
-// wake-up that Release sends p hands it the unit: the releaser accounts
-// and keeps the unit in use on p's behalf.
+// wake-up that Release sends p hands it the unit: the releaser keeps the
+// unit in use on p's behalf.
 func (r *Resource) TryAcquire(p *Process) bool {
 	if r.inUse < r.Capacity && len(r.queue) == 0 {
-		r.account(p.eng)
 		r.inUse++
 		return true
 	}
@@ -285,7 +227,6 @@ func (r *Resource) TryAcquire(p *Process) bool {
 
 // Release returns one unit, waking the longest waiter if any.
 func (r *Resource) Release(e *Engine) {
-	r.account(e)
 	if len(r.queue) > 0 {
 		next := r.queue[0]
 		r.queue = r.queue[1:]
@@ -294,10 +235,4 @@ func (r *Resource) Release(e *Engine) {
 		return
 	}
 	r.inUse--
-}
-
-// BusyTime returns accumulated unit-seconds of utilization up to t.
-func (r *Resource) BusyTime(e *Engine) float64 {
-	r.account(e)
-	return r.busy
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -9,6 +10,49 @@ import (
 
 func almostEqual(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+}
+
+// The helpers below let a process body wait on a pipe, a resource or a
+// gate through their step forms, as an Await step: the one way a process
+// waits on them.
+
+// transfer moves bytes through pp as p's step: book the transfer, resume
+// at its completion.
+func transfer(p *Process, pp *Pipe, bytes, rateCap float64) {
+	booked := false
+	p.Await(func() bool {
+		if booked {
+			return true
+		}
+		booked = true
+		p.eng.ResumeAt(pp.TransferEvent(bytes, rateCap), p)
+		return false
+	})
+}
+
+// acquire takes a unit of r as p's step, queueing if none is free.
+func acquire(p *Process, r *Resource) {
+	queued := false
+	p.Await(func() bool {
+		if queued || r.TryAcquire(p) {
+			// Release handed a queued p the unit with its wake-up.
+			return true
+		}
+		queued = true
+		p.Block()
+		return false
+	})
+}
+
+// wait waits for g to open as p's step.
+func wait(p *Process, g *Gate) {
+	p.Await(func() bool {
+		if g.TryWait(p) {
+			return true
+		}
+		p.Block()
+		return false
+	})
 }
 
 func TestScheduleOrdering(t *testing.T) {
@@ -123,52 +167,51 @@ func TestTwoProcessesInterleaveDeterministically(t *testing.T) {
 	}
 }
 
-func TestSignalFireWakesAllWaitersInOrder(t *testing.T) {
+// Open wakes every waiter at the present time, in the order they called
+// TryWait.
+func TestGateOpenWakesWaitersInOrder(t *testing.T) {
 	e := NewEngine()
-	var sig Signal
+	var g Gate
 	var woke []string
 	for _, name := range []string{"p0", "p1", "p2"} {
-		name := name
 		e.Spawn(name, func(p *Process) {
-			sig.Wait(p)
-			woke = append(woke, name)
+			wait(p, &g)
+			woke = append(woke, fmt.Sprintf("%s@%g", name, p.Now()))
 		})
 	}
-	e.Spawn("firer", func(p *Process) {
+	e.Spawn("opener", func(p *Process) {
 		p.Sleep(2)
-		sig.Fire(e)
+		g.Open(e)
 	})
 	e.Run()
-	if len(woke) != 3 {
-		t.Fatalf("woke %d, want 3", len(woke))
-	}
-	for i, w := range []string{"p0", "p1", "p2"} {
-		if woke[i] != w {
-			t.Fatalf("wake order %v", woke)
-		}
+	if fmt.Sprint(woke) != "[p0@2 p1@2 p2@2]" {
+		t.Fatalf("woke %v, want [p0@2 p1@2 p2@2]", woke)
 	}
 }
 
 func TestGateLevelTriggered(t *testing.T) {
 	e := NewEngine()
 	var g Gate
-	passed := 0
+	var passed []float64
 	e.Spawn("early", func(p *Process) {
-		g.Wait(p) // blocks until open
-		passed++
+		wait(p, &g) // blocks until open
+		passed = append(passed, p.Now())
 	})
 	e.Spawn("opener", func(p *Process) {
 		p.Sleep(1)
 		g.Open(e)
+		g.Open(e) // a second Open changes nothing
 	})
 	e.Spawn("late", func(p *Process) {
 		p.Sleep(2)
-		g.Wait(p) // already open: returns immediately
-		passed++
+		if !g.TryWait(p) { // already open: passes at once
+			t.Error("TryWait on an open gate registered a waiter")
+		}
+		passed = append(passed, p.Now())
 	})
 	e.Run()
-	if passed != 2 {
-		t.Fatalf("passed = %d, want 2", passed)
+	if fmt.Sprint(passed) != "[1 2]" {
+		t.Fatalf("passed at %v, want [1 2]", passed)
 	}
 }
 
@@ -176,12 +219,14 @@ func TestResourceFIFO(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(1)
 	var order []int
+	var granted []float64
 	for i := 0; i < 4; i++ {
 		i := i
 		e.Spawn("w", func(p *Process) {
 			p.Sleep(float64(i) * 0.001) // stagger arrival
-			r.Acquire(p)
+			acquire(p, r)
 			order = append(order, i)
+			granted = append(granted, p.Now())
 			p.Sleep(1)
 			r.Release(e)
 		})
@@ -192,8 +237,12 @@ func TestResourceFIFO(t *testing.T) {
 			t.Fatalf("resource not FIFO: %v", order)
 		}
 	}
-	if got := r.BusyTime(e); !almostEqual(got, 4.0) {
-		t.Fatalf("busy time = %v, want 4", got)
+	// Each waiter is granted the unit the instant its predecessor
+	// releases it.
+	for i, want := range []float64{0, 1, 2, 3} {
+		if !almostEqual(granted[i], want) {
+			t.Fatalf("granted at %v, want [0 1 2 3]", granted)
+		}
 	}
 }
 
@@ -203,7 +252,7 @@ func TestResourceCapacityTwo(t *testing.T) {
 	var finish []float64
 	for i := 0; i < 4; i++ {
 		e.Spawn("w", func(p *Process) {
-			r.Acquire(p)
+			acquire(p, r)
 			p.Sleep(1)
 			r.Release(e)
 			finish = append(finish, p.Now())
@@ -221,10 +270,10 @@ func TestResourceCapacityTwo(t *testing.T) {
 
 func TestPipeSingleTransfer(t *testing.T) {
 	e := NewEngine()
-	pp := NewPipe(e, "link", 100, 0.5) // 100 B/s, 0.5 s latency
+	pp := NewPipe(e, 100, 0.5) // 100 B/s, 0.5 s latency
 	var doneAt float64
 	e.Spawn("tx", func(p *Process) {
-		pp.Transfer(p, 200)
+		transfer(p, pp, 200, 0)
 		doneAt = p.Now()
 	})
 	e.Run()
@@ -238,11 +287,11 @@ func TestPipeSingleTransfer(t *testing.T) {
 
 func TestPipeFIFOQueueing(t *testing.T) {
 	e := NewEngine()
-	pp := NewPipe(e, "link", 100, 0) // 100 B/s, no latency
+	pp := NewPipe(e, 100, 0) // 100 B/s, no latency
 	var done []float64
 	for i := 0; i < 3; i++ {
 		e.Spawn("tx", func(p *Process) {
-			pp.Transfer(p, 100) // 1 s each, serialized
+			transfer(p, pp, 100, 0) // 1 s each, serialized
 			done = append(done, p.Now())
 		})
 	}
@@ -257,11 +306,11 @@ func TestPipeFIFOQueueing(t *testing.T) {
 
 func TestPipeLatencyIsPipelined(t *testing.T) {
 	e := NewEngine()
-	pp := NewPipe(e, "link", 100, 10) // huge latency, small service time
+	pp := NewPipe(e, 100, 10) // huge latency, small service time
 	var done []float64
 	for i := 0; i < 2; i++ {
 		e.Spawn("tx", func(p *Process) {
-			pp.Transfer(p, 100)
+			transfer(p, pp, 100, 0)
 			done = append(done, p.Now())
 		})
 	}
@@ -275,10 +324,10 @@ func TestPipeLatencyIsPipelined(t *testing.T) {
 
 func TestPipeRateCap(t *testing.T) {
 	e := NewEngine()
-	pp := NewPipe(e, "dram", 1000, 0)
+	pp := NewPipe(e, 1000, 0)
 	var doneAt float64
 	e.Spawn("cpu", func(p *Process) {
-		pp.TransferRated(p, 1000, 250) // capped at 250 B/s -> 4 s
+		transfer(p, pp, 1000, 250) // capped at 250 B/s -> 4 s
 		doneAt = p.Now()
 	})
 	e.Run()
@@ -287,14 +336,17 @@ func TestPipeRateCap(t *testing.T) {
 	}
 }
 
+// TransferEvent books the transfer and returns its completion time; it
+// schedules nothing and blocks nobody. A second booking queues behind the
+// first, and the wait is counted as queueing.
 func TestPipeTransferEventNonBlocking(t *testing.T) {
 	e := NewEngine()
-	pp := NewPipe(e, "link", 100, 0)
-	var cbAt float64
+	pp := NewPipe(e, 100, 0)
 	e.Spawn("tx", func(p *Process) {
-		finish := pp.TransferEvent(100, 0, func() { cbAt = e.Now() })
-		if !almostEqual(finish, 1) {
-			t.Errorf("predicted finish %v, want 1", finish)
+		first := pp.TransferEvent(100, 0)
+		second := pp.TransferEvent(100, 0)
+		if !almostEqual(first, 1) || !almostEqual(second, 2) {
+			t.Errorf("predicted finishes %v and %v, want 1 and 2", first, second)
 		}
 		// The caller is free immediately.
 		if p.Now() != 0 {
@@ -302,8 +354,11 @@ func TestPipeTransferEventNonBlocking(t *testing.T) {
 		}
 	})
 	e.Run()
-	if !almostEqual(cbAt, 1) {
-		t.Fatalf("callback at %v, want 1", cbAt)
+	if e.Now() != 0 || e.Events() != 1 {
+		t.Fatalf("run ended at %v after %d events, want 0 and 1 (the activation only)", e.Now(), e.Events())
+	}
+	if pp.Bytes() != 200 || !almostEqual(pp.QueueWait(), 1) {
+		t.Fatalf("bytes %v, queue wait %v; want 200 and 1", pp.Bytes(), pp.QueueWait())
 	}
 }
 
@@ -314,8 +369,7 @@ func TestDeadlockPanics(t *testing.T) {
 		}
 	}()
 	e := NewEngine()
-	var sig Signal
-	e.Spawn("stuck", func(p *Process) { sig.Wait(p) })
+	e.Spawn("stuck", func(p *Process) { p.Suspend() })
 	e.Run()
 }
 
@@ -330,14 +384,14 @@ func TestPipeConservationProperty(t *testing.T) {
 			sizes = sizes[:64]
 		}
 		e := NewEngine()
-		pp := NewPipe(e, "link", 1000, 0)
+		pp := NewPipe(e, 1000, 0)
 		total := 0.0
 		var last float64
 		for _, s := range sizes {
 			b := float64(s) + 1
 			total += b
 			e.Spawn("tx", func(p *Process) {
-				pp.Transfer(p, b)
+				transfer(p, pp, b, 0)
 				if p.Now() > last {
 					last = p.Now()
 				}
@@ -377,31 +431,21 @@ func TestMonotonicClockProperty(t *testing.T) {
 
 func TestEngineIntrospection(t *testing.T) {
 	e := NewEngine()
-	if !e.Idle() {
-		t.Fatal("fresh engine should be idle")
-	}
 	e.Schedule(1, func() {})
-	if e.Idle() {
-		t.Fatal("scheduled engine is not idle")
-	}
 	e.Run()
 	if e.Events() != 1 {
 		t.Fatalf("events = %d", e.Events())
 	}
-	pp := NewPipe(e, "p", 100, 0.5)
-	if got := pp.EstimateOnly(100); got != 1.5 {
-		t.Fatalf("estimate %v", got)
-	}
-	if got := pp.EstimateOnly(0); got != 0.5 {
-		t.Fatalf("zero-byte estimate %v", got)
-	}
-	e.Spawn("t", func(p *Process) { pp.Transfer(p, 200) })
+	pp := NewPipe(e, 100, 0.5)
+	e.Spawn("t", func(p *Process) { transfer(p, pp, 200, 0) })
 	e.Run()
-	if pp.Transfers() != 1 || pp.BusyTime() != 2 {
-		t.Fatalf("pipe stats: %d transfers, %v busy", pp.Transfers(), pp.BusyTime())
+	// The activation and the transfer's completion: 2 s of service and
+	// 0.5 s of latency after t=1.
+	if e.Events() != 3 || !almostEqual(e.Now(), 3.5) {
+		t.Fatalf("events %d, now %v; want 3 and 3.5", e.Events(), e.Now())
 	}
-	if u := pp.Utilization(); u <= 0 || u > 1 {
-		t.Fatalf("utilization %v", u)
+	if pp.Bytes() != 200 || pp.QueueWait() != 0 {
+		t.Fatalf("pipe stats: %v bytes, %v queued", pp.Bytes(), pp.QueueWait())
 	}
 }
 
@@ -414,9 +458,9 @@ func TestStaleWakeExcludedFromEvents(t *testing.T) {
 	target = e.Spawn("short", func(p *Process) { p.Suspend() })
 	e.Spawn("waker", func(p *Process) {
 		p.Sleep(1e-5)
-		e.Resume(target)
-		e.Resume(target)
-		e.Resume(target)
+		e.ResumeAt(p.Now(), target)
+		e.ResumeAt(p.Now(), target)
+		e.ResumeAt(p.Now(), target)
 	})
 	e.Run()
 	// Events: 2 spawn wakes + waker's sleep wake + target's (useful)
@@ -432,7 +476,7 @@ func TestStaleWakeExcludedFromEvents(t *testing.T) {
 	t2 = e2.Spawn("short", func(p *Process) { p.Suspend() })
 	e2.Spawn("waker", func(p *Process) {
 		p.Sleep(1e-5)
-		e2.Resume(t2)
+		e2.ResumeAt(p.Now(), t2)
 	})
 	e2.Run()
 	if e2.StaleWakes() != 0 {

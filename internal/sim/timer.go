@@ -14,21 +14,8 @@ type Timer struct {
 	fired   bool
 }
 
-// After schedules fn to run after delay seconds and returns its timer.
-// A negative or NaN delay is clamped like Schedule's.
-func (e *Engine) After(delay float64, fn func()) *Timer {
-	t := &Timer{}
-	e.Schedule(delay, func() {
-		if t.stopped {
-			return
-		}
-		t.fired = true
-		fn()
-	})
-	return t
-}
-
-// AfterAt is After at an absolute time (clamped to now, like ScheduleAt).
+// AfterAt schedules fn to run at absolute time at (clamped to now, like
+// ScheduleAt) and returns its timer.
 func (e *Engine) AfterAt(at float64, fn func()) *Timer {
 	t := &Timer{}
 	e.ScheduleAt(at, func() {
@@ -51,9 +38,3 @@ func (t *Timer) Stop() bool {
 	t.stopped = true
 	return true
 }
-
-// Fired reports whether the callback has run.
-func (t *Timer) Fired() bool { return t.fired }
-
-// Stopped reports whether the timer was cancelled before firing.
-func (t *Timer) Stopped() bool { return t.stopped }

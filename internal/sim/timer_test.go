@@ -8,13 +8,10 @@ import (
 func TestTimerFires(t *testing.T) {
 	e := NewEngine()
 	var at float64 = -1
-	tm := e.After(2.5, func() { at = e.Now() })
+	tm := e.AfterAt(2.5, func() { at = e.Now() })
 	e.Run()
 	if at != 2.5 {
 		t.Fatalf("timer fired at %g, want 2.5", at)
-	}
-	if !tm.Fired() || tm.Stopped() {
-		t.Fatalf("timer state after firing: fired=%v stopped=%v", tm.Fired(), tm.Stopped())
 	}
 	if tm.Stop() {
 		t.Fatal("Stop after firing must report false")
@@ -24,7 +21,7 @@ func TestTimerFires(t *testing.T) {
 func TestTimerStopPreventsCallback(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	tm := e.After(5, func() { ran = true })
+	tm := e.AfterAt(5, func() { ran = true })
 	e.Schedule(1, func() {
 		if !tm.Stop() {
 			t.Error("Stop before firing must report true")
@@ -36,9 +33,6 @@ func TestTimerStopPreventsCallback(t *testing.T) {
 	e.Run()
 	if ran {
 		t.Fatal("cancelled timer callback ran")
-	}
-	if tm.Fired() {
-		t.Fatal("cancelled timer reports fired")
 	}
 	// The dead calendar entry still pops, so the clock advances to it.
 	if e.Now() != 5 {
@@ -68,7 +62,7 @@ func TestTimerStopIsDeterministicWithEqualTimes(t *testing.T) {
 	var tm *Timer
 	e.Schedule(0, func() {
 		e.Schedule(1, func() { tm.Stop() })
-		tm = e.After(1, func() { ran = true })
+		tm = e.AfterAt(1, func() { ran = true })
 	})
 	e.Run()
 	if ran {
