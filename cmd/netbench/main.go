@@ -25,7 +25,7 @@ func iperf(prof network.Profile) float64 {
 	e := sim.NewEngine()
 	nw := network.New(e, 2, prof)
 	total := 1.0 * units.GB
-	_, arrival := nw.Deliver(0, 1, total)
+	_, _, arrival := nw.Deliver(0, 1, total)
 	e.Run()
 	return total / arrival
 }

@@ -34,18 +34,15 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		rf         = runflags.Register(flag.CommandLine, runflags.Store|runflags.Parallel)
-		maxPending = flag.Int("max-pending", 256, "admission bound: max admitted-but-unfinished scenarios before batches get 429")
-		maxBatch   = flag.Int("max-batch", 0, "max scenarios per POST (0 = max-pending)")
+		maxPending = flag.Int("max-pending", 256, "admission bound: max admitted-but-unfinished scenarios before batches get 429, and so max scenarios per POST")
 		rate       = flag.Float64("rate", 0, "per-client rate limit in scenario requests/s (0 = unlimited)")
-		burst      = flag.Int("burst", 0, "per-client burst size (0 = max(1, rate)); with -rate it also caps -max-batch")
+		burst      = flag.Int("burst", 0, "per-client burst size (0 = max(1, rate)); with -rate it also caps scenarios per POST")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight streams on shutdown")
 	)
 	flag.Parse()
 	switch {
 	case *maxPending < 1:
 		usage("-max-pending must be at least 1, got %d", *maxPending)
-	case *maxBatch < 0:
-		usage("-max-batch must be at least 0, got %d", *maxBatch)
 	case !(*rate >= 0) || math.IsInf(*rate, 1):
 		usage("-rate must be finite and at least 0, got %g", *rate)
 	case *burst < 0:
@@ -62,7 +59,6 @@ func main() {
 	s, err := simd.NewServer(simd.Config{
 		Runner:     r,
 		MaxPending: *maxPending,
-		MaxBatch:   *maxBatch,
 		RatePerSec: *rate,
 		Burst:      *burst,
 	})

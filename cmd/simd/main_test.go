@@ -54,7 +54,7 @@ func TestBadFlagValuesAreUsageErrors(t *testing.T) {
 		{"-rate", []string{"-rate", "+Inf"}},
 		{"-rate", []string{"-rate", "-1"}},
 		{"-max-pending", []string{"-max-pending", "0"}},
-		{"-max-batch", []string{"-max-batch", "-1"}},
+		{"-max-batch", []string{"-max-batch", "-1"}}, // no such flag any more
 		{"-burst", []string{"-burst", "-1"}},
 		{"-drain-timeout", []string{"-drain-timeout", "-1s"}},
 	}

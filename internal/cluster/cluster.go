@@ -244,8 +244,7 @@ func (cl *Cluster) RecordCritPath() {
 	if cl.cp != nil {
 		return
 	}
-	cl.cp = critpath.NewRecorder(cl.Eng)
-	cl.Net.SetDeliveryObserver(cl.cp)
+	cl.cp = critpath.NewRecorder()
 }
 
 // CritPath returns the recorder attached by RecordCritPath, or nil. The

@@ -50,7 +50,7 @@ type Context struct {
 	cost    soc.CostResult // Compute: the phase's cost
 	dur     float64        // Compute: its wall time
 	gpu     cuda.Op        // Kernel, CopyIn, CopyOut
-	gate    *sim.Gate      // WaitKernel
+	async   *AsyncKernel   // WaitKernel
 	call    *mpi.Call      // the MPI calls
 	fetchID int32          // Fetch: the critpath booking
 }
@@ -140,7 +140,7 @@ func (ctx *Context) step() bool {
 		case opKernel:
 			done = ctx.kernel(o)
 		case opKernelAsync:
-			ctx.kernelAsync(ctx.takeRef().(*asyncKernel))
+			ctx.kernelAsync(ctx.takeRef().(*AsyncKernel))
 			done = true
 		case opWaitKernel:
 			done = ctx.waitKernel()
@@ -331,10 +331,10 @@ func (ctx *Context) kernel(o *op) bool {
 	return true
 }
 
-// asyncKernel is a KernelAsync: the kernel and the gate its completion
-// opens, made when the body calls, and the helper process that runs the
-// launch, once it starts.
-type asyncKernel struct {
+// AsyncKernel is a kernel launched by KernelAsync: the kernel and the gate
+// its completion opens, made when the body calls, and the helper process
+// that runs the launch, once it starts. Its only use is WaitKernel.
+type AsyncKernel struct {
 	g   sim.Gate
 	k   cuda.Kernel
 	op  cuda.Op
@@ -343,34 +343,32 @@ type asyncKernel struct {
 	s0  float64 // the helper's activation: it is spawned to run at once
 }
 
-// KernelAsync starts a kernel and returns a gate that opens on completion
-// (hpl lookahead). The launch runs on a helper process with no goroutine
-// (sim.Engine.SpawnStep), so it overlaps the rank's later operations. The
-// FLOPs are credited when the launch starts; the trace records the wait
-// at WaitKernel. Under critpath recording the helper's kernel span lands
-// on a dedicated helper timeline bound to the gate; recording changes
-// no event. Wait on the gate only through WaitKernel: the body runs
-// ahead of the simulation, so the gate's own state is not yet the body's.
-func (ctx *Context) KernelAsync(k cuda.Kernel) *sim.Gate {
-	a := &asyncKernel{k: k}
+// KernelAsync starts a kernel and returns its handle, which WaitKernel
+// waits on (hpl lookahead). The launch runs on a helper process with no
+// goroutine (sim.Engine.SpawnStep), so it overlaps the rank's later
+// operations. The FLOPs are credited when the launch starts; the trace
+// records the wait at WaitKernel. Under critpath recording the helper's
+// kernel span lands on a dedicated helper timeline, which the wait names;
+// recording changes no event.
+func (ctx *Context) KernelAsync(k cuda.Kernel) *AsyncKernel {
+	a := &AsyncKernel{k: k}
 	ctx.refs = append(ctx.refs, a)
 	ctx.enqueue(opKernelAsync, op{})
-	return &a.g
+	return a
 }
 
-func (ctx *Context) kernelAsync(a *asyncKernel) {
+func (ctx *Context) kernelAsync(a *AsyncKernel) {
 	ctx.creditFlops(a.k.FLOPs)
 	a.cl, a.s0 = ctx.cl, ctx.p.Now()
 	if cp := ctx.cl.cp; cp != nil {
-		a.aux = cp.SpawnAux(ctx.cpEnt, fmt.Sprintf("gpu%d:%s", ctx.node.Index, a.k.Name), ctx.node.Index)
-		cp.BindGate(&a.g, a.aux)
+		a.aux = cp.SpawnAux(ctx.cpEnt, fmt.Sprintf("gpu%d:%s", ctx.node.Index, a.k.Name), ctx.node.Index, a.s0)
 	}
 	a.op = ctx.node.GPU.KernelOp(ctx.cl.Eng.SpawnStep("cuda-async:"+a.k.Name, a.step), a.k)
 }
 
 // step is the helper's whole life: the launch, its critpath span, and
 // the gate's opening.
-func (a *asyncKernel) step() bool {
+func (a *AsyncKernel) step() bool {
 	if !a.op.Step() {
 		return false
 	}
@@ -381,24 +379,24 @@ func (a *asyncKernel) step() bool {
 	return true
 }
 
-// WaitKernel blocks on an async kernel's completion gate.
-func (ctx *Context) WaitKernel(g *sim.Gate) {
-	ctx.refs = append(ctx.refs, g)
+// WaitKernel blocks until an async kernel has completed.
+func (ctx *Context) WaitKernel(a *AsyncKernel) {
+	ctx.refs = append(ctx.refs, a)
 	ctx.enqueue(opWaitKernel, op{})
 }
 
 func (ctx *Context) waitKernel() bool {
 	if ctx.phase == 0 {
-		ctx.gate = ctx.takeRef().(*sim.Gate)
+		ctx.async = ctx.takeRef().(*AsyncKernel)
 		ctx.start = ctx.p.Now()
-		if !ctx.gate.TryWait(ctx.p) {
+		if !ctx.async.g.TryWait(ctx.p) {
 			ctx.p.Block()
 			ctx.phase = 1
 			return false
 		}
 	}
 	if ctx.cl.cp != nil {
-		ctx.cl.cp.GateWait(ctx.cpEnt, ctx.gate, ctx.start, ctx.p.Now())
+		ctx.cl.cp.GateWait(ctx.cpEnt, ctx.async.aux, ctx.start, ctx.p.Now())
 	}
 	if ctx.cl.Tracer != nil {
 		ctx.cl.Tracer.RecordCompute(ctx.Rank, ctx.p.Now()-ctx.start, ctx.start)
@@ -601,12 +599,10 @@ func (ctx *Context) Fetch(bytes float64) {
 func (ctx *Context) fetch(bytes float64) bool {
 	if ctx.phase == 0 {
 		server := ctx.cl.Cfg.Nodes // last switch port
-		_, arrival := ctx.cl.Net.Deliver(server, ctx.node.Index, bytes)
+		start, free, arrival := ctx.cl.Net.Deliver(server, ctx.node.Index, bytes)
 		ctx.start = ctx.p.Now()
 		if ctx.cl.cp != nil {
-			// Claim the Deliver booking before waiting: another rank's
-			// send would overwrite the pending slot while this one waits.
-			ctx.fetchID = ctx.cl.cp.FetchStart(ctx.cpEnt)
+			ctx.fetchID = ctx.cl.cp.FetchStart(ctx.cpEnt, server, bytes, ctx.start, start, free, arrival)
 		}
 		if arrival > ctx.start {
 			ctx.cl.Eng.ResumeAt(arrival, ctx.p)

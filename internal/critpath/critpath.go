@@ -17,8 +17,10 @@
 // before service, wire service, latency, retransmission). Happens-before
 // edges come from message send->deliver->recv chains (hooked into the mpi
 // matching logic so the nth send and nth matching receive pair exactly),
-// from gate open->wait pairs, and from spawn markers of asynchronous
-// helper processes.
+// from async-kernel completion->wait pairs, and from spawn markers of
+// asynchronous helper processes. Each value is passed in by the call that
+// records it: the sender hands over its network booking, and a wait
+// names the helper timeline it waits on.
 //
 // Post-run, Analyze walks backward from the last-finishing entity,
 // following the edge that ended each wait, and charges every second of
@@ -40,8 +42,6 @@ package critpath
 import (
 	"fmt"
 	"sync"
-
-	"clustersoc/internal/sim"
 )
 
 // Component is one blame bucket of the makespan breakdown.
@@ -198,7 +198,7 @@ const (
 // (exact per-entity slices are carved out at seal time), so each span
 // carries its timeline. It has no sequence stamp — arena order refines
 // the engine's event order, so seal derives each span's seq from its
-// arena index, saving a Stamp call and eight bytes per recorded span.
+// arena index, saving eight bytes per recorded span.
 type recSpan struct {
 	start, end     float64
 	stall, stretch float64
@@ -216,19 +216,11 @@ var (
 	spanChunkPool = sync.Pool{New: func() any { return new([spanChunkLen]recSpan) }}
 )
 
-// Recorder accumulates the causal graph of one run. All methods run on
-// the engine goroutine; none of them schedules or sleeps.
+// Recorder accumulates the causal graph of one run. Every value it
+// records arrives as an argument of the call that records it. All methods
+// run on the engine goroutine; none of them schedules or sleeps.
 type Recorder struct {
-	eng   *sim.Engine
-	ents  []entity
-	gates map[*sim.Gate]int32
-
-	// pendID is the message record the network's latest delivery wrote,
-	// waiting to be claimed by the mpi send (or fetch) that triggered it;
-	// -1 when claimed. The engine is single-threaded and Deliver is called
-	// synchronously from the send path, so at most one record is ever
-	// pending.
-	pendID int32
+	ents []entity
 
 	msgChunks []*[msgChunkLen]message
 	nMsgs     int
@@ -246,10 +238,10 @@ type Recorder struct {
 	msgs   []message // contiguous after seal; empty while recording
 }
 
-// NewRecorder creates a recorder bound to the run's engine.
-func NewRecorder(eng *sim.Engine) *Recorder {
+// NewRecorder creates an empty recorder.
+func NewRecorder() *Recorder {
 	// spanN at the chunk boundary makes the first addSpan grow.
-	return &Recorder{eng: eng, gates: make(map[*sim.Gate]int32), pendID: -1, spanN: spanChunkLen}
+	return &Recorder{spanN: spanChunkLen}
 }
 
 // NewEntity registers a top-level timeline (a rank process) and returns
@@ -259,22 +251,18 @@ func (r *Recorder) NewEntity(name string, node int) int32 {
 	return int32(len(r.ents) - 1)
 }
 
-// SpawnAux registers an asynchronous helper timeline under parent and
-// records the zero-duration spawn marker that anchors its start: the
-// forward replay starts the helper's clock at the parent's clock here,
-// and the backward walk returns from the helper to the parent at this
-// point.
-func (r *Recorder) SpawnAux(parent int32, name string, node int) int32 {
-	now, _ := r.eng.Stamp()
+// SpawnAux registers an asynchronous helper timeline under parent, spawned
+// at now, and records the zero-duration spawn marker that anchors its
+// start: the forward replay starts the helper's clock at the parent's
+// clock here, and the backward walk returns from the helper to the parent
+// at this point. A later GateWait on the helper's completion names the
+// returned handle.
+func (r *Recorder) SpawnAux(parent int32, name string, node int, now float64) int32 {
 	aux := int32(len(r.ents))
 	r.ents = append(r.ents, entity{name: name, node: int32(node), parent: parent, origin: now})
 	*r.slot() = recSpan{kind: spanSpawn, start: now, end: now, ent: parent, ref: aux}
 	return aux
 }
-
-// BindGate associates a gate with the aux entity whose completion opens
-// it, so a later GateWait can chain onto the helper's timeline.
-func (r *Recorder) BindGate(g *sim.Gate, aux int32) { r.gates[g] = aux }
 
 // slot returns the next arena entry for the caller to fill. Returning a
 // pointer (rather than taking a recSpan parameter) keeps the append
@@ -296,8 +284,15 @@ func (r *Recorder) growSpans() {
 	r.spanN = 0
 }
 
-func (r *Recorder) growMsgs() {
-	r.msgChunks = append(r.msgChunks, msgChunkPool.Get().(*[msgChunkLen]message))
+// newMsg returns the id and the slot of the next message record for the
+// caller to fill.
+func (r *Recorder) newMsg() (int32, *message) {
+	if r.nMsgs>>msgChunkBits == len(r.msgChunks) {
+		r.msgChunks = append(r.msgChunks, msgChunkPool.Get().(*[msgChunkLen]message))
+	}
+	id := int32(r.nMsgs)
+	r.nMsgs++
+	return id, r.msgAt(id)
 }
 
 // msgAt resolves a message id while recording is live (post-seal code
@@ -405,25 +400,28 @@ func (r *Recorder) Fault(ent int32, start, end float64) {
 	*r.slot() = recSpan{kind: spanFault, start: start, end: end, ent: ent, ref: -1}
 }
 
-// GateWait records a wait on an asynchronous kernel's gate. Zero-length
-// waits are recorded too: the dependency still orders the forward replay
-// even when the gate was already open.
-func (r *Recorder) GateWait(ent int32, g *sim.Gate, start, end float64) {
-	ref := int32(-1)
-	if aux, ok := r.gates[g]; ok {
-		ref = aux
-	}
-	*r.slot() = recSpan{kind: spanGateWait, start: start, end: end, ent: ent, ref: ref}
+// GateWait records a wait on the completion of the asynchronous kernel
+// whose helper timeline is aux. Zero-length waits are recorded too: the
+// dependency still orders the forward replay even when the kernel had
+// already finished.
+func (r *Recorder) GateWait(ent, aux int32, start, end float64) {
+	*r.slot() = recSpan{kind: spanGateWait, start: start, end: end, ent: ent, ref: aux}
 }
 
-// FetchStart claims the pending network booking (the fetch's Deliver
-// call) as a message with no source entity — the server is a passive
-// port, so the chain ends at the booking, attributing queueing and wire
-// time without jumping timelines. It must be called before the fetching
-// process sleeps: the pending slot holds only the latest booking, and
-// another rank's send would overwrite it during the sleep.
-func (r *Recorder) FetchStart(ent int32) int32 {
-	return r.claimBooking(ent, -1)
+// FetchStart records the network booking of an NFS fetch by ent from the
+// file server's port: posted at post, in service over [start, free],
+// arriving at arrival. The message has no source entity — the server is
+// a passive port, so the chain ends at the booking, attributing queueing
+// and wire time without jumping timelines. Call it when the fetch books,
+// so message ids follow booking order.
+func (r *Recorder) FetchStart(ent int32, server int, bytes, post, start, free, arrival float64) int32 {
+	id, m := r.newMsg()
+	*m = message{
+		srcEnt: -1, dstEnt: ent,
+		srcNode: int32(server), dstNode: r.ents[ent].node,
+		bytes: bytes, post: post, start: start, free: free, arrival: arrival,
+	}
+	return id
 }
 
 // FetchDone records the blocking read around the booking FetchStart
@@ -432,42 +430,6 @@ func (r *Recorder) FetchStart(ent int32) int32 {
 // at seal time.
 func (r *Recorder) FetchDone(ent, id int32, start, end float64) {
 	*r.slot() = recSpan{kind: spanFetch, start: start, end: end, ent: ent, ref: id}
-}
-
-// ObserveDelivery implements network.DeliveryObserver: it writes the
-// delivery's internal decomposition straight into the message store,
-// leaving the record pending until the send (or fetch) that triggered it
-// claims it. A retransmitted message books twice within the same send;
-// the later booking — the copy the receiver actually sees — overwrites
-// the still-pending record.
-func (r *Recorder) ObserveDelivery(src, dst int, bytes, post, start, free, arrival float64) {
-	id := r.pendID
-	if id < 0 {
-		c := r.nMsgs >> msgChunkBits
-		if c == len(r.msgChunks) {
-			r.growMsgs()
-		}
-		id = int32(r.nMsgs)
-		r.nMsgs++
-		r.pendID = id
-	}
-	*r.msgAt(id) = message{
-		srcEnt: -1, dstEnt: -1,
-		srcNode: int32(src), dstNode: int32(dst),
-		bytes: bytes, post: post, start: start, free: free, arrival: arrival,
-	}
-}
-
-// claimBooking hands the pending message record to its sender.
-func (r *Recorder) claimBooking(dstEnt, srcEnt int32) int32 {
-	id := r.pendID
-	if id < 0 {
-		panic("critpath: message completed without a network booking to claim")
-	}
-	r.pendID = -1
-	m := r.msgAt(id)
-	m.srcEnt, m.dstEnt = srcEnt, dstEnt
-	return id
 }
 
 // CommHooks adapts the recorder to one communicator's rank numbering: ent
@@ -488,19 +450,22 @@ func (r *Recorder) CommHooks(ent []int32) *CommHooks {
 	return &CommHooks{r: r, ent: ent}
 }
 
-// PathSend implements mpi.PathRecorder: it claims the network booking the
-// send just made, records the sender's drain window, and returns the
-// message id the communicator will hand to the matching PathRecv.
-func (h *CommHooks) PathSend(src, dst, tag int, bytes, post, senderFree, arrival float64, retrans bool) int32 {
+// PathSend implements mpi.PathRecorder: it records the message with the
+// network booking the send made (of a retransmitted message, the second
+// booking: the copy the receiver sees) and the sender's drain window, and
+// returns the message id the communicator will hand to the matching
+// PathRecv.
+func (h *CommHooks) PathSend(src, dst, tag int, bytes, post, start, senderFree, arrival float64, retrans bool) int32 {
 	r := h.r
-	id := r.claimBooking(h.ent[dst], h.ent[src])
-	m := r.msgAt(id)
-	m.retrans = retrans
-	if m.free != senderFree || m.arrival != arrival {
-		panic(fmt.Sprintf("critpath: network booking does not pair with mpi send (free %g!=%g or arrival %g!=%g)",
-			m.free, senderFree, m.arrival, arrival))
+	s, d := h.ent[src], h.ent[dst]
+	id, m := r.newMsg()
+	*m = message{
+		srcEnt: s, dstEnt: d,
+		srcNode: r.ents[s].node, dstNode: r.ents[d].node,
+		bytes: bytes, post: post, start: start, free: senderFree, arrival: arrival,
+		retrans: retrans,
 	}
-	*r.slot() = recSpan{kind: spanSend, start: post, end: senderFree, ent: h.ent[src], ref: id}
+	*r.slot() = recSpan{kind: spanSend, start: post, end: senderFree, ent: s, ref: id}
 	return id
 }
 

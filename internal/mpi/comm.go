@@ -47,11 +47,13 @@ type inboxMsg struct {
 // recvWaiter is a rank's blocked receive, or the zero value (p == nil)
 // when the rank has none posted. expect is the byte count the receive
 // declared, or a negative value when it posted no expectation (plain Recv
-// carries no size).
+// carries no size). pathID is where the matching send writes its
+// PathRecorder handle: the receiving call's own slot.
 type recvWaiter struct {
 	p        *sim.Process
 	src, tag int
 	expect   float64
+	pathID   *int32
 }
 
 // Recorder observes point-to-point traffic; internal/trace implements it
@@ -64,15 +66,15 @@ type Recorder interface {
 
 // PathRecorder observes the causal structure of point-to-point traffic at
 // a finer grain than Recorder: sends carry the full NIC booking (post,
-// drain, arrival, whether the wire copy was a retransmit) and every
-// receive completion is reported even when it did not block, because a
-// zero-wait receive is still a happens-before edge that a critical-path
-// replay must honour. PathSend returns a message handle the communicator
-// threads through its own matching structures and hands back to PathRecv,
-// so the recorder needs no FIFO of its own. internal/critpath implements
-// it.
+// service start, drain, arrival, whether the wire copy was a retransmit)
+// and every receive completion is reported even when it did not block,
+// because a zero-wait receive is still a happens-before edge that a
+// critical-path replay must honour. PathSend returns a message handle the
+// communicator threads through its own matching structures and hands back
+// to PathRecv, so the recorder needs no FIFO of its own. internal/critpath
+// implements it.
 type PathRecorder interface {
-	PathSend(src, dst, tag int, bytes, post, senderFree, arrival float64, retrans bool) int32
+	PathSend(src, dst, tag int, bytes, post, start, senderFree, arrival float64, retrans bool) int32
 	PathRecv(dst int, id int32, post, end float64)
 }
 
@@ -92,11 +94,6 @@ type Comm struct {
 	rankNode []int
 	rec      Recorder
 	pr       PathRecorder
-	// pendingPath carries the PathRecorder handle of a send that matched a
-	// blocked receiver, from the send to the receiver's resumption. One
-	// slot per rank suffices: ranks are blocking processes, so each has at
-	// most one receive in flight (guarded by a panic in post).
-	pendingPath []int32
 
 	// boxes holds each rank's unclaimed messages in arrival order; a
 	// receive takes the first entry with its (src, tag), so messages on
@@ -104,8 +101,9 @@ type Comm struct {
 	// so the scan costs less than hashing the key.
 	boxes [][]inboxMsg
 	// waiters holds each rank's one blocked receive. One slot per rank
-	// suffices for the same reason as pendingPath; posting a second
-	// receive while one is blocked panics in take.
+	// suffices: ranks are blocking processes, so each has at most one
+	// receive in flight; posting a second while one is blocked panics in
+	// take.
 	waiters []recvWaiter
 	cseq    []int   // per-rank collective sequence number
 	idle    []*Call // finished calls, reused by the next ones
@@ -180,15 +178,7 @@ func (c *Comm) SetRecorder(r Recorder) { c.rec = r }
 
 // SetPathRecorder attaches a causal-path recorder (nil to detach). The
 // hot path pays one nil check per send and receive when detached.
-func (c *Comm) SetPathRecorder(pr PathRecorder) {
-	c.pr = pr
-	if pr != nil && c.pendingPath == nil {
-		c.pendingPath = make([]int32, len(c.rankNode))
-		for i := range c.pendingPath {
-			c.pendingPath[i] = -1
-		}
-	}
-}
+func (c *Comm) SetPathRecorder(pr PathRecorder) { c.pr = pr }
 
 // SetLossInjector attaches the fault plane's message-loss model (nil to
 // detach). Only cross-node messages can be lost — the intra-node
@@ -268,13 +258,6 @@ type op struct {
 	bytes float64
 }
 
-// The phases of the op a call is executing.
-const (
-	opStart   uint8 = iota // not yet begun
-	opWait                 // waiting for its NIC to drain it, or for its message to arrive
-	opMatched              // receive posted as the rank's waiter; waiting for a send
-)
-
 // Call is one rank's MPI call in progress: the ordered sends and receives
 // a point-to-point call or a collective decomposes into, and the state of
 // the op being executed. Start takes one from the communicator's pool,
@@ -288,7 +271,7 @@ type Call struct {
 	rank   int
 	ops    []op
 	pc     int         // index of the op being executed
-	phase  uint8       // how far ops[pc] has got
+	wait   bool        // ops[pc] has begun and waits for its NIC, its message or a matching send
 	start  float64     // when ops[pc] began
 	pathID int32       // PathRecorder handle of the message ops[pc] receives
 	step   func() bool // Step, bound once
@@ -311,7 +294,7 @@ func (c *Comm) Start(p *sim.Process, rank int) *Call {
 	x.rank = rank
 	x.ops = x.ops[:0]
 	x.pc = 0
-	x.phase = opStart
+	x.wait = false
 	return x
 }
 
@@ -357,25 +340,19 @@ func (x *Call) advance() bool {
 	c, now := x.c, x.p.Now()
 	for ; x.pc < len(x.ops); x.pc++ {
 		o := &x.ops[x.pc]
-		switch x.phase {
-		case opStart:
+		if !x.wait {
 			x.start = now
 			if o.send {
 				if free := c.post(x.rank, o.peer, o.tag, o.bytes, now); free > now {
 					c.eng.ResumeAt(free, x.p)
-					x.phase = opWait
+					x.wait = true
 					return false
 				}
 			} else if !x.take(o, now) {
 				return false
 			}
-		case opMatched:
-			if c.pr != nil {
-				x.pathID = c.pendingPath[x.rank]
-				c.pendingPath[x.rank] = -1
-			}
 		}
-		x.phase = opStart
+		x.wait = false
 		if o.send {
 			if c.rec != nil {
 				c.rec.RecordSend(x.rank, o.peer, o.tag, o.bytes, x.start, now)
@@ -399,7 +376,7 @@ func (x *Call) advance() bool {
 // its inbox. It returns when the sender's NIC has drained the message.
 func (c *Comm) post(src, dst, tag int, bytes, now float64) (senderFree float64) {
 	srcNode, dstNode := c.rankNode[src], c.rankNode[dst]
-	senderFree, arrival := c.nw.Deliver(srcNode, dstNode, bytes)
+	start, senderFree, arrival := c.nw.Deliver(srcNode, dstNode, bytes)
 	c.sentBytes[src] += bytes
 	c.sentMsgs[src]++
 	retrans := false
@@ -408,7 +385,7 @@ func (c *Comm) post(src, dst, tag int, bytes, now float64) (senderFree float64) 
 		// second wire transit that cannot start before the sender's timeout
 		// fires. The receiver sees only the retransmitted copy's arrival,
 		// and the sender's buffer is not free until the second copy drains.
-		senderFree, arrival = c.nw.DeliverAfter(srcNode, dstNode, bytes, senderFree+c.loss.Timeout())
+		start, senderFree, arrival = c.nw.DeliverAfter(srcNode, dstNode, bytes, senderFree+c.loss.Timeout())
 		c.retransBytes[src] += bytes
 		c.retransMsgs[src]++
 		retrans = true
@@ -417,15 +394,10 @@ func (c *Comm) post(src, dst, tag int, bytes, now float64) (senderFree float64) 
 	// resume and report its receive completion.
 	pathID := int32(-1)
 	if c.pr != nil {
-		pathID = c.pr.PathSend(src, dst, tag, bytes, now, senderFree, arrival, retrans)
+		pathID = c.pr.PathSend(src, dst, tag, bytes, now, start, senderFree, arrival, retrans)
 	}
 	if w := c.waiters[dst]; w.p != nil && w.src == src && w.tag == tag {
-		if c.pr != nil {
-			if c.pendingPath[dst] >= 0 {
-				panic(fmt.Sprintf("mpi: rank %d has two matched receives in flight", dst))
-			}
-			c.pendingPath[dst] = pathID
-		}
+		*w.pathID = pathID
 		c.waiters[dst] = recvWaiter{} // don't pin the process
 		c.mismatch(dst, src, tag, w.expect, bytes)
 		c.eng.ResumeAt(arrival, w.p)
@@ -439,7 +411,7 @@ func (c *Comm) post(src, dst, tag int, bytes, now float64) (senderFree float64) 
 // o's (peer, tag) and reports whether that message has already arrived;
 // otherwise it arranges the wake-up: the message's arrival, or, with no
 // match in the inbox, the rank's blocked-receive slot, which the
-// matching send resumes.
+// matching send resumes after writing its path handle to x.pathID.
 func (x *Call) take(o *op, now float64) bool {
 	c, dst := x.c, x.rank
 	x.pathID = -1
@@ -455,7 +427,7 @@ func (x *Call) take(o *op, now float64) bool {
 		x.pathID = m.pathID
 		if m.arrival > now {
 			c.eng.ResumeAt(m.arrival, x.p)
-			x.phase = opWait
+			x.wait = true
 			return false
 		}
 		return true
@@ -464,9 +436,9 @@ func (x *Call) take(o *op, now float64) bool {
 		panic(fmt.Sprintf("mpi: rank %d posted a receive from rank %d tag %d while one from rank %d tag %d is blocked",
 			dst, o.peer, o.tag, w.src, w.tag))
 	}
-	c.waiters[dst] = recvWaiter{p: x.p, src: o.peer, tag: o.tag, expect: o.bytes}
+	c.waiters[dst] = recvWaiter{p: x.p, src: o.peer, tag: o.tag, expect: o.bytes, pathID: &x.pathID}
 	x.p.Block()
-	x.phase = opMatched
+	x.wait = true
 	return false
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"clustersoc/internal/network"
+	"clustersoc/internal/obs"
 	"clustersoc/internal/sim"
 )
 
@@ -42,10 +43,10 @@ func (l *callLog) RecordRecv(rank, peer, tag int, start, end float64) {
 	l.lines = append(l.lines, fmt.Sprintf("recv %d<%d t%d %s-%s", rank, peer, tag, fbits(start), fbits(end)))
 }
 
-func (l *callLog) PathSend(src, dst, tag int, bytes, post, senderFree, arrival float64, retrans bool) int32 {
+func (l *callLog) PathSend(src, dst, tag int, bytes, post, start, senderFree, arrival float64, retrans bool) int32 {
 	l.ids++
-	l.lines = append(l.lines, fmt.Sprintf("psend #%d %d>%d t%d %s %s %s %s %v",
-		l.ids, src, dst, tag, fbits(bytes), fbits(post), fbits(senderFree), fbits(arrival), retrans))
+	l.lines = append(l.lines, fmt.Sprintf("psend #%d %d>%d t%d %s %s %s %s %s %v",
+		l.ids, src, dst, tag, fbits(bytes), fbits(post), fbits(start), fbits(senderFree), fbits(arrival), retrans))
 	return l.ids
 }
 
@@ -63,7 +64,8 @@ func (l *everyThird) Timeout() float64                      { return 2e-4 }
 type outcome struct {
 	Done, Blocked              []string // per-rank completion time and blocked seconds
 	EngineBlocked, End         string
-	Events, Stale              uint64
+	Events                     uint64
+	Stale                      float64
 	Sent, Msgs, Recvd, Retrans []string
 	Audit, Log                 []string
 }
@@ -152,7 +154,9 @@ func runEquiv(n, perNode int, prof network.Profile, lossy, ref bool) outcome {
 		o.Retrans = append(o.Retrans, fbits(c.RetransmittedBytes(r))+"/"+fmt.Sprint(c.Retransmissions(r)))
 	}
 	o.EngineBlocked = fbits(e.BlockedSeconds())
-	o.Events, o.Stale = e.Events(), e.StaleWakes()
+	reg := obs.NewRegistry()
+	e.PublishMetrics(reg.Scope("sim"))
+	o.Events, o.Stale = e.Events(), reg.Snapshot().Value("sim.stale_wakes")
 	o.Audit = c.Audit()
 	o.Log = log.lines
 	return o

@@ -20,7 +20,7 @@ func (c refComm) Send(p *sim.Process, src, dst, tag int, bytes float64) {
 	c.check(dst)
 	start := p.Now()
 	srcNode, dstNode := c.rankNode[src], c.rankNode[dst]
-	senderFree, arrival := c.nw.Deliver(srcNode, dstNode, bytes)
+	booked, senderFree, arrival := c.nw.Deliver(srcNode, dstNode, bytes)
 	c.sentBytes[src] += bytes
 	c.sentMsgs[src]++
 	retrans := false
@@ -29,7 +29,7 @@ func (c refComm) Send(p *sim.Process, src, dst, tag int, bytes float64) {
 		// second wire transit that cannot start before the sender's timeout
 		// fires. The receiver sees only the retransmitted copy's arrival,
 		// and the sender's buffer is not free until the second copy drains.
-		senderFree, arrival = c.nw.DeliverAfter(srcNode, dstNode, bytes, senderFree+c.loss.Timeout())
+		booked, senderFree, arrival = c.nw.DeliverAfter(srcNode, dstNode, bytes, senderFree+c.loss.Timeout())
 		c.retransBytes[src] += bytes
 		c.retransMsgs[src]++
 		retrans = true
@@ -38,15 +38,10 @@ func (c refComm) Send(p *sim.Process, src, dst, tag int, bytes float64) {
 	// resume and report its receive completion.
 	pathID := int32(-1)
 	if c.pr != nil {
-		pathID = c.pr.PathSend(src, dst, tag, bytes, start, senderFree, arrival, retrans)
+		pathID = c.pr.PathSend(src, dst, tag, bytes, start, booked, senderFree, arrival, retrans)
 	}
 	if w := c.waiters[dst]; w.p != nil && w.src == src && w.tag == tag {
-		if c.pr != nil {
-			if c.pendingPath[dst] >= 0 {
-				panic(fmt.Sprintf("mpi: rank %d has two matched receives in flight", dst))
-			}
-			c.pendingPath[dst] = pathID
-		}
+		*w.pathID = pathID
 		c.waiters[dst] = recvWaiter{} // don't pin the process
 		if c.checking && w.expect >= 0 && w.expect != bytes {
 			c.violations = append(c.violations, fmt.Sprintf(
@@ -98,12 +93,8 @@ func (c refComm) recvExpect(p *sim.Process, dst, src, tag int, expect float64) {
 			panic(fmt.Sprintf("mpi: rank %d posted a receive from rank %d tag %d while one from rank %d tag %d is blocked",
 				dst, src, tag, w.src, w.tag))
 		}
-		c.waiters[dst] = recvWaiter{p: p, src: src, tag: tag, expect: expect}
+		c.waiters[dst] = recvWaiter{p: p, src: src, tag: tag, expect: expect, pathID: &pathID}
 		p.Suspend()
-		if c.pr != nil {
-			pathID = c.pendingPath[dst]
-			c.pendingPath[dst] = -1
-		}
 	}
 	c.recvMsgs[dst]++
 	if c.pr != nil {

@@ -27,8 +27,8 @@ func TestLinkDerateSlowsService(t *testing.T) {
 	healthy := New(e, 2, TenGigE)
 	degraded := New(e, 2, TenGigE)
 	degraded.InjectLinkFaults(0, 0.5, nil)
-	sfH, _ := healthy.Deliver(0, 1, 1e6)
-	sfD, _ := degraded.Deliver(0, 1, 1e6)
+	_, sfH, _ := healthy.Deliver(0, 1, 1e6)
+	_, sfD, _ := degraded.Deliver(0, 1, 1e6)
 	if got, want := sfD, 2*sfH; math.Abs(got-want) > 1e-12*want {
 		t.Fatalf("derated sender free at %g, want %g (half throughput)", got, want)
 	}
@@ -36,7 +36,7 @@ func TestLinkDerateSlowsService(t *testing.T) {
 	// must cost the same as degrading the sender.
 	rxDeg := New(e, 2, TenGigE)
 	rxDeg.InjectLinkFaults(1, 0.5, nil)
-	if sfR, _ := rxDeg.Deliver(0, 1, 1e6); sfR != sfD {
+	if _, sfR, _ := rxDeg.Deliver(0, 1, 1e6); sfR != sfD {
 		t.Fatalf("receiver-side derate gave %g, sender-side %g — path rate must be the min", sfR, sfD)
 	}
 }
@@ -48,7 +48,7 @@ func TestFlapWindowDelaysBooking(t *testing.T) {
 	var sf float64
 	e.Spawn("sender", func(p *sim.Process) {
 		p.SleepUntil(1.5) // inside the flap window
-		sf, _ = nw.Deliver(0, 1, 1000)
+		_, sf, _ = nw.Deliver(0, 1, 1000)
 		p.SleepUntil(sf)
 	})
 	e.Run()
@@ -69,7 +69,7 @@ func TestTrafficBeforeFlapUnaffected(t *testing.T) {
 	e := sim.NewEngine()
 	nw := New(e, 2, TenGigE)
 	nw.InjectLinkFaults(0, 0, &fakeFlaps{ws: [][2]float64{{10, 20}}})
-	sf, _ := nw.Deliver(0, 1, 1000)
+	_, sf, _ := nw.Deliver(0, 1, 1000)
 	if want := 1000 / TenGigE.Throughput; math.Abs(sf-want) > 1e-15 {
 		t.Fatalf("pre-flap booking delayed: sender free %g, want %g", sf, want)
 	}
@@ -81,11 +81,11 @@ func TestForceDownCancelsFlapRestore(t *testing.T) {
 	nw.InjectLinkFaults(0, 0, &fakeFlaps{ws: [][2]float64{{1, 2}}})
 	e.Spawn("sender", func(p *sim.Process) {
 		p.SleepUntil(1.2)
-		sf, _ := nw.Deliver(0, 1, 1000) // enters the flap, arms the restore timer for t=2
+		_, sf, _ := nw.Deliver(0, 1, 1000) // enters the flap, arms the restore timer for t=2
 		_ = sf
 		nw.ForceDown(0, 1.5, 4) // crash: NIC reset supersedes the flap recovery
 		p.SleepUntil(3)
-		sf2, _ := nw.Deliver(0, 1, 1000) // inside the outage window: pushed to 4
+		_, sf2, _ := nw.Deliver(0, 1, 1000) // inside the outage window: pushed to 4
 		if sf2 < 4 {
 			p.Sleep(0) // keep determinism; assertion happens after Run
 		}
@@ -111,7 +111,7 @@ func TestDeliverAfterFloorsServiceStart(t *testing.T) {
 	e := sim.NewEngine()
 	nw := New(e, 2, TenGigE)
 	svc := 1000 / TenGigE.Throughput
-	sf, arrival := nw.DeliverAfter(0, 1, 1000, 5)
+	_, sf, arrival := nw.DeliverAfter(0, 1, 1000, 5)
 	if want := 5 + svc; math.Abs(sf-want) > 1e-12 {
 		t.Fatalf("sender free at %g, want %g (floored at 5)", sf, want)
 	}
@@ -120,7 +120,7 @@ func TestDeliverAfterFloorsServiceStart(t *testing.T) {
 	}
 	// A floor in the past is a plain Deliver.
 	nw2 := New(e, 2, TenGigE)
-	if sf2, _ := nw2.DeliverAfter(0, 1, 1000, -3); sf2 != svc {
+	if _, sf2, _ := nw2.DeliverAfter(0, 1, 1000, -3); sf2 != svc {
 		t.Fatalf("past floor changed the booking: %g, want %g", sf2, svc)
 	}
 }
@@ -141,7 +141,7 @@ func TestIntraNodeFlapThenForceDownIterates(t *testing.T) {
 	var sf float64
 	e.Spawn("sender", func(p *sim.Process) {
 		p.SleepUntil(1.5)
-		sf, _ = nw.Deliver(0, 0, 1000) // src == dst: memory path
+		_, sf, _ = nw.Deliver(0, 0, 1000) // src == dst: memory path
 		p.SleepUntil(sf)
 	})
 	e.Run()
@@ -168,7 +168,7 @@ func TestIntraNodeForceDownThenFlapIterates(t *testing.T) {
 	var sf float64
 	e.Spawn("sender", func(p *sim.Process) {
 		p.SleepUntil(1.5)
-		sf, _ = nw.Deliver(0, 0, 1000)
+		_, sf, _ = nw.Deliver(0, 0, 1000)
 		p.SleepUntil(sf)
 	})
 	e.Run()
@@ -188,7 +188,7 @@ func TestDeliverAfterFloorInsideDownWindow(t *testing.T) {
 	var sf, arr float64
 	e.Spawn("sender", func(p *sim.Process) {
 		// Called at t=0 with a floor of 2.5 — inside the outage.
-		sf, arr = nw.DeliverAfter(0, 1, 1000, 2.5)
+		_, sf, arr = nw.DeliverAfter(0, 1, 1000, 2.5)
 		p.SleepUntil(sf)
 	})
 	e.Run()

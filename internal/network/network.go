@@ -124,20 +124,6 @@ type Network struct {
 	// fault-injection plane (internal/faults). A fault-free network keeps
 	// it nil, so Deliver pays exactly one comparison.
 	lf []linkFault
-
-	// obsD, when non-nil, sees every booking's internal decomposition
-	// (service start vs. call time separates queueing from wire time).
-	// internal/critpath attaches it; an unobserved Deliver pays one nil
-	// check.
-	obsD DeliveryObserver
-}
-
-// DeliveryObserver sees every Deliver booking with its internal timing:
-// post is the call (or floor) time, start the moment the message enters
-// service, free when the sender's port drains, arrival when the last byte
-// reaches the receiver. src == dst identifies the intra-node memory path.
-type DeliveryObserver interface {
-	ObserveDelivery(src, dst int, bytes, post, start, free, arrival float64)
 }
 
 // MemoryPathBandwidth is the effective bandwidth of rank-to-rank transfers
@@ -167,10 +153,14 @@ func (nw *Network) Profile() Profile { return nw.prof }
 func (nw *Network) Nodes() int { return len(nw.tx) }
 
 // Deliver books a message of the given size from node src to node dst and
-// returns (senderFree, arrival): the time the sender's buffer has drained
-// and the time the last byte reaches the receiver. Deliver does not block;
-// the MPI layer schedules around the returned times.
-func (nw *Network) Deliver(src, dst int, bytes float64) (senderFree, arrival float64) {
+// returns (start, senderFree, arrival): the time the message enters
+// service, the time the sender's buffer has drained and the time the last
+// byte reaches the receiver. The window from the call to start is
+// queueing behind earlier traffic (or a down link), [start, senderFree]
+// wire service and [senderFree, arrival] latency; internal/critpath
+// attributes each. src == dst books the intra-node memory path. Deliver
+// does not block; the MPI layer schedules around the returned times.
+func (nw *Network) Deliver(src, dst int, bytes float64) (start, senderFree, arrival float64) {
 	return nw.deliver(src, dst, bytes, nw.eng.Now())
 }
 
@@ -178,11 +168,11 @@ func (nw *Network) Deliver(src, dst int, bytes float64) (senderFree, arrival flo
 // cannot enter service before `earliest`. The MPI layer uses it for the
 // eager-retransmit copy of a lost message, which leaves the NIC only
 // after the retransmit timeout has elapsed.
-func (nw *Network) DeliverAfter(src, dst int, bytes, earliest float64) (senderFree, arrival float64) {
+func (nw *Network) DeliverAfter(src, dst int, bytes, earliest float64) (start, senderFree, arrival float64) {
 	return nw.deliver(src, dst, bytes, math.Max(earliest, nw.eng.Now()))
 }
 
-func (nw *Network) deliver(src, dst int, bytes, floor float64) (senderFree, arrival float64) {
+func (nw *Network) deliver(src, dst int, bytes, floor float64) (start, senderFree, arrival float64) {
 	if src < 0 || src >= len(nw.tx) || dst < 0 || dst >= len(nw.rx) {
 		panic(fmt.Sprintf("network: node out of range: %d -> %d (have %d)", src, dst, len(nw.tx)))
 	}
@@ -190,7 +180,7 @@ func (nw *Network) deliver(src, dst int, bytes, floor float64) (senderFree, arri
 	nw.packets++
 	if src == dst {
 		lp := &nw.loop[src]
-		start := math.Max(floor, lp.free)
+		start = math.Max(floor, lp.free)
 		if nw.lf != nil {
 			// Iterate to a fixpoint, exactly like the wire path's admit():
 			// escaping a flap window can land the start inside a later
@@ -212,13 +202,10 @@ func (nw *Network) deliver(src, dst int, bytes, floor float64) (senderFree, arri
 			nw.sizeHist.Observe(bytes)
 			lp.markQueued(now, start, bytes)
 		}
-		if nw.obsD != nil {
-			nw.obsD.ObserveDelivery(src, dst, bytes, now, start, lp.free, lp.free+nw.memLat)
-		}
-		return lp.free, lp.free + nw.memLat
+		return start, lp.free, lp.free + nw.memLat
 	}
 	t, r := &nw.tx[src], &nw.rx[dst]
-	start := math.Max(floor, math.Max(t.free, r.free))
+	start = math.Max(floor, math.Max(t.free, r.free))
 	rate := nw.prof.Throughput
 	if nw.lf != nil {
 		start = nw.admit(src, dst, start)
@@ -237,10 +224,7 @@ func (nw *Network) deliver(src, dst int, bytes, floor float64) (senderFree, arri
 		t.markQueued(now, start, bytes)
 		r.markQueued(now, start, bytes)
 	}
-	if nw.obsD != nil {
-		nw.obsD.ObserveDelivery(src, dst, bytes, now, start, t.free, t.free+nw.prof.Latency)
-	}
-	return t.free, t.free + nw.prof.Latency
+	return start, t.free, t.free + nw.prof.Latency
 }
 
 // derate returns the node link's effective throughput multiplier.
@@ -410,10 +394,6 @@ func (nw *Network) Instrument(s *obs.Scope) {
 	}
 	nw.sizeHist = s.Histogram("message_size_bytes", obs.MessageSizeBuckets)
 }
-
-// SetDeliveryObserver attaches a booking observer (nil to detach). Must be
-// installed before traffic flows so the observer sees every message.
-func (nw *Network) SetDeliveryObserver(o DeliveryObserver) { nw.obsD = o }
 
 // PublishMetrics exports the interconnect's accounting into a scope:
 // switch totals plus, per port, busy seconds, carried bytes, and (on

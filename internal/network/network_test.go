@@ -18,7 +18,7 @@ func TestIperfStyleThroughput(t *testing.T) {
 		e := sim.NewEngine()
 		nw := New(e, 2, prof)
 		total := 1.0 * units.GB
-		_, arrival := nw.Deliver(0, 1, total)
+		_, _, arrival := nw.Deliver(0, 1, total)
 		e.Run()
 		gbps := total * 8 / arrival / 1e9
 		want := prof.Throughput * 8 / 1e9
@@ -38,11 +38,11 @@ func TestPingPongLatency(t *testing.T) {
 	for _, c := range cases {
 		e := sim.NewEngine()
 		nw := New(e, 2, c.prof)
-		_, a1 := nw.Deliver(0, 1, 1)
+		_, _, a1 := nw.Deliver(0, 1, 1)
 		e.ScheduleAt(a1, func() {})
 		e.Run()
 		// reply
-		_, a2 := nw.Deliver(1, 0, 1)
+		_, _, a2 := nw.Deliver(1, 0, 1)
 		rtt := a2
 		if rtt > c.rtt*1.05 || rtt < c.rtt*0.95 {
 			t.Errorf("%s: rtt %.1f us, want ~%.1f", c.prof.Name, rtt/units.Microsecond, c.rtt/units.Microsecond)
@@ -58,7 +58,7 @@ func TestIncastSerializes(t *testing.T) {
 	bytes := 10 * units.MB
 	last := 0.0
 	for s := 1; s < 5; s++ {
-		_, a := nw.Deliver(s, 0, bytes)
+		_, _, a := nw.Deliver(s, 0, bytes)
 		if a > last {
 			last = a
 		}
@@ -74,8 +74,8 @@ func TestDisjointPairsParallel(t *testing.T) {
 	e := sim.NewEngine()
 	nw := New(e, 4, TenGigE)
 	bytes := 10 * units.MB
-	_, a1 := nw.Deliver(0, 1, bytes)
-	_, a2 := nw.Deliver(2, 3, bytes)
+	_, _, a1 := nw.Deliver(0, 1, bytes)
+	_, _, a2 := nw.Deliver(2, 3, bytes)
 	if !approx(a1, a2, 1e-9) {
 		t.Errorf("disjoint transfers serialized: %v vs %v", a1, a2)
 	}
@@ -86,8 +86,8 @@ func TestIntraNodePath(t *testing.T) {
 	e := sim.NewEngine()
 	nw := New(e, 2, GigE)
 	bytes := 10 * units.MB
-	_, mem := nw.Deliver(0, 0, bytes)
-	_, net := nw.Deliver(0, 1, bytes)
+	_, _, mem := nw.Deliver(0, 0, bytes)
+	_, _, net := nw.Deliver(0, 1, bytes)
 	if mem >= net {
 		t.Errorf("memory path (%v) not faster than network (%v)", mem, net)
 	}
@@ -133,7 +133,7 @@ func TestByteConservationProperty(t *testing.T) {
 func TestIdealProfile(t *testing.T) {
 	e := sim.NewEngine()
 	nw := New(e, 2, Ideal)
-	_, a := nw.Deliver(0, 1, 1*units.GB)
+	_, _, a := nw.Deliver(0, 1, 1*units.GB)
 	if a > 1e-5 {
 		t.Errorf("ideal network took %v", a)
 	}

@@ -11,8 +11,8 @@ import (
 // every Deliver return value: inter-node, intra-node, fan-in, fan-out.
 func deliverScript(nw *Network) []float64 {
 	var out []float64
-	collect := func(a, b float64) {
-		out = append(out, a, b)
+	collect := func(a, b, c float64) {
+		out = append(out, a, b, c)
 	}
 	collect(nw.Deliver(0, 1, 64<<10))
 	collect(nw.Deliver(0, 2, 1<<20))

@@ -57,7 +57,7 @@ func TestQueuedBacklogDrainsWithTime(t *testing.T) {
 	e.Spawn("sender", func(p *sim.Process) {
 		nw.Deliver(0, 1, 1000)
 		nw.Deliver(0, 1, 2000)
-		_, arrival := nw.Deliver(0, 1, 3000)
+		_, _, arrival := nw.Deliver(0, 1, 3000)
 		p.SleepUntil(arrival + 1) // everything drained
 		nw.Deliver(0, 1, 8000)    // idle port again: queues nothing
 	})
@@ -76,10 +76,10 @@ func TestQueuedEqualTimeBookingIsInServiceNotBacklog(t *testing.T) {
 	nw := New(e, 2, TenGigE)
 	nw.Instrument(obs.NewRegistry().Scope("network"))
 	e.Spawn("sender", func(p *sim.Process) {
-		sf1, _ := nw.Deliver(0, 1, 1000) // in service at t=0
-		nw.Deliver(0, 1, 2000)           // queued; enters service exactly at sf1
-		p.SleepUntil(sf1)                // now == the second booking's start, bit for bit
-		nw.Deliver(0, 1, 4000)           // books behind the (now in-service) second message
+		_, sf1, _ := nw.Deliver(0, 1, 1000) // in service at t=0
+		nw.Deliver(0, 1, 2000)              // queued; enters service exactly at sf1
+		p.SleepUntil(sf1)                   // now == the second booking's start, bit for bit
+		nw.Deliver(0, 1, 4000)              // books behind the (now in-service) second message
 	})
 	e.Run()
 	// At the third booking only the third message waits: the second's
@@ -98,7 +98,7 @@ func TestQueuedFutureBookingNotDropped(t *testing.T) {
 	nw := New(e, 2, TenGigE)
 	nw.Instrument(obs.NewRegistry().Scope("network"))
 	e.Spawn("sender", func(p *sim.Process) {
-		sf1, _ := nw.Deliver(0, 1, 1000)
+		_, sf1, _ := nw.Deliver(0, 1, 1000)
 		nw.Deliver(0, 1, 2000) // waits until sf1
 		p.SleepUntil(sf1 / 2)  // strictly before the second booking starts
 		nw.Deliver(0, 1, 4000) // second message still waiting: 2000+4000 queued

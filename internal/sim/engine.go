@@ -139,12 +139,6 @@ func NewEngine() *Engine {
 // Now returns the current simulation time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Stamp returns the current (time, sequence) pair. The sequence counter
-// advances with every scheduled event, so two observations at the same
-// simulated time are still totally ordered — the deterministic tie-break
-// the critical-path recorder uses.
-func (e *Engine) Stamp() (float64, uint64) { return e.now, e.seq }
-
 // Events returns the number of events processed so far.
 func (e *Engine) Events() uint64 { return e.events }
 
@@ -347,11 +341,6 @@ func (e *Engine) drive(self *Process) driveResult {
 // clamped to zero, split into negative and NaN inputs. Non-zero counts
 // indicate a model bug upstream.
 func (e *Engine) ClampedDelays() (negative, nan uint64) { return e.clampedNeg, e.clampedNaN }
-
-// StaleWakes returns the number of wake-up events that were popped after
-// their process had already finished. These perform no work and are
-// excluded from Events().
-func (e *Engine) StaleWakes() uint64 { return e.staleWakes }
 
 // Switches returns the number of times the event loop passed control to
 // a process body: its first activation, and each return from a Sleep,

@@ -128,9 +128,6 @@ func (p *Process) Name() string { return p.name }
 // Now returns the current simulation time.
 func (p *Process) Now() float64 { return p.eng.now }
 
-// Done reports whether the process body has returned.
-func (p *Process) Done() bool { return p.done }
-
 // Sleep suspends the process for d seconds of simulated time. It rides
 // the engine's typed wake-up path: no closure is allocated per call.
 func (p *Process) Sleep(d float64) {

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"clustersoc/internal/obs"
 )
 
 func almostEqual(a, b float64) bool {
@@ -449,9 +451,17 @@ func TestEngineIntrospection(t *testing.T) {
 	}
 }
 
+// staleWakes reads the engine's stale-wake count the way the profile
+// does, through PublishMetrics.
+func staleWakes(e *Engine) float64 {
+	reg := obs.NewRegistry()
+	e.PublishMetrics(reg.Scope("sim"))
+	return reg.Snapshot().Value("sim.stale_wakes")
+}
+
 // TestStaleWakeExcludedFromEvents pins that drive does not count wake-ups
-// of finished processes toward Events(), and tracks them in StaleWakes
-// instead.
+// of finished processes toward Events(), and publishes them as
+// stale_wakes instead.
 func TestStaleWakeExcludedFromEvents(t *testing.T) {
 	e := NewEngine()
 	var target *Process
@@ -466,8 +476,8 @@ func TestStaleWakeExcludedFromEvents(t *testing.T) {
 	// Events: 2 spawn wakes + waker's sleep wake + target's (useful)
 	// resume + waker finishing its body = deterministic; the two stale
 	// resumes must not be in it.
-	if got := e.StaleWakes(); got != 2 {
-		t.Fatalf("StaleWakes() = %d, want 2", got)
+	if got := staleWakes(e); got != 2 {
+		t.Fatalf("stale_wakes = %g, want 2", got)
 	}
 	// The same schedule with only one (useful) resume processes the same
 	// number of *useful* events.
@@ -479,8 +489,8 @@ func TestStaleWakeExcludedFromEvents(t *testing.T) {
 		e2.ResumeAt(p.Now(), t2)
 	})
 	e2.Run()
-	if e2.StaleWakes() != 0 {
-		t.Fatalf("control run has %d stale wakes, want 0", e2.StaleWakes())
+	if got := staleWakes(e2); got != 0 {
+		t.Fatalf("control run has %g stale wakes, want 0", got)
 	}
 	if e.Events() != e2.Events() {
 		t.Fatalf("stale wakes leaked into Events(): %d (with stales) vs %d (without)",

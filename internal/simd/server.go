@@ -24,17 +24,14 @@ type Config struct {
 	Runner *runner.Runner
 	// MaxPending bounds admitted-but-unfinished scenarios across all
 	// clients; batches that would exceed it get 429 + Retry-After.
-	// Default 256.
+	// Default 256. It also bounds scenarios per POST: a larger batch
+	// gets 413, since it could never be admitted whole.
 	MaxPending int
-	// MaxBatch bounds scenarios per POST (default MaxPending; with a
-	// rate limit, at most the burst). Larger batches get 413: they could
-	// never be admitted whole.
-	MaxBatch int
 	// RatePerSec is the per-client token refill rate (tokens are
 	// scenario requests). 0 means unlimited.
 	RatePerSec float64
 	// Burst is the per-client bucket size (default max(1, RatePerSec)),
-	// and so also the largest batch a rate-limited client can send.
+	// and so, with a rate, also caps scenarios per POST.
 	Burst int
 }
 
@@ -77,18 +74,16 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = 256
 	}
-	if cfg.MaxBatch <= 0 || cfg.MaxBatch > cfg.MaxPending {
-		cfg.MaxBatch = cfg.MaxPending
-	}
+	maxBatch := cfg.MaxPending
 	lim := newLimiter(cfg.RatePerSec, cfg.Burst)
-	if lim != nil && float64(cfg.MaxBatch) > lim.burst {
+	if lim != nil && float64(maxBatch) > lim.burst {
 		// A batch beyond a full bucket would be refused with 429 forever.
-		cfg.MaxBatch = int(lim.burst)
+		maxBatch = int(lim.burst)
 	}
 	return &Server{
 		r:          cfg.Runner,
 		maxPending: int64(cfg.MaxPending),
-		maxBatch:   cfg.MaxBatch,
+		maxBatch:   maxBatch,
 		lim:        lim,
 		start:      time.Now(),
 	}, nil

@@ -401,7 +401,7 @@ func TestStatuszExposesAllScopes(t *testing.T) {
 }
 
 // validationCases are the request bodies the server must refuse before
-// admitting any work (a MaxBatch of 2 makes the last one oversized).
+// admitting any work (a MaxPending of 2 makes the last one oversized).
 var validationCases = []struct {
 	name string
 	body string
@@ -437,7 +437,7 @@ const unclockedBody = `{"requests":[{"workload":"ep","cluster":{"Name":"x","Node
 
 // TestRequestValidation checks the 400/405/413 surfaces.
 func TestRequestValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 2})
+	_, ts := newTestServer(t, Config{MaxPending: 2})
 	for _, tc := range validationCases {
 		resp, err := http.Post(ts.URL+"/simulate", "application/json", bytes.NewReader([]byte(tc.body)))
 		if err != nil {

@@ -7,9 +7,10 @@
 // version, which re-addresses every key.
 //
 // Each Store that writes creates one segment,
-// seg-<zero-padded creation ns>-<random>.pack, on its first write and
-// appends every record to it with a single write. A record is one header
-// line, `clustersoc-store v2 schema=N key=K len=L sha256=H`, then the L
+// seg-<zero-padded creation ns>-<random>.pack, on its first Lock or write
+// and appends every record to it with a single write; a segment still
+// empty when its locks end is removed. A record is one header line,
+// `clustersoc-store v2 schema=N key=K len=L sha256=H`, then the L
 // payload bytes; K is the key's content address. Open indexes every
 // segment's records by reading their headers only, skipping each payload
 // by its length, and Peek rescans the segments that grew or appeared
@@ -144,6 +145,7 @@ type Store struct {
 	segs  []*segment
 	named map[string]bool // names of segs
 	own   int             // this Store's segment in segs; -1 until its first write
+	held  int             // locks held or being taken
 	index map[address]loc // each key's newest record
 
 	hits    atomic.Uint64
@@ -548,14 +550,24 @@ func (s *Store) ownSegment() (*segment, error) {
 // filesystem without hard links), it returns the filesystem's error at
 // once: there is no holder to wait for. Two contenders that steal one
 // stale lock may both hold it; the lock only saves duplicate work, and
-// both append identical bytes.
+// both append identical bytes. When the last lock this Store holds or is
+// taking ends with nothing appended, the segment is removed, and the
+// next Lock or Put creates a fresh one.
 func (s *Store) Lock(key string) (release func(), err error) {
 	s.mu.Lock()
 	seg, err := s.ownSegment()
+	if err == nil {
+		s.held++
+	}
 	s.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			s.unhold()
+		}
+	}()
 	target := filepath.Join(s.dir, seg.name)
 	path := s.lockPath(key)
 	deadline := time.Now().Add(lockWait)
@@ -565,7 +577,10 @@ func (s *Store) Lock(key string) (release func(), err error) {
 			// A failed touch only lets a contender steal the lock sooner.
 			now := time.Now()
 			_ = os.Chtimes(target, now, now)
-			return func() { os.Remove(path) }, nil
+			return func() {
+				os.Remove(path)
+				s.unhold()
+			}, nil
 		}
 		if !errors.Is(err, os.ErrExist) {
 			return nil, fmt.Errorf("store: %w", err)
@@ -585,6 +600,22 @@ func (s *Store) Lock(key string) (release func(), err error) {
 			time.Sleep(pollInterval)
 		}
 	}
+}
+
+// unhold ends a lock Lock took or failed to take. The last one to end
+// with nothing appended removes this Store's segment and forgets it; its
+// slot in segs stays, closed, so later segments keep their positions.
+func (s *Store) unhold() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.held--
+	if s.held > 0 || s.own < 0 || s.segs[s.own].end > 0 {
+		return
+	}
+	seg := s.segs[s.own]
+	s.own = -1
+	seg.f.Close()
+	os.Remove(filepath.Join(s.dir, seg.name))
 }
 
 // Counters returns a snapshot of the store's accounting.

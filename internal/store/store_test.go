@@ -637,6 +637,126 @@ func TestLockRefusedWithoutWaiting(t *testing.T) {
 	}
 }
 
+// TestReleasedLocksLeaveNoEmptySegment: a Store that takes and releases
+// locks but appends nothing (a checked run over a warm store, whose
+// re-puts are all identical) leaves no segment behind for every later
+// Open to list. Its next Lock or Put creates a fresh segment, and the
+// segments it indexed meanwhile keep serving.
+func TestReleasedLocksLeaveNoEmptySegment(t *testing.T) {
+	s := open(t, 1)
+	segs := func() []string {
+		t.Helper()
+		m, err := filepath.Glob(filepath.Join(s.Dir(), "seg-*.pack"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	rel1, err := s.Lock("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel2, err := s.Lock("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel1()
+	if len(segs()) != 1 {
+		t.Fatalf("segment gone while a lock is still held: %v", segs())
+	}
+	rel2()
+	if m := segs(); len(m) != 0 {
+		t.Fatalf("locking and releasing with nothing appended left %v", m)
+	}
+
+	other := reopen(t, s)
+	if err := other.Put("theirs", []byte("t")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Peek("theirs"); err != nil || string(got) != "t" {
+		t.Fatalf("Peek of another Store's record = %q, %v", got, err)
+	}
+	rel, err := s.Lock("mine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("mine", []byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	rel()
+	if got, err := s.Get("mine"); err != nil || string(got) != "m" {
+		t.Fatalf("Get of this Store's record = %q, %v", got, err)
+	}
+	if got, err := s.Get("theirs"); err != nil || string(got) != "t" {
+		t.Fatalf("Get of another Store's record = %q, %v", got, err)
+	}
+	if m := segs(); len(m) != 2 {
+		t.Fatalf("segments %v, want the other Store's and this one's new one", m)
+	}
+	// An identical re-put appends nothing, so it leaves nothing either.
+	again := reopen(t, s)
+	rel, err = again.Lock("mine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := again.Put("mine", []byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	rel()
+	if m := segs(); len(m) != 2 {
+		t.Fatalf("a run of identical re-puts left segments %v, want 2", m)
+	}
+}
+
+// TestConcurrentLocksKeepEveryRecord takes and releases locks from
+// several goroutines of one Store at once, appending under some of them
+// and nothing under others, the way the runner's workers do, so the
+// segment is removed and created again while other locks are being
+// taken. Every appended record survives, and no segment is left empty.
+func TestConcurrentLocksKeepEveryRecord(t *testing.T) {
+	s := open(t, 1)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				k := fmt.Sprint("k", g, "-", i)
+				rel, err := s.Lock(k)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if i%3 == 0 {
+					if err := s.Put(k, []byte(k)); err != nil {
+						t.Error(err)
+					}
+				}
+				rel()
+			}
+		}(g)
+	}
+	wg.Wait()
+	later := reopen(t, s)
+	for g := 0; g < 4; g++ {
+		for i := 0; i < 40; i += 3 {
+			k := fmt.Sprint("k", g, "-", i)
+			if got, err := later.Get(k); err != nil || string(got) != k {
+				t.Fatalf("a Store opened afterwards: Get(%q) = %q, %v", k, got, err)
+			}
+		}
+	}
+	segs, err := filepath.Glob(filepath.Join(s.Dir(), "seg-*.pack"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		if info, err := os.Stat(seg); err != nil || info.Size() == 0 {
+			t.Errorf("segment %s left empty (%v)", seg, err)
+		}
+	}
+}
+
 func TestSnapshotIsNonDeterministicStoreScope(t *testing.T) {
 	s := open(t, 1)
 	s.Put("k", []byte("x"))

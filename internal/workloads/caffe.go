@@ -3,7 +3,6 @@ package workloads
 import (
 	"clustersoc/internal/cluster"
 	"clustersoc/internal/nn"
-	"clustersoc/internal/sim"
 	"clustersoc/internal/soc"
 )
 
@@ -102,7 +101,7 @@ func (c *Caffe) Body(cfg Config) func(*cluster.Context) {
 		}
 		inputBytes := 4 * float64(c.Net.Input.Elems()*c.BatchSize)
 
-		var pending *sim.Gate
+		var pending *cluster.AsyncKernel
 		for b := 0; b < batches; b++ {
 			// Fetch and decode the next batch while the GPU works.
 			ctx.Fetch(averageJPEGBytes * float64(c.BatchSize))

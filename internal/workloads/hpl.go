@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"clustersoc/internal/cluster"
-	"clustersoc/internal/sim"
 	"clustersoc/internal/soc"
 )
 
@@ -117,7 +116,7 @@ func (h *HPL) Body(cfg Config) func(*cluster.Context) {
 		// Lookahead: step k's trailing update runs on the GPU while step
 		// k+1's panel is factored, broadcast, and staged — HPL's standard
 		// overlap, which is what lets it approach the roofline (Table II).
-		var pending *sim.Gate
+		var pending *cluster.AsyncKernel
 		for k := 0; k+h.NB <= n; k += h.NB {
 			step := k / h.NB
 			owner := step % p
