@@ -6,7 +6,7 @@
 //
 //	clustersim -workload hpl -nodes 8 -net 10g
 //	clustersim -workload ft -system cavium -scale 0.2
-//	clustersim -workload googlenet -system gtx980 -nodes 2
+//	clustersim -workload googlenet -system gtx980
 package main
 
 import (
@@ -14,13 +14,9 @@ import (
 	"fmt"
 	"os"
 
-	"clustersoc/internal/cluster"
 	"clustersoc/internal/core"
 	"clustersoc/internal/critpath"
-	"clustersoc/internal/network"
 	"clustersoc/internal/runflags"
-	"clustersoc/internal/runner"
-	"clustersoc/internal/soc"
 	"clustersoc/internal/units"
 	"clustersoc/internal/workloads"
 )
@@ -28,7 +24,7 @@ import (
 func main() {
 	var (
 		name   = flag.String("workload", "hpl", "workload name (hpl, jacobi, cloverleaf, tealeaf2d, tealeaf3d, alexnet, googlenet, bt, cg, ep, ft, is, lu, mg, sp, hpl-cpu)")
-		nodes  = flag.Int("nodes", 8, "number of nodes")
+		nodes  = flag.Int("nodes", 0, "number of nodes, or for cavium and xgene of MPI ranks (default: the paper's 8 TX1 nodes, 2 GTX 980 hosts, 32 Cavium or 8 X-Gene ranks)")
 		netArg = flag.String("net", "10g", "network: 1g or 10g")
 		system = flag.String("system", "tx1", "system: tx1, cavium, gtx980, xgene")
 		scale  = flag.Float64("scale", 1.0, "problem scale in (0,1]")
@@ -55,54 +51,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "clustersim: -net:", err)
 		os.Exit(2)
 	}
-	if (*system == "tx1" || *system == "gtx980") && *nodes < 1 {
-		fmt.Fprintf(os.Stderr, "clustersim: -nodes must be at least 1, got %d\n", *nodes)
-		os.Exit(2)
-	}
+	// An unset -nodes (0) is the preset's size; a set one must count.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "nodes" && *nodes < 1 {
+			fmt.Fprintf(os.Stderr, "clustersim: -nodes must be at least 1, got %d\n", *nodes)
+			os.Exit(2)
+		}
+	})
 	if !(*scale > 0 && *scale <= 1) {
 		fmt.Fprintf(os.Stderr, "clustersim: -scale must be in (0,1], got %g\n", *scale)
 		os.Exit(2)
 	}
-	w, err := workloads.ByName(*name)
+	sc, err := core.PresetScenario(*system, *nodes, net.Profile(), *name, workloads.Config{Scale: *scale})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-
-	var cfg cluster.Config
-	switch *system {
-	case "tx1":
-		cfg = cluster.TX1Cluster(*nodes, net.Profile())
-		cfg.RanksPerNode = w.RanksPerNode()
-	case "cavium":
-		// The paper runs 32 MPI processes on the 96-core server — the same
-		// rank count as the 8-node TX1 cluster at 4 ranks/node.
-		cfg = cluster.CaviumServer(32)
-	case "gtx980":
-		cfg = cluster.GTX980Cluster(*nodes)
-	case "xgene":
-		// The related-work server SoC: one X-Gene 1 box, 8 MPI ranks.
-		cfg = cluster.Config{
-			Name:         "X-Gene 1 server",
-			Nodes:        1,
-			NodeType:     soc.AppliedMicroXGene(),
-			Network:      network.GigE,
-			RanksPerNode: 8,
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown system %q\n", *system)
-		os.Exit(1)
-	}
-	if w.GPUAccelerated() && cfg.NodeType.GPU == nil {
-		fmt.Fprintf(os.Stderr, "workload %s needs a GPU; system %s has none\n", w.Name(), *system)
-		os.Exit(1)
-	}
-	if w.GPUAccelerated() {
-		cfg.FileServer = true
-	}
-	if *traceF != "" {
-		cfg.Traced = true
-	}
+	sc.Cluster.Traced = *traceF != ""
 
 	// Every run goes through a one-worker runner, so a run with and
 	// without -store is the same scenario: with a store, a warm entry
@@ -114,11 +79,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "clustersim:", err)
 		os.Exit(1)
 	}
-	rres, err := rn.Run(runner.Scenario{
-		Cluster:  cfg,
-		Workload: w.Name(),
-		Config:   workloads.Config{Scale: *scale},
-	})
+	rres, err := rn.Run(sc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -144,7 +105,7 @@ func main() {
 	}
 
 	fmt.Printf("system:        %s\n", res.System)
-	fmt.Printf("workload:      %s (scale %.2f)\n", w.Name(), *scale)
+	fmt.Printf("workload:      %s (scale %.2f)\n", sc.Workload, *scale)
 	fmt.Printf("ranks:         %d on %d node(s)\n", res.Ranks, res.Nodes)
 	fmt.Printf("runtime:       %s\n", units.Seconds(res.Runtime))
 	fmt.Printf("throughput:    %s\n", units.Flops(res.Throughput))

@@ -23,7 +23,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"clustersoc/internal/critpath"
 	"clustersoc/internal/experiments"
 	"clustersoc/internal/network"
 	"clustersoc/internal/obs"
@@ -320,11 +319,21 @@ func main() {
 	if *traceOut != "" {
 		writeChromeTrace(o, *traceOut)
 	}
-	if rf.Observers.Profile {
-		writeProfileSidecar(o, *jsonPath)
+	if rf.Observers.Profile || rf.Observers.CritPath {
+		// The sidecars sit next to the artifact JSON, or in the working
+		// directory without -json.
+		base := "experiments"
+		if *jsonPath != "" {
+			base = strings.TrimSuffix(*jsonPath, ".json")
+		}
+		fmt.Println()
+		if err := rf.WriteSidecars(os.Stdout, o.Runner, base); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	}
-	if rf.Observers.CritPath {
-		writeCritPathSidecar(o, *jsonPath)
+	if rf.Observers.Profile {
+		printMergedMetrics(o.Runner.Profiles())
 	}
 
 	if rf.Observers.Check {
@@ -340,61 +349,15 @@ func main() {
 	}
 }
 
-// writeProfileSidecar writes the run-plane's collected profiles next to
-// the artifact JSON (or to experiments.profile.json without -json) and
-// renders the merged simulated metrics on stderr.
-func writeProfileSidecar(o experiments.Options, jsonPath string) {
-	sidecar := "experiments.profile.json"
-	if jsonPath != "" {
-		sidecar = strings.TrimSuffix(jsonPath, ".json") + ".profile.json"
-	}
-	profs := o.Runner.Profiles()
-	f, err := os.Create(sidecar)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := obs.WriteProfiles(f, profs); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("\nwrote %d profiles to %s\n", len(profs), sidecar)
-
+// printMergedMetrics renders the simulated metrics merged across the
+// profiled scenarios on stderr.
+func printMergedMetrics(profs []*obs.Profile) {
 	snaps := make([]obs.Snapshot, 0, len(profs))
 	for _, p := range profs {
 		snaps = append(snaps, p.Sim)
 	}
 	fmt.Fprintf(os.Stderr, "merged simulated metrics across %d profiled scenarios:\n", len(profs))
 	fmt.Fprint(os.Stderr, obs.Merge(snaps...).Render())
-}
-
-// writeCritPathSidecar writes the run-plane's collected critical-path
-// reports next to the artifact JSON (or to experiments.critpath.json
-// without -json).
-func writeCritPathSidecar(o experiments.Options, jsonPath string) {
-	sidecar := "experiments.critpath.json"
-	if jsonPath != "" {
-		sidecar = strings.TrimSuffix(jsonPath, ".json") + ".critpath.json"
-	}
-	reports := o.Runner.Reports()
-	f, err := os.Create(sidecar)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := critpath.WriteReports(f, reports); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("\nwrote %d critical-path reports to %s (inspect with cmd/whatif)\n", len(reports), sidecar)
 }
 
 // writeChromeTrace simulates the representative traced scenario (hpl on

@@ -1,10 +1,12 @@
 // Command scalability runs the Sec. III-B.4 strong-scaling methodology
-// for one workload: trace runs across cluster sizes, fit and extrapolate
+// for one workload: runs across TX1 cluster sizes, fit and extrapolate
 // the speedup curve, and decompose the parallel efficiency into
 // eta = LB * Ser * Trf with ideal-network / ideal-load-balance replays.
-// -profile and -critpath write scalability.profile.json and
-// scalability.critpath.json; -critpath also prints the largest run's
-// blame and what-if tables.
+// Its runs are the Replay scenarios of the Fig. 5/6 generators, so over
+// a store cmd/experiments warmed it simulates nothing. -profile and
+// -critpath write scalability.profile.json and scalability.critpath.json;
+// -critpath also prints the largest run's blame and what-if tables.
+// -trace-out simulates the largest run once more, traced, for export.
 //
 //	scalability -workload tealeaf3d
 //	scalability -workload ft -net 1g -extrapolate 128
@@ -17,7 +19,6 @@ import (
 	"os"
 
 	"clustersoc/internal/core"
-	"clustersoc/internal/critpath"
 	"clustersoc/internal/obs"
 	"clustersoc/internal/runflags"
 )
@@ -28,7 +29,7 @@ func main() {
 		netArg      = flag.String("net", "10g", "network: 1g or 10g")
 		scale       = flag.Float64("scale", 0.08, "problem scale in (0,1]")
 		extrapolate = flag.Int("extrapolate", 64, "extrapolate the fitted curve to this many nodes")
-		traceOut    = flag.String("trace-out", "", "write a Chrome/Perfetto trace of the largest traced run to this file")
+		traceOut    = flag.String("trace-out", "", "write a Chrome/Perfetto trace of the largest run, simulated once more with tracing, to this file")
 		rf          = runflags.Register(flag.CommandLine, runflags.All)
 	)
 	flag.Parse()
@@ -53,15 +54,10 @@ func main() {
 	}
 	sizes := []int{1, 2, 4, 6, 8}
 	session := core.NewSessionWith(r)
-	cfg := core.TX1(8, net)
-	res, err := session.Scalability(cfg, *workload, sizes, *scale)
+	res, err := session.Scalability(net, *workload, sizes, *scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	runflags.Report(os.Stderr, r)
-	if rf.Observers.Check {
-		fmt.Fprintf(os.Stderr, "simcheck: %d scenario(s) audited — no invariant violations\n", r.Stats().Audited)
 	}
 
 	fmt.Printf("strong scaling of %s on the TX1 cluster (%s)\n\n", *workload, *netArg)
@@ -85,66 +81,44 @@ func main() {
 	fmt.Printf("  ideal network would speed the run up %.2fx\n", res.IdealNetworkGain)
 	fmt.Printf("  ideal load balance would speed it up %.2fx\n", res.IdealLoadBalanceGain)
 
-	// The largest traced run is already cached by Scalability, so the
-	// exports below join the cache instead of re-simulating.
 	largest := sizes[len(sizes)-1]
-	if *traceOut != "" || rf.Observers.CritPath {
-		point, err := session.ScalabilityPoint(cfg, *workload, largest, *scale)
+	if res.CritPath != nil {
+		fmt.Printf("\ncritical-path blame at %d nodes:\n%s\n%s", largest,
+			res.CritPath.BlameTable(), res.CritPath.WhatIfTable())
+	}
+	// No Replay result keeps its trace, so the export simulates the
+	// largest run once more, traced.
+	if *traceOut != "" {
+		point, err := session.ScalabilityPoint(net, *workload, largest, *scale)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if rf.Observers.CritPath && point.CritPath != nil {
-			fmt.Printf("\ncritical-path blame at %d nodes:\n%s\n%s", largest,
-				point.CritPath.BlameTable(), point.CritPath.WhatIfTable())
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			var path []obs.PathSlice
-			if point.CritPath != nil {
-				path = point.CritPath.PathSlices()
-			}
-			if err := obs.WriteChromeTraceWithPath(f, point.Trace, obs.TraceSnapshot(point.Trace), path); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("\nwrote Chrome trace of the %d-node run to %s (open in chrome://tracing or ui.perfetto.dev)\n", largest, *traceOut)
+		var path []obs.PathSlice
+		if point.CritPath != nil {
+			path = point.CritPath.PathSlices()
 		}
+		if err := obs.WriteChromeTraceWithPath(f, point.Trace, obs.TraceSnapshot(point.Trace), path); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		fmt.Printf("\nwrote Chrome trace of the %d-node run to %s (open in chrome://tracing or ui.perfetto.dev)\n", largest, *traceOut)
 	}
-	if rf.Observers.Profile {
-		writeSidecar("scalability.profile.json", func(f *os.File) error {
-			return obs.WriteProfiles(f, r.Profiles())
-		}, len(r.Profiles()), "profiles")
-	}
-	if rf.Observers.CritPath {
-		writeSidecar("scalability.critpath.json", func(f *os.File) error {
-			return critpath.WriteReports(f, r.Reports())
-		}, len(r.Reports()), "critical-path reports")
-	}
-}
-
-// writeSidecar creates path and fills it with write, reporting the count.
-func writeSidecar(path string, write func(*os.File) error, n int, what string) {
-	f, err := os.Create(path)
-	if err != nil {
+	if err := rf.WriteSidecars(os.Stdout, r, "scalability"); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if err := write(f); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	runflags.Report(os.Stderr, r)
+	if rf.Observers.Check {
+		fmt.Fprintf(os.Stderr, "simcheck: %d scenario(s) audited — no invariant violations\n", r.Stats().Audited)
 	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %d %s to %s\n", n, what, path)
 }

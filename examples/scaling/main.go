@@ -22,7 +22,7 @@ func main() {
 		"workload", "S(4)", "S(8)", "S(64)*", "LB", "Ser", "Trf", "idealNet", "idealLB")
 
 	for _, w := range []string{"hpl", "jacobi", "cloverleaf", "tealeaf2d", "tealeaf3d", "ft", "cg", "mg"} {
-		res, err := core.Scalability(core.TX1(8, core.TenGigE), w, sizes, scale)
+		res, err := core.Scalability(core.TenGigE, w, sizes, scale)
 		if err != nil {
 			log.Fatal(err)
 		}

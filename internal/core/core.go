@@ -15,10 +15,12 @@ import (
 	"fmt"
 
 	"clustersoc/internal/cluster"
+	"clustersoc/internal/critpath"
 	"clustersoc/internal/cuda"
 	"clustersoc/internal/dimemas"
 	"clustersoc/internal/network"
 	"clustersoc/internal/roofline"
+	"clustersoc/internal/runner"
 	"clustersoc/internal/soc"
 	"clustersoc/internal/stats"
 	"clustersoc/internal/workloads"
@@ -56,33 +58,95 @@ func (n NetworkChoice) Profile() network.Profile {
 }
 
 // TX1 returns the paper's proposed cluster: n Jetson TX1 nodes on the
-// chosen network, with the NFS file server attached.
+// chosen network, with the NFS file server attached. Each node runs the
+// workload's own rank density.
 func TX1(nodes int, net NetworkChoice) cluster.Config {
-	cfg := cluster.TX1Cluster(nodes, net.Profile())
+	cfg := tx1Cluster(nodes, net.Profile())
 	cfg.FileServer = true
+	return cfg
+}
+
+// tx1Cluster is n TX1 nodes on nic with RanksPerNode left to the
+// workload.
+func tx1Cluster(n int, nic network.Profile) cluster.Config {
+	cfg := cluster.TX1Cluster(n, nic)
+	cfg.RanksPerNode = 0
 	return cfg
 }
 
 // TX2 returns the next-generation what-if cluster from the companion
 // thesis: Jetson TX2 nodes on the chosen network.
 func TX2(nodes int, net NetworkChoice) cluster.Config {
-	cfg := cluster.TX1Cluster(nodes, net.Profile())
+	cfg := TX1(nodes, net)
 	cfg.NodeType = soc.JetsonTX2()
 	cfg.Name = fmt.Sprintf("%d-node TX2 %s", nodes, net.Profile().Name)
-	cfg.FileServer = true
 	return cfg
 }
 
 // Cavium returns the many-core ARM comparison server with the paper's 32
 // MPI processes.
-func Cavium() cluster.Config { return cluster.CaviumServer(32) }
+func Cavium() cluster.Config { return cluster.CaviumServer(presets["cavium"].size) }
 
 // GTX980 returns the discrete-GPU comparison cluster of n Xeon-hosted
-// cards.
+// cards, one rank each.
 func GTX980(nodes int) cluster.Config {
 	cfg := cluster.GTX980Cluster(nodes)
 	cfg.FileServer = true
 	return cfg
+}
+
+// presets are the named systems the paper compares, each with its
+// paper size: nodes, or the MPI ranks of a one-node server.
+var presets = map[string]struct {
+	size  int
+	build func(n int, nic network.Profile) cluster.Config
+}{
+	"tx1":    {8, tx1Cluster},
+	"gtx980": {2, func(n int, _ network.Profile) cluster.Config { return cluster.GTX980Cluster(n) }},
+	"cavium": {32, func(n int, _ network.Profile) cluster.Config { return cluster.CaviumServer(n) }},
+	"xgene": {8, func(n int, _ network.Profile) cluster.Config {
+		return cluster.Config{
+			Name:         "X-Gene 1 server",
+			Nodes:        1,
+			NodeType:     soc.AppliedMicroXGene(),
+			Network:      network.GigE,
+			RanksPerNode: n,
+		}
+	}},
+}
+
+// PresetScenario builds the canonical scenario of a registry workload on
+// a named system. It is the one builder of the paper's systems: the
+// figure generators, cmd/simd, cmd/clustersim and Scalability all
+// submit what it returns, so a store any of them warms serves the rest.
+//
+//   - "tx1" (or ""): n TX1 nodes on nic, each running the workload's own
+//     rank density;
+//   - "gtx980": n Xeon + GTX 980 hosts, one rank each;
+//   - "cavium" and "xgene": one server running n MPI ranks.
+//
+// Only the TX1 cluster uses nic. An n of 0 means the paper's size: 8 TX1
+// nodes, 2 GTX 980 hosts, 32 Cavium ranks, 8 X-Gene ranks. A
+// GPU-accelerated workload gets the NFS file server. The scenario is
+// validated as Run validates its system.
+func PresetScenario(system string, n int, nic network.Profile, workload string, wcfg workloads.Config) (runner.Scenario, error) {
+	if system == "" {
+		system = "tx1"
+	}
+	p, ok := presets[system]
+	if !ok {
+		return runner.Scenario{}, fmt.Errorf("core: unknown system %q (want tx1, gtx980, cavium or xgene)", system)
+	}
+	w, err := workloads.ByName(workload)
+	if err != nil {
+		return runner.Scenario{}, err
+	}
+	if n == 0 {
+		n = p.size
+	}
+	cfg := p.build(n, nic)
+	cfg.FileServer = w.GPUAccelerated()
+	return scenarioOf(cfg, w, wcfg)
 }
 
 // Run executes a workload by name on the system at the given problem
@@ -159,14 +223,16 @@ type ScalabilityResult struct {
 	// the largest measured size.
 	IdealNetworkGain     float64
 	IdealLoadBalanceGain float64
+	// CritPath is the critical-path report of the run at the largest
+	// size, present when the session's runner records them.
+	CritPath *critpath.Report
 }
 
-// Scalability traces a workload across cluster sizes on the system type
-// of cfg (the node/network choice; Nodes is overridden per point) and
-// runs the replay decomposition. It is the sequential convenience over
-// Session.Scalability.
-func Scalability(cfg cluster.Config, workload string, sizes []int, scale float64) (*ScalabilityResult, error) {
-	return NewSession(1).Scalability(cfg, workload, sizes, scale)
+// Scalability runs the strong-scaling study of a workload on the TX1
+// cluster over net across cluster sizes, with the replay decomposition.
+// It is the sequential convenience over Session.Scalability.
+func Scalability(net NetworkChoice, workload string, sizes []int, scale float64) (*ScalabilityResult, error) {
+	return NewSession(1).Scalability(net, workload, sizes, scale)
 }
 
 // Workloads lists the registered workload names, GPU set first.

@@ -8,6 +8,7 @@ import (
 	"clustersoc/internal/cluster"
 	"clustersoc/internal/network"
 	"clustersoc/internal/roofline"
+	"clustersoc/internal/runner"
 	"clustersoc/internal/workloads"
 )
 
@@ -51,6 +52,38 @@ func TestNFSWorkloadsNeedFileServer(t *testing.T) {
 	// A GPU workload that reads nothing over NFS needs no file server.
 	if _, err := Run(bare, "jacobi", 0.01); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A system's rank count survives Run. RanksPerNode 0 is the workload's
+// density, clamped to the node's cores; 1 up to the core count is kept
+// (the Cavium runs the paper's 32 ranks, on Table VI's scenario, and a
+// GTX 980 host runs one); more ranks than cores are refused.
+func TestRunKeepsTheSystemsRankCount(t *testing.T) {
+	res, err := Run(Cavium(), "cg", 0.03)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ranks != 32 {
+		t.Errorf("cg on the Cavium ran %d ranks, want 32", res.Ranks)
+	}
+	wcfg := workloads.Config{Scale: 0.03}
+	sc, err := NewScenario(Cavium(), "cg", wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tableVI := runner.Scenario{Cluster: cluster.CaviumServer(32), Workload: "cg", Config: wcfg}
+	if sc.Fingerprint() != tableVI.Fingerprint() {
+		t.Errorf("cg on Cavium() is not Table VI's scenario:\n got %s\nwant %s", sc.Fingerprint(), tableVI.Fingerprint())
+	}
+	if res, err := Run(GTX980(2), "cg", 0.03); err != nil || res.Ranks != 2 {
+		t.Errorf("cg on GTX980(2): %d ranks, err %v; want 2 ranks", res.Ranks, err)
+	}
+	if sc, err := NewScenario(TX1(2, TenGigE), "cg", wcfg); err != nil || sc.Cluster.RanksPerNode != 4 {
+		t.Errorf("cg on TX1(2): %d ranks per node, err %v; want the workload's 4", sc.Cluster.RanksPerNode, err)
+	}
+	if _, err := NewScenario(cluster.CaviumServer(97), "cg", wcfg); err == nil || !strings.Contains(err.Error(), "ranks per node") {
+		t.Errorf("97 ranks on the 96-core Cavium: err = %v, want a refusal", err)
 	}
 }
 
@@ -119,7 +152,7 @@ func TestRooflineOf(t *testing.T) {
 }
 
 func TestScalability(t *testing.T) {
-	res, err := Scalability(TX1(8, TenGigE), "tealeaf3d", []int{1, 2, 4}, 0.03)
+	res, err := Scalability(TenGigE, "tealeaf3d", []int{1, 2, 4}, 0.03)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,31 +169,21 @@ func TestScalability(t *testing.T) {
 	if res.IdealNetworkGain < 1 || res.IdealLoadBalanceGain < 1 {
 		t.Fatalf("replay gains below 1: %v %v", res.IdealNetworkGain, res.IdealLoadBalanceGain)
 	}
-	if _, err := Scalability(TX1(8, TenGigE), "nope", []int{1, 2}, 0.03); err == nil {
+	if _, err := Scalability(TenGigE, "nope", []int{1, 2}, 0.03); err == nil {
 		t.Fatal("unknown workload should error")
 	}
 }
 
-// Scalability and ScalabilityPoint validate every point the way Run
-// does: an NFS workload on a cluster without a file server, or a point
-// with no nodes, is an error, not a panic on a runner worker.
+// Scalability and ScalabilityPoint refuse a point with no nodes, rather
+// than reading 0 as the preset's default size or panicking on a runner
+// worker.
 func TestScalabilityRejectsInvalidPoints(t *testing.T) {
-	bare := cluster.TX1Cluster(2, network.TenGigE)
-	cases := []struct {
-		workload string
-		sizes    []int
-		want     string
-	}{
-		{"alexnet", []int{1, 2}, "file server"},
-		{"cg", []int{0, 2}, "need at least one"},
+	const want = "need at least one"
+	if _, err := Scalability(TenGigE, "cg", []int{0, 2}, 0.01); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Scalability(cg, [0 2]): err = %v, want one containing %q", err, want)
 	}
-	for _, tc := range cases {
-		if _, err := Scalability(bare, tc.workload, tc.sizes, 0.01); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("Scalability(%s, %v): err = %v, want one containing %q", tc.workload, tc.sizes, err, tc.want)
-		}
-		if _, err := NewSession(1).ScalabilityPoint(bare, tc.workload, tc.sizes[0], 0.01); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("ScalabilityPoint(%s, %d): err = %v, want one containing %q", tc.workload, tc.sizes[0], err, tc.want)
-		}
+	if _, err := NewSession(1).ScalabilityPoint(TenGigE, "cg", 0, 0.01); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ScalabilityPoint(cg, 0): err = %v, want one containing %q", err, want)
 	}
 }
 
@@ -210,12 +233,11 @@ func TestSessionMemoizesAndMatchesRun(t *testing.T) {
 
 func TestSessionScalabilityMatchesSequential(t *testing.T) {
 	sizes := []int{1, 2, 4}
-	cfg := TX1(4, TenGigE)
-	want, err := Scalability(cfg, "jacobi", sizes, 0.02)
+	want, err := Scalability(TenGigE, "jacobi", sizes, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewSession(4).Scalability(cfg, "jacobi", sizes, 0.02)
+	got, err := NewSession(4).Scalability(TenGigE, "jacobi", sizes, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func ExampleRooflineModel() {
 
 // The strong-scaling methodology of Figs. 5/6 in three lines.
 func ExampleScalability() {
-	res, err := core.Scalability(core.TX1(8, core.TenGigE), "jacobi", []int{1, 2, 4}, 0.02)
+	res, err := core.Scalability(core.TenGigE, "jacobi", []int{1, 2, 4}, 0.02)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"clustersoc/internal/cluster"
 	"clustersoc/internal/network"
 	"clustersoc/internal/perf"
 	"clustersoc/internal/runner"
@@ -45,12 +44,8 @@ func Table6(o Options) *CaviumCompare {
 	var scenarios []runner.Scenario
 	for _, w := range npb {
 		scenarios = append(scenarios,
-			tx1Scenario(w, 8, network.GigE, o.scale()),
-			runner.Scenario{
-				Cluster:  cluster.CaviumServer(32),
-				Workload: w.Name(),
-				Config:   workloads.Config{Scale: o.scale()},
-			})
+			preset("tx1", 8, network.GigE, w.Name(), o.config()),
+			preset("cavium", 0, network.GigE, w.Name(), o.config()))
 	}
 	res := runAll(o, scenarios)
 	out := &CaviumCompare{}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"clustersoc/internal/cluster"
 	"clustersoc/internal/network"
 	"clustersoc/internal/power"
 	"clustersoc/internal/runner"
@@ -31,14 +30,8 @@ func Fig7(o Options) *WorkRatio {
 	var scenarios []runner.Scenario
 	for _, nodes := range o.sizes() {
 		for _, ratio := range ratios {
-			cfg := cluster.TX1Cluster(nodes, network.TenGigE)
-			cfg.RanksPerNode = 1
-			cfg.FileServer = true
-			scenarios = append(scenarios, runner.Scenario{
-				Cluster:  cfg,
-				Workload: "hpl",
-				Config:   workloads.Config{Scale: o.scale(), GPUWorkRatio: ratio},
-			})
+			scenarios = append(scenarios, preset("tx1", nodes, network.TenGigE, "hpl",
+				workloads.Config{Scale: o.scale(), GPUWorkRatio: ratio}))
 		}
 	}
 	res := runAll(o, scenarios)
@@ -105,30 +98,23 @@ type Collocation struct {
 // the CPU-only version (4 ranks/node), the GPU version, and both running
 // collocated (GPU + 3 CPU ranks/node), under both networks.
 func Table4(o Options) *Collocation {
-	wcfg := workloads.Config{Scale: o.scale()}
 	var scenarios []runner.Scenario
 	for _, prof := range []network.Profile{network.GigE, network.TenGigE} {
 		for _, nodes := range o.sizes() {
 			// CPU-only: the HPCC hpl on all 4 cores.
-			cfgC := cluster.TX1Cluster(nodes, prof)
-			cfgC.RanksPerNode = 4
-			scenarios = append(scenarios, runner.Scenario{Cluster: cfgC, Workload: "hpl-cpu", Config: wcfg})
+			cpu := preset("tx1", nodes, prof, "hpl-cpu", o.config())
 
 			// GPU version — the Fig. 1 hpl scenario for this NIC and size.
-			cfgG := cluster.TX1Cluster(nodes, prof)
-			cfgG.RanksPerNode = 1
-			cfgG.FileServer = true
-			scenarios = append(scenarios, runner.Scenario{Cluster: cfgG, Workload: "hpl", Config: wcfg})
+			gpu := preset("tx1", nodes, prof, "hpl", o.config())
 
 			// Collocated: GPU hpl (1 rank/node, one core for transfers)
 			// plus the CPU hpl on the remaining 3 cores, simultaneously.
 			// Each run solves its own system, so the combined throughput is
 			// the sum of the two jobs' own rates under contention — the way
 			// the paper tallies its simultaneous runs.
-			scenarios = append(scenarios, runner.Scenario{
-				Cluster: cfgG, Workload: "hpl", Config: wcfg,
-				Colocated: []runner.Job{{Workload: "hpl-cpu", RanksPerNode: 3, Config: wcfg}},
-			})
+			both := gpu
+			both.Colocated = []runner.Job{{Workload: "hpl-cpu", RanksPerNode: 3, Config: o.config()}}
+			scenarios = append(scenarios, cpu, gpu, both)
 		}
 	}
 	res := runAll(o, scenarios)

@@ -1,18 +1,10 @@
 package experiments
 
 import (
-	"clustersoc/internal/cluster"
+	"clustersoc/internal/network"
 	"clustersoc/internal/runner"
 	"clustersoc/internal/workloads"
 )
-
-// gtx980Scenario declares the discrete-GPU baseline run: a workload on n
-// Xeon-hosted GTX 980 nodes with the file server attached.
-func gtx980Scenario(w workloads.Workload, n int, scale float64) runner.Scenario {
-	cfg := cluster.GTX980Cluster(n)
-	cfg.FileServer = true
-	return runner.Scenario{Cluster: cfg, Workload: w.Name(), Config: workloads.Config{Scale: scale}}
-}
 
 // DiscreteRow is one Fig. 9 point: a GPGPU workload on a TX1 cluster of
 // some size, normalized to the 2x GTX 980 discrete cluster.
@@ -39,9 +31,9 @@ func Fig9(o Options) *Discrete {
 	gpu := workloads.GPUWorkloads()
 	var scenarios []runner.Scenario
 	for _, w := range gpu {
-		scenarios = append(scenarios, gtx980Scenario(w, 2, o.scale()))
+		scenarios = append(scenarios, preset("gtx980", 0, network.TenGigE, w.Name(), o.config()))
 		for _, nodes := range o.sizes() {
-			scenarios = append(scenarios, tx1Scenario(w, nodes, tenGig(), o.scale()))
+			scenarios = append(scenarios, preset("tx1", nodes, network.TenGigE, w.Name(), o.config()))
 		}
 	}
 	res := runAll(o, scenarios)
@@ -108,9 +100,9 @@ func Fig10(o Options) *AIBalance {
 	var scenarios []runner.Scenario
 	for _, name := range names {
 		w, _ := workloads.ByName(name)
-		scenarios = append(scenarios, gtx980Scenario(w, 2, o.scale()))
+		scenarios = append(scenarios, preset("gtx980", 0, network.TenGigE, w.Name(), o.config()))
 		for _, nodes := range o.sizes() {
-			scenarios = append(scenarios, tx1Scenario(w, nodes, tenGig(), o.scale()))
+			scenarios = append(scenarios, preset("tx1", nodes, network.TenGigE, w.Name(), o.config()))
 		}
 	}
 	res := runAll(o, scenarios)

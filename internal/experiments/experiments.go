@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"strings"
 
-	"clustersoc/internal/cluster"
+	"clustersoc/internal/core"
 	"clustersoc/internal/faults"
 	"clustersoc/internal/network"
 	"clustersoc/internal/runner"
@@ -85,28 +85,27 @@ func runAll(o Options, scenarios []runner.Scenario) []runner.Result {
 	return res
 }
 
-// tx1Scenario declares the figures' standard run: one workload on an
-// n-node TX1 cluster with the given NIC (GPU codes get the file server,
-// as in the paper's testbed).
-func tx1Scenario(w workloads.Workload, n int, prof network.Profile, scale float64) runner.Scenario {
-	cfg := cluster.TX1Cluster(n, prof)
-	cfg.RanksPerNode = w.RanksPerNode()
-	if w.GPUAccelerated() {
-		cfg.FileServer = true
+// preset declares a registry workload's run on a named system through
+// core.PresetScenario, the builder every front end shares. The
+// generators name registry workloads on valid sizes, so an error is a
+// programming bug.
+func preset(system string, n int, nic network.Profile, workload string, wcfg workloads.Config) runner.Scenario {
+	sc, err := core.PresetScenario(system, n, nic, workload, wcfg)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	return runner.Scenario{Cluster: cfg, Workload: w.Name(), Config: workloads.Config{Scale: scale}}
+	return sc
 }
+
+// config is the workload configuration at the Options' scale.
+func (o Options) config() workloads.Config { return workloads.Config{Scale: o.scale()} }
 
 // StandardScenario declares the canonical TX1 run the figure generators
 // declare for (workload, nodes, NIC, scale) — same fingerprint, so a
 // store warmed by one artifact regeneration serves any front end
 // (cmd/simd, the test suites) requesting the same scenario.
 func StandardScenario(workload string, nodes int, prof network.Profile, scale float64) (runner.Scenario, error) {
-	w, err := workloads.ByName(workload)
-	if err != nil {
-		return runner.Scenario{}, err
-	}
-	return tx1Scenario(w, nodes, prof, scale), nil
+	return core.PresetScenario("tx1", nodes, prof, workload, workloads.Config{Scale: scale})
 }
 
 // TracedScenario declares a workload's standard TX1 run with trace
@@ -114,13 +113,9 @@ func StandardScenario(workload string, nodes int, prof network.Profile, scale fl
 // Traced participates in the cluster fingerprint, so it never collides
 // with the figures' untraced runs in the run-plane cache.
 func TracedScenario(o Options, workload string, nodes int, prof network.Profile) (runner.Scenario, error) {
-	w, err := workloads.ByName(workload)
-	if err != nil {
-		return runner.Scenario{}, err
-	}
-	s := tx1Scenario(w, nodes, prof, o.scale())
-	s.Cluster.Traced = true
-	return s, nil
+	sc, err := StandardScenario(workload, nodes, prof, o.scale())
+	sc.Cluster.Traced = true
+	return sc, err
 }
 
 // allWorkloads returns the paper's Fig. 1/2 x-axis: the seven GPGPU codes

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"clustersoc/internal/cluster"
 	"clustersoc/internal/faults"
 	"clustersoc/internal/network"
 	"clustersoc/internal/runner"
-	"clustersoc/internal/workloads"
 )
 
 // The fault study extends the paper's failure-free evaluation with the
@@ -61,15 +59,9 @@ type FaultStudy struct {
 
 // faultScenario is the study's fixed subject with one plan attached.
 func faultScenario(o Options, plan *faults.Plan) runner.Scenario {
-	w, err := workloads.ByName("jacobi")
-	if err != nil {
-		panic(err)
-	}
-	cfg := cluster.TX1Cluster(8, network.TenGigE)
-	cfg.RanksPerNode = w.RanksPerNode()
-	cfg.FileServer = true
-	cfg.Faults = plan
-	return runner.Scenario{Cluster: cfg, Workload: w.Name(), Config: workloads.Config{Scale: o.scale()}}
+	sc := preset("tx1", 8, network.TenGigE, "jacobi", o.config())
+	sc.Cluster.Faults = plan
+	return sc
 }
 
 // Faults runs the fault-injection study. It ignores Options.Faults — the

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"clustersoc/internal/cluster"
 	"clustersoc/internal/cuda"
 	"clustersoc/internal/network"
 	"clustersoc/internal/runner"
-	"clustersoc/internal/workloads"
 )
 
 // MemModelRow is one Table III column group: jacobi under one CUDA
@@ -40,15 +38,9 @@ func Table3(o Options) *MemModels {
 	var scenarios []runner.Scenario
 	for _, nodes := range sizes {
 		for _, model := range models {
-			cfg := cluster.TX1Cluster(nodes, network.TenGigE)
-			cfg.RanksPerNode = 1
-			cfg.MemModel = model
-			cfg.FileServer = true
-			scenarios = append(scenarios, runner.Scenario{
-				Cluster:  cfg,
-				Workload: "jacobi",
-				Config:   workloads.Config{Scale: o.scale()},
-			})
+			sc := preset("tx1", nodes, network.TenGigE, "jacobi", o.config())
+			sc.Cluster.MemModel = model
+			scenarios = append(scenarios, sc)
 		}
 	}
 	results := runAll(o, scenarios)

@@ -47,8 +47,8 @@ func Fig1(o Options) *NetworkChoice {
 		for _, n := range o.sizes() {
 			keys = append(keys, key{w, n})
 			scenarios = append(scenarios,
-				tx1Scenario(w, n, network.GigE, o.scale()),
-				tx1Scenario(w, n, network.TenGigE, o.scale()))
+				preset("tx1", n, network.GigE, w.Name(), o.config()),
+				preset("tx1", n, network.TenGigE, w.Name(), o.config()))
 		}
 	}
 	res := runAll(o, scenarios)
@@ -148,7 +148,7 @@ func Fig3(o Options) *Traffic {
 	for _, w := range workloads.GPUWorkloads() {
 		for _, prof := range []network.Profile{network.GigE, network.TenGigE} {
 			keys = append(keys, key{w, prof})
-			scenarios = append(scenarios, tx1Scenario(w, nodes, prof, o.scale()))
+			scenarios = append(scenarios, preset("tx1", nodes, prof, w.Name(), o.config()))
 		}
 	}
 	res := runAll(o, scenarios)

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"clustersoc/internal/cluster"
 	"clustersoc/internal/network"
 	"clustersoc/internal/runner"
-	"clustersoc/internal/soc"
-	"clustersoc/internal/workloads"
 )
 
 // RelatedWork extends the Sec. IV-A comparison across the ARM server
@@ -37,22 +34,12 @@ type RelatedWorkStudy struct {
 // problem per rank-second, which is the point: core count and per-core
 // strength trade off differently on every chip.
 func RelatedWorkCompare(o Options) *RelatedWorkStudy {
-	xgene := cluster.Config{
-		Name:         "X-Gene 1 server",
-		Nodes:        1,
-		NodeType:     soc.AppliedMicroXGene(),
-		Network:      network.GigE,
-		RanksPerNode: 8,
-	}
 	names := []string{"ep", "cg", "mg", "ft"}
-	wcfg := workloads.Config{Scale: o.scale()}
 	var scenarios []runner.Scenario
 	for _, name := range names {
-		w, _ := workloads.ByName(name)
-		scenarios = append(scenarios,
-			tx1Scenario(w, 8, network.GigE, o.scale()),
-			runner.Scenario{Cluster: cluster.CaviumServer(32), Workload: name, Config: wcfg},
-			runner.Scenario{Cluster: xgene, Workload: name, Config: wcfg})
+		for _, system := range []string{"tx1", "cavium", "xgene"} {
+			scenarios = append(scenarios, preset(system, 0, network.GigE, name, o.config()))
+		}
 	}
 	res := runAll(o, scenarios)
 	out := &RelatedWorkStudy{}

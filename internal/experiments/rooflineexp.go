@@ -3,29 +3,12 @@ package experiments
 import (
 	"math"
 
+	"clustersoc/internal/core"
 	"clustersoc/internal/network"
 	"clustersoc/internal/roofline"
 	"clustersoc/internal/runner"
-	"clustersoc/internal/soc"
 	"clustersoc/internal/workloads"
 )
-
-// tx1RooflineModel builds the extended-roofline model for one TX1 node
-// under a NIC profile. Single-precision workloads (the AI codes) see the
-// FP32 roof; the scientific codes the FP64 roof.
-func tx1RooflineModel(prof network.Profile, singlePrecision bool) roofline.Model {
-	node := soc.JetsonTX1()
-	peak := node.GPU.PeakFP64()
-	if singlePrecision {
-		peak = node.GPU.PeakFP32()
-	}
-	return roofline.Model{
-		Name:         "TX1 + " + prof.Name,
-		PeakFlops:    peak,
-		MemBandwidth: node.GPU.MemBandwidth,
-		NetBandwidth: prof.Throughput,
-	}
-}
 
 // RooflineRow is one Table II row under one network.
 type RooflineRow struct {
@@ -60,15 +43,16 @@ func Table2(o Options) *Roofline {
 	for _, w := range workloads.GPUWorkloads() {
 		for _, prof := range []network.Profile{network.GigE, network.TenGigE} {
 			keys = append(keys, key{w, prof})
-			scenarios = append(scenarios, tx1Scenario(w, nodes, prof, o.scale()))
+			scenarios = append(scenarios, preset("tx1", nodes, prof, w.Name(), o.config()))
 		}
 	}
 	results := runAll(o, scenarios)
 	out := &Roofline{Ceilings: map[string]map[string]float64{}}
 	for i, k := range keys {
 		w, prof, res := k.w, k.prof, results[i]
+		// The AI codes see the FP32 roof; the scientific codes the FP64.
 		single := w.Name() == "alexnet" || w.Name() == "googlenet"
-		model := tx1RooflineModel(prof, single)
+		model := core.RooflineModel(scenarios[i].Cluster, single)
 		pt := roofline.Point{
 			Name:       w.Name(),
 			FLOPs:      res.FLOPs / nodes,
@@ -86,10 +70,8 @@ func Table2(o Options) *Roofline {
 		}
 		out.Ceilings[w.Name()][prof.Name] = model.NetworkCeiling(pt.NI())
 	}
-	m1 := tx1RooflineModel(network.GigE, false)
-	m10 := tx1RooflineModel(network.TenGigE, false)
-	out.Series1G = m1.MemorySeries(0.01, 100, 64)
-	out.Series10G = m10.MemorySeries(0.01, 100, 64)
+	out.Series1G = core.RooflineModel(core.TX1(nodes, core.GigE), false).MemorySeries(0.01, 100, 64)
+	out.Series10G = core.RooflineModel(core.TX1(nodes, core.TenGigE), false).MemorySeries(0.01, 100, 64)
 	return out
 }
 

@@ -1,7 +1,11 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"clustersoc/internal/runner"
@@ -62,5 +66,35 @@ func TestOptionsDefaultRunnerIsSequential(t *testing.T) {
 	r := o.runner()
 	if r.Workers() != 1 {
 		t.Errorf("default run-plane has %d workers, want 1", r.Workers())
+	}
+}
+
+// TestScenarioFingerprintsPinned pins every distinct scenario the
+// artifact suite and the fault study submit at scale 0.02: the sha256
+// of their sorted, newline-joined fingerprints. A change to how any
+// generator builds a system moves this digest, and with it the store
+// keys a warmed store serves, even where no artifact number moves.
+func TestScenarioFingerprintsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates every artifact")
+	}
+	const (
+		wantScenarios = 275
+		wantDigest    = "2ee4222eef2d2802212d088ea27a4a9fe061be1f247664ea205d10a484fcf2fa"
+	)
+	o := DefaultOptions()
+	o.Scale = 0.02
+	o.Runner = runner.New(2)
+	o.Runner.SetObservers(runner.Observers{Profile: true})
+	Artifacts(o)
+	Faults(o)
+	var fps []string
+	for _, p := range o.Runner.Profiles() {
+		fps = append(fps, p.Fingerprint)
+	}
+	sort.Strings(fps)
+	sum := sha256.Sum256([]byte(strings.Join(fps, "\n")))
+	if got := hex.EncodeToString(sum[:]); len(fps) != wantScenarios || got != wantDigest {
+		t.Fatalf("%d scenarios, digest %s; want %d, %s", len(fps), got, wantScenarios, wantDigest)
 	}
 }

@@ -54,10 +54,10 @@ func scalingFor(ws []workloads.Workload, o Options) *Scaling {
 	var scenarios []runner.Scenario
 	for _, w := range ws {
 		for _, n := range sizes {
-			traced := tx1Scenario(w, n, network.TenGigE, o.scale())
+			traced := preset("tx1", n, network.TenGigE, w.Name(), o.config())
 			traced.Cluster.Traced = true
 			traced.Replay = true
-			scenarios = append(scenarios, tx1Scenario(w, n, network.GigE, o.scale()), traced)
+			scenarios = append(scenarios, preset("tx1", n, network.GigE, w.Name(), o.config()), traced)
 		}
 	}
 	res := runAll(o, scenarios)

@@ -3,14 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"clustersoc/internal/network"
 	"clustersoc/internal/soc"
 	"clustersoc/internal/units"
 	"clustersoc/internal/workloads"
 )
-
-// tenGig is a tiny helper so the generators read like the paper.
-func tenGig() network.Profile { return network.TenGigE }
 
 // Table1 renders Table I: the GPGPU-accelerated workload summary, emitted
 // from the same registry the simulator runs, so the documentation cannot

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"clustersoc/internal/cluster"
 	"clustersoc/internal/network"
 	"clustersoc/internal/runner"
 	"clustersoc/internal/workloads"
@@ -34,14 +33,8 @@ func WeakScaling(o Options) *WeakScalingStudy {
 	sizes := append([]int{1}, o.sizes()...)
 	var scenarios []runner.Scenario
 	for _, nodes := range sizes {
-		cfg := cluster.TX1Cluster(nodes, network.TenGigE)
-		cfg.RanksPerNode = 1
-		cfg.FileServer = true
-		scenarios = append(scenarios, runner.Scenario{
-			Cluster:  cfg,
-			Workload: "hpl",
-			Config:   workloads.Config{Scale: o.scale(), WeakScaling: true},
-		})
+		scenarios = append(scenarios, preset("tx1", nodes, network.TenGigE, "hpl",
+			workloads.Config{Scale: o.scale(), WeakScaling: true}))
 	}
 	results := runAll(o, scenarios)
 	out := &WeakScalingStudy{}

@@ -1,7 +1,7 @@
 // Package runflags is the run-plane's one command-line face: the flags
 // the front ends share (-store, -parallel, -check, -profile, -critpath),
-// the runner those flags build, and the accounting lines printed when
-// the run ends. Each front end mounts the subset it offers; every flag
+// the runner those flags build, the sidecars -profile and -critpath
+// promise, and the accounting lines printed when the run ends. Each front end mounts the subset it offers; every flag
 // has one name, one default and one help text wherever it appears.
 package runflags
 
@@ -11,6 +11,8 @@ import (
 	"io"
 	"os"
 
+	"clustersoc/internal/critpath"
+	"clustersoc/internal/obs"
 	"clustersoc/internal/runner"
 )
 
@@ -88,4 +90,41 @@ func Report(w io.Writer, r *runner.Runner) {
 		fmt.Fprintf(w, "store: %d hits, %d misses, %d writes, %d corrupt (%s, schema %d)\n",
 			st.StoreHits, st.StoreMisses, st.StoreWrites, st.StoreCorrupt, ps.Dir(), ps.Schema())
 	}
+}
+
+// WriteSidecars writes the observer records of every scenario r ran:
+// under -profile the profiles to base+".profile.json", under -critpath
+// the critical-path reports to base+".critpath.json". It names each file
+// it writes on w.
+func (f *Flags) WriteSidecars(w io.Writer, r *runner.Runner, base string) error {
+	if f.Observers.Profile {
+		profs := r.Profiles()
+		path := base + ".profile.json"
+		if err := writeFile(path, func(out io.Writer) error { return obs.WriteProfiles(out, profs) }); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %d profiles to %s\n", len(profs), path)
+	}
+	if f.Observers.CritPath {
+		reports := r.Reports()
+		path := base + ".critpath.json"
+		if err := writeFile(path, func(out io.Writer) error { return critpath.WriteReports(out, reports) }); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %d critical-path reports to %s (inspect with cmd/whatif)\n", len(reports), path)
+	}
+	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	out, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(out); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }

@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"clustersoc/internal/cluster"
+	"clustersoc/internal/critpath"
 	"clustersoc/internal/network"
+	"clustersoc/internal/obs"
 	"clustersoc/internal/runner"
 	"clustersoc/internal/workloads"
 )
@@ -136,5 +138,60 @@ func TestReportLinesMatchWhatCIGreps(t *testing.T) {
 	Report(&buf, runner.New(1))
 	if strings.Contains(buf.String(), "store:") {
 		t.Errorf("a storeless runner printed a store line:\n%s", buf.String())
+	}
+}
+
+// TestWriteSidecarsWritesWhatTheFlagsPromise: -profile and -critpath
+// each get their sidecar, in the bytes obs.WriteProfiles and
+// critpath.WriteReports give, named on w; with neither flag nothing is
+// written.
+func TestWriteSidecarsWritesWhatTheFlagsPromise(t *testing.T) {
+	dir := t.TempDir()
+	w, err := workloads.ByName("cg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cluster.TX1Cluster(2, network.TenGigE)
+	cfg.RanksPerNode = w.RanksPerNode()
+	sc := runner.Scenario{Cluster: cfg, Workload: "cg", Config: workloads.Config{Scale: 0.01}}
+	f := &Flags{Parallel: 1, Observers: runner.Observers{Profile: true, CritPath: true}}
+	r, err := f.Runner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(sc); err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(dir, "run")
+	var out bytes.Buffer
+	if err := f.WriteSidecars(&out, r, base); err != nil {
+		t.Fatal(err)
+	}
+	var profiles, reports bytes.Buffer
+	if err := obs.WriteProfiles(&profiles, r.Profiles()); err != nil {
+		t.Fatal(err)
+	}
+	if err := critpath.WriteReports(&reports, r.Reports()); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string][]byte{base + ".profile.json": profiles.Bytes(), base + ".critpath.json": reports.Bytes()} {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from its writer's bytes", path)
+		}
+		if !strings.Contains(out.String(), "wrote 1 ") || !strings.Contains(out.String(), path) {
+			t.Errorf("output %q does not name %s", out.String(), path)
+		}
+	}
+
+	none := filepath.Join(dir, "none")
+	if err := (&Flags{}).WriteSidecars(&out, r, none); err != nil {
+		t.Fatal(err)
+	}
+	if matches, _ := filepath.Glob(none + "*"); len(matches) != 0 {
+		t.Errorf("without -profile or -critpath, WriteSidecars wrote %v", matches)
 	}
 }

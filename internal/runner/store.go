@@ -67,10 +67,6 @@ func (r *Runner) Store() *store.Store {
 // its JSON and decodes many times faster. A Replay scenario's entry
 // holds its analysis in the head and no trace section, so the artifact
 // suite's store holds no traces at all.
-//
-// Entries written before observer records moved to their own keys carry
-// inline "profile" and "critpath" fields; decoding ignores them, so such
-// an entry still serves the Result a record-less simulation produces.
 type storedEntry struct {
 	Fingerprint string `json:"fingerprint"`
 	Events      uint64 `json:"events"`

@@ -36,7 +36,6 @@ import (
 
 	"clustersoc/internal/cluster"
 	"clustersoc/internal/core"
-	"clustersoc/internal/experiments"
 	"clustersoc/internal/faults"
 	"clustersoc/internal/network"
 	"clustersoc/internal/runner"
@@ -52,15 +51,17 @@ type Request struct {
 	// Workload names a registry workload (hpl, jacobi, cloverleaf,
 	// tealeaf2d/3d, alexnet, googlenet, and the NPB suite).
 	Workload string `json:"workload"`
-	// System picks a named preset: "tx1" (default), "cavium" (the
-	// ThunderX server; Nodes is the MPI process count there), or
-	// "gtx980" (the discrete-GPU baseline). Ignored when Cluster is set.
+	// System picks a named preset (core.PresetScenario): "tx1" (default),
+	// "gtx980" (the discrete-GPU baseline), "cavium" (the ThunderX
+	// server) or "xgene" (the X-Gene 1 server). Ignored when Cluster is
+	// set.
 	System string `json:"system,omitempty"`
-	// Nodes is the cluster size (default 8); for "cavium" it is the MPI
-	// rank count (default 32, the Table VI configuration).
+	// Nodes is the cluster size, or for "cavium" and "xgene" the MPI rank
+	// count. Zero means the paper's: 8 TX1 nodes, 2 GTX 980 hosts, 32
+	// Cavium ranks, 8 X-Gene ranks.
 	Nodes int `json:"nodes,omitempty"`
-	// Network picks the NIC for "tx1": "10GbE" (default), "1GbE", or
-	// "ideal".
+	// Network picks the TX1 cluster's NIC: "10GbE" (default), "1GbE", or
+	// "ideal". The other presets ignore it, but it must still name one.
 	Network string `json:"network,omitempty"`
 	// Scale, GPUWorkRatio, HalfPrecision, and WeakScaling are the
 	// workload knobs (see workloads.Config); zero values mean defaults.
@@ -75,8 +76,9 @@ type Request struct {
 	// fingerprint, so faulted variants are distinct cache entries.
 	Faults *faults.Plan `json:"faults,omitempty"`
 	// Cluster, when set, bypasses the presets and simulates the workload
-	// on this fully specified system (normalized by core.NewScenario, so
-	// fingerprints match the library face).
+	// on this fully specified system, normalized by core.NewScenario (so
+	// fingerprints match the library face): a RanksPerNode of 0 means the
+	// workload's own density, and an explicit one is kept.
 	Cluster *cluster.Config `json:"cluster,omitempty"`
 }
 
@@ -104,9 +106,9 @@ func netProfile(name string) (network.Profile, error) {
 }
 
 // Resolve turns the request into the run-plane's canonical Scenario.
-// Preset requests resolve through the same constructors the experiment
-// generators use, so a store warmed by cmd/experiments serves them as
-// pure decodes; custom-cluster requests normalize through
+// Preset requests resolve through core.PresetScenario, the builder the
+// experiment generators use, so a store warmed by cmd/experiments serves
+// them as pure decodes; custom-cluster requests normalize through
 // core.NewScenario, matching the library face.
 func (q Request) Resolve() (runner.Scenario, error) {
 	if q.Workload == "" {
@@ -115,56 +117,9 @@ func (q Request) Resolve() (runner.Scenario, error) {
 	if q.Nodes < 0 {
 		return runner.Scenario{}, fmt.Errorf("simd: negative node count %d", q.Nodes)
 	}
-	var sc runner.Scenario
-	switch {
-	case q.Cluster != nil:
-		var err error
-		sc, err = core.NewScenario(*q.Cluster, q.Workload, q.config())
-		if err != nil {
-			return runner.Scenario{}, err
-		}
-	case q.System == "" || q.System == "tx1":
-		prof, err := netProfile(q.Network)
-		if err != nil {
-			return runner.Scenario{}, err
-		}
-		nodes := q.Nodes
-		if nodes == 0 {
-			nodes = 8
-		}
-		sc, err = experiments.StandardScenario(q.Workload, nodes, prof, q.Scale)
-		if err != nil {
-			return runner.Scenario{}, err
-		}
-		sc.Config = q.config()
-	case q.System == "cavium":
-		w, err := workloads.ByName(q.Workload)
-		if err != nil {
-			return runner.Scenario{}, err
-		}
-		if w.GPUAccelerated() {
-			return runner.Scenario{}, fmt.Errorf("simd: workload %s needs a GPU; the Cavium server has none", q.Workload)
-		}
-		ranks := q.Nodes
-		if ranks == 0 {
-			ranks = 32 // the Table VI configuration
-		}
-		sc = runner.Scenario{Cluster: cluster.CaviumServer(ranks), Workload: q.Workload, Config: q.config()}
-	case q.System == "gtx980":
-		if _, err := workloads.ByName(q.Workload); err != nil {
-			return runner.Scenario{}, err
-		}
-		nodes := q.Nodes
-		if nodes == 0 {
-			nodes = 2 // the Fig. 9 baseline
-		}
-		// Mirrors the Fig. 9 generator: file server attached, one rank
-		// per Xeon host — same fingerprints as the discrete study.
-		cfg := cluster.GTX980Cluster(nodes)
-		cfg.FileServer = true
-		sc = runner.Scenario{Cluster: cfg, Workload: q.Workload, Config: q.config()}
-	default:
-		return runner.Scenario{}, fmt.Errorf("simd: unknown system %q (want tx1, cavium, or gtx980)", q.System)
+	sc, err := q.scenario()
+	if err != nil {
+		return runner.Scenario{}, err
 	}
 	if q.Traced {
 		sc.Cluster.Traced = true
@@ -173,6 +128,18 @@ func (q Request) Resolve() (runner.Scenario, error) {
 		sc.Cluster.Faults = q.Faults
 	}
 	return sc, nil
+}
+
+// scenario builds the request's system: its Cluster, else its preset.
+func (q Request) scenario() (runner.Scenario, error) {
+	if q.Cluster != nil {
+		return core.NewScenario(*q.Cluster, q.Workload, q.config())
+	}
+	prof, err := netProfile(q.Network)
+	if err != nil {
+		return runner.Scenario{}, err
+	}
+	return core.PresetScenario(q.System, q.Nodes, prof, q.Workload, q.config())
 }
 
 // Batch is the request body of POST /simulate.

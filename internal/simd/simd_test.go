@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -16,6 +19,7 @@ import (
 	"clustersoc/internal/core"
 	"clustersoc/internal/network"
 	"clustersoc/internal/runner"
+	"clustersoc/internal/soc"
 	"clustersoc/internal/workloads"
 )
 
@@ -413,6 +417,7 @@ var validationCases = []struct {
 	{"unknown workload", `{"requests":[{"workload":"doom"}]}`, http.StatusBadRequest},
 	{"unknown system", `{"requests":[{"workload":"cg","system":"cray"}]}`, http.StatusBadRequest},
 	{"unknown network", `{"requests":[{"workload":"cg","network":"token-ring"}]}`, http.StatusBadRequest},
+	{"unknown network on the cavium", `{"requests":[{"workload":"cg","system":"cavium","network":"token-ring"}]}`, http.StatusBadRequest},
 	{"gpu code on cavium", `{"requests":[{"workload":"hpl","system":"cavium"}]}`, http.StatusBadRequest},
 	{"negative nodes", `{"requests":[{"workload":"cg","nodes":-1}]}`, http.StatusBadRequest},
 	{"zero-node cluster", `{"requests":[{"workload":"ep","cluster":{"Name":"x","Nodes":0}}]}`, http.StatusBadRequest},
@@ -544,8 +549,24 @@ func TestResolvePresetParity(t *testing.T) {
 	if viaPreset.Fingerprint() != tableVI.Fingerprint() {
 		t.Fatalf("cavium preset fingerprint diverges from the Table VI generator")
 	}
-	// Custom cluster normalizes through core.NewScenario: RanksPerNode is
-	// derived from the workload, exactly as the library face does.
+	// gtx980 preset == the Fig. 9 generator's baseline: 2 hosts, one
+	// rank each, the file server for the GPU codes.
+	viaPreset = mustResolve(t, Request{Workload: "jacobi", System: "gtx980", Scale: 0.05})
+	gtx := cluster.GTX980Cluster(2)
+	gtx.FileServer = true
+	fig9 := runner.Scenario{Cluster: gtx, Workload: "jacobi", Config: workloads.Config{Scale: 0.05}}
+	if viaPreset.Fingerprint() != fig9.Fingerprint() {
+		t.Fatalf("gtx980 preset fingerprint diverges from the Fig. 9 generator")
+	}
+	// xgene preset == the related-work generator's X-Gene 1 run.
+	viaPreset = mustResolve(t, Request{Workload: "cg", System: "xgene", Scale: 0.05})
+	xgene := cluster.Config{Name: "X-Gene 1 server", Nodes: 1, NodeType: soc.AppliedMicroXGene(), Network: network.GigE, RanksPerNode: 8}
+	related := runner.Scenario{Cluster: xgene, Workload: "cg", Config: workloads.Config{Scale: 0.05}}
+	if viaPreset.Fingerprint() != related.Fingerprint() {
+		t.Fatalf("xgene preset fingerprint diverges from the related-work generator")
+	}
+	// Custom cluster normalizes through core.NewScenario, exactly as the
+	// library face does: its explicit RanksPerNode is kept.
 	custom := cluster.CaviumServer(16)
 	viaCluster := mustResolve(t, Request{Workload: "cg", Cluster: &custom, Scale: 0.05})
 	lib, err := core.NewScenario(custom, "cg", workloads.Config{Scale: 0.05})
@@ -607,6 +628,80 @@ func TestLimiterAccounting(t *testing.T) {
 	var nilL *limiter
 	if ok, _ := nilL.take("c", 1000, now); !ok {
 		t.Fatal("nil limiter must admit everything")
+	}
+}
+
+// TestLimiterForgetsRefilledClients: one-off clients a second apart,
+// each refilled within 0.1 s at 10 tokens/s and burst 10, leave at most
+// a couple of buckets, not one per client ever seen.
+func TestLimiterForgetsRefilledClients(t *testing.T) {
+	l := newLimiter(10, 10)
+	start, most := time.Unix(1000, 0), 0
+	for i := 0; i < 100000; i++ {
+		l.take(fmt.Sprintf("client-%d", i), 1, start.Add(time.Duration(i)*time.Second))
+		most = max(most, len(l.buckets))
+	}
+	if most > 2 {
+		t.Fatalf("100000 one-off clients left up to %d buckets, want at most 2", most)
+	}
+}
+
+// refLimiter is the limiter before it dropped refilled buckets: one
+// bucket per client ever seen. The sweeping limiter must answer exactly
+// as it does.
+type refLimiter struct {
+	rate, burst float64
+	buckets     map[string]*bucket
+}
+
+func (l *refLimiter) take(client string, n int, now time.Time) (bool, time.Duration) {
+	b, found := l.buckets[client]
+	if !found {
+		b = &bucket{tokens: l.burst, last: now}
+		l.buckets[client] = b
+	} else {
+		b.tokens = math.Min(l.burst, b.tokens+now.Sub(b.last).Seconds()*l.rate)
+		b.last = now
+	}
+	need := float64(n)
+	if b.tokens >= need {
+		b.tokens -= need
+		return true, 0
+	}
+	return false, time.Duration((need - b.tokens) / l.rate * float64(time.Second))
+}
+
+// TestSweepingLimiterAnswersAsBefore replays a seeded trace of regulars
+// and one-off clients through both limiters: every admission and every
+// Retry-After wait must match, while the sweeping one holds fewer
+// buckets.
+func TestSweepingLimiterAnswersAsBefore(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	l := newLimiter(5, 8)
+	ref := &refLimiter{rate: l.rate, burst: l.burst, buckets: map[string]*bucket{}}
+	now := time.Unix(1000, 0)
+	admitted := 0
+	for i := 0; i < 200000; i++ {
+		now = now.Add(time.Duration(rng.ExpFloat64() * float64(20*time.Millisecond)))
+		client := fmt.Sprintf("regular-%d", rng.Intn(64))
+		if rng.Intn(4) == 0 {
+			client = fmt.Sprintf("once-%d", i)
+		}
+		n := 1 + rng.Intn(8)
+		ok, wait := l.take(client, n, now)
+		wantOK, wantWait := ref.take(client, n, now)
+		if ok != wantOK || wait != wantWait {
+			t.Fatalf("step %d (%s, %d tokens): got %v, %v; the unswept limiter says %v, %v", i, client, n, ok, wait, wantOK, wantWait)
+		}
+		if ok {
+			admitted++
+		}
+	}
+	if admitted == 0 || admitted == 200000 {
+		t.Fatalf("%d of 200000 admitted: the trace never tests both answers", admitted)
+	}
+	if len(l.buckets)*10 > len(ref.buckets) {
+		t.Fatalf("%d buckets kept against the unswept %d: refilled buckets are not dropped", len(l.buckets), len(ref.buckets))
 	}
 }
 
